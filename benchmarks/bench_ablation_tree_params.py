@@ -8,7 +8,7 @@ guarantee the paper relies on).
 
 from repro.bench.harness import format_table
 from repro.config import small_config
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.oram.controller import PathORAMController
 from repro.util.rng import DeterministicRNG
 
@@ -16,7 +16,7 @@ from repro.util.rng import DeterministicRNG
 def _overhead_at(height, z, accesses=200):
     config = small_config(height=height, z=z, seed=9)
     base = PathORAMController(config)
-    ps = PSORAMController(config)
+    ps = build_variant("ps", config)
     rng_a, rng_b = DeterministicRNG(4), DeterministicRNG(4)
     span = config.oram.num_logical_blocks // 2
     for i in range(accesses):

@@ -8,7 +8,7 @@ bar), and the traffic decomposition of the in-place backup scheme.
 
 from repro.bench.harness import BENCH_CONFIG, format_table
 from repro.ring.controller import RingORAMController
-from repro.ring.ps import PSRingController
+from repro.core.variants import build_variant
 from repro.util.rng import DeterministicRNG
 
 ACCESSES = 300
@@ -25,7 +25,7 @@ def _drive(controller, seed=5):
 def test_ps_ring_overhead(benchmark):
     def run():
         base = _drive(RingORAMController(BENCH_CONFIG))
-        ps = _drive(PSRingController(BENCH_CONFIG))
+        ps = _drive(build_variant("ring-ps", BENCH_CONFIG))
         return base, ps
 
     base, ps = benchmark.pedantic(run, rounds=1, iterations=1)

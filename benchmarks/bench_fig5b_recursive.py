@@ -10,7 +10,7 @@ Runnable standalone: ``python benchmarks/bench_fig5b_recursive.py
 from repro.bench.harness import BENCH_WORKLOADS, format_table, parse_bench_args, sweep
 from repro.sim.results import geometric_mean, normalize
 
-VARIANTS = ("baseline", "rcr-baseline", "rcr-ps")
+SYSTEMS = ("baseline", "rcr-baseline", "rcr-ps")
 
 
 def _report(results, workloads):
@@ -20,7 +20,7 @@ def _report(results, workloads):
     rows = [
         (variant, *(table[variant].get(w, float("nan")) for w in workloads),
          norm[variant])
-        for variant in VARIANTS
+        for variant in SYSTEMS
     ]
     print()
     print(
@@ -37,7 +37,7 @@ def _report(results, workloads):
 
 
 def test_fig5b_recursive_performance(benchmark):
-    results = benchmark.pedantic(lambda: sweep(VARIANTS), rounds=1, iterations=1)
+    results = benchmark.pedantic(lambda: sweep(SYSTEMS), rounds=1, iterations=1)
     norm = _report(results, BENCH_WORKLOADS)
     ps_within = norm["rcr-ps"] / norm["rcr-baseline"]
     # Shapes: recursion costs a large constant; PS adds single digits on top.
@@ -48,7 +48,7 @@ def test_fig5b_recursive_performance(benchmark):
 
 def main(argv=None) -> int:
     args = parse_bench_args(__doc__, argv)
-    results = sweep(VARIANTS, args.workloads)
+    results = sweep(SYSTEMS, args.workloads)
     _report(results, args.workloads)
     return 0
 

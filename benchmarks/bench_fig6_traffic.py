@@ -13,7 +13,7 @@ Runnable standalone: ``python benchmarks/bench_fig6_traffic.py
 from repro.bench.harness import format_table, parse_bench_args, sweep
 from repro.sim.results import geometric_mean, normalize
 
-VARIANTS = (
+SYSTEMS = (
     "baseline", "fullnvm", "fullnvm-stt", "naive-ps", "ps",
     "rcr-baseline", "rcr-ps",
 )
@@ -25,7 +25,7 @@ def _norms(results, metric):
 
 
 def test_fig6a_read_traffic(benchmark):
-    results = benchmark.pedantic(lambda: sweep(VARIANTS), rounds=1, iterations=1)
+    results = benchmark.pedantic(lambda: sweep(SYSTEMS), rounds=1, iterations=1)
     reads = _norms(results, "nvm_reads")
     print()
     print(
@@ -43,7 +43,7 @@ def test_fig6a_read_traffic(benchmark):
 
 
 def test_fig6b_write_traffic(benchmark):
-    results = benchmark.pedantic(lambda: sweep(VARIANTS), rounds=1, iterations=1)
+    results = benchmark.pedantic(lambda: sweep(SYSTEMS), rounds=1, iterations=1)
     writes = _norms(results, "nvm_writes")
     print()
     print(
@@ -91,14 +91,14 @@ def test_fig6_wear_relevance(benchmark):
 
 def main(argv=None) -> int:
     args = parse_bench_args(__doc__, argv)
-    results = sweep(VARIANTS, args.workloads)
+    results = sweep(SYSTEMS, args.workloads)
     reads = _norms(results, "nvm_reads")
     writes = _norms(results, "nvm_writes")
     print(format_table(
         "Figure 6: NVM traffic normalized to Baseline",
         ["Variant", "Reads", "Writes"],
         [(v, reads.get(v, float("nan")), writes.get(v, float("nan")))
-         for v in VARIANTS],
+         for v in SYSTEMS],
     ))
     return 0
 

@@ -27,7 +27,7 @@ from repro.sim.results import geometric_mean, normalize
 
 WORKLOADS = ("429.mcf", "401.bzip2")
 CHANNELS = (1, 2, 4)
-VARIANTS = ("baseline", "ps", "rcr-baseline", "rcr-ps")
+SYSTEMS = ("baseline", "ps", "rcr-baseline", "rcr-ps")
 
 
 def _run_all(window: int = 1):
@@ -36,7 +36,7 @@ def _run_all(window: int = 1):
         config = dataclasses.replace(
             BENCH_CONFIG, channels=channels, sched_window=window
         )
-        results = sweep(VARIANTS, WORKLOADS, config=config,
+        results = sweep(SYSTEMS, WORKLOADS, config=config,
                         references=BENCH_REFERENCES, warmup=BENCH_WARMUP)
         table = normalize(results, "baseline", "cycles")
         cycles = {}
@@ -51,7 +51,7 @@ def _run_all(window: int = 1):
 
 def _report(data) -> None:
     rows = []
-    for variant in VARIANTS:
+    for variant in SYSTEMS:
         base = data[1]["cycles"][variant]
         rows.append(
             (

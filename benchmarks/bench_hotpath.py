@@ -75,19 +75,11 @@ def bench_variant(
     height: int = BENCH_HEIGHT,
     window: int = DEFAULT_WINDOW,
     channels: int = DEFAULT_CHANNELS,
-    segment: bool = True,
-    lookahead: bool = True,
 ) -> Dict[str, float]:
     """Time ``measured`` accesses of one variant after ``warmup``."""
     from repro.engine.registry import build_scheduled
 
-    config = small_config(
-        height=height,
-        channels=channels,
-        sched_window=window,
-        sched_segment=segment,
-        sched_lookahead=lookahead,
-    )
+    config = small_config(height=height, channels=channels, sched_window=window)
     controller = build_scheduled(name, config)
     rng = DeterministicRNG(99)
 
@@ -143,12 +135,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--channels", type=int, default=DEFAULT_CHANNELS,
                         metavar="N",
                         help="memory channels (default: %(default)s)")
-    parser.add_argument("--hazard-model", choices=["segment", "whole-path"],
-                        default="segment",
-                        help="window hazard rule: bucket-segment floors "
-                             "(default) or PR 7's whole-path serialization")
-    parser.add_argument("--no-lookahead", action="store_true",
-                        help="disable the speculative posmap lookahead")
     parser.add_argument("--output", default="BENCH_hotpath.json", metavar="PATH",
                         help="result JSON path (default: %(default)s)")
     parser.add_argument("--floor", type=float, default=DEFAULT_FLOOR, metavar="N",
@@ -166,18 +152,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     warmup = QUICK_WARMUP if args.quick else WARMUP_ACCESSES
     measured = QUICK_MEASURED if args.quick else MEASURED_ACCESSES
-    segment = args.hazard_model == "segment"
-    lookahead = not args.no_lookahead
 
     results = {}
     for name in args.variants:
         row = bench_variant(
-            name, warmup, measured, window=args.window, channels=args.channels,
-            segment=segment, lookahead=lookahead,
+            name, warmup, measured, window=args.window, channels=args.channels
         )
         if args.window > 1:
             # Identical trace on the serial pipeline: the modeled speedup
-            # the window (and its hazard model) buys on this workload.
+            # the window buys on this workload.
             serial = bench_variant(
                 name, warmup, measured, window=1, channels=args.channels
             )
@@ -206,8 +189,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "measured_accesses": measured,
         "window": args.window,
         "channels": args.channels,
-        "hazard_model": args.hazard_model,
-        "lookahead": lookahead,
         "pre_opt_reference": PRE_OPT_REFERENCE,
         "pr2_reference": PR2_REFERENCE,
         "results": results,

@@ -13,11 +13,9 @@ The paper sketches three directions this library implements end-to-end:
 Run:  python examples/extensions_tour.py
 """
 
-from repro import small_config
+from repro import build_variant, small_config
 from repro.hybrid.controller import HybridPSORAMController
-from repro.oram.integrity import attach_integrity
-from repro.ring.controller import RingORAMController
-from repro.ring.ps import PSRingController
+from repro.integrity import enable_integrity
 from repro.util.rng import DeterministicRNG
 
 
@@ -26,7 +24,7 @@ def tour_ring() -> None:
     print("1. PS crash consistency on Ring ORAM")
     print("=" * 70)
     config = small_config(height=7, seed=11)
-    base, ps = RingORAMController(config), PSRingController(config)
+    base, ps = build_variant("ring-baseline", config), build_variant("ring-ps", config)
     rng_a, rng_b = DeterministicRNG(1), DeterministicRNG(1)
     model = {}
     for i in range(150):
@@ -75,10 +73,9 @@ def tour_integrity() -> None:
     print("=" * 70)
     print("3. Merkle integrity: catching replay attacks")
     print("=" * 70)
-    from repro import build_variant
-
     controller = build_variant("ps", small_config(height=6, seed=11))
-    tree = attach_integrity(controller)
+    domain = enable_integrity(controller)
+    tree = domain.tree
     controller.write(1, b"version-1")
     # The attacker snapshots the NVM image...
     stolen = controller.memory.snapshot_image()
@@ -90,7 +87,7 @@ def tour_integrity() -> None:
     print(f"per-line MACs: all replayed lines still decrypt fine")
     print(f"Merkle audit: {len([c for c in corrupt if c >= 0])} replayed "
           f"lines flagged -> replay DETECTED")
-    tree.detach()
+    domain.detach()
 
 
 def main() -> None:

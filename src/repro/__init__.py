@@ -34,12 +34,8 @@ from repro.config import (
     STTRAM_TIMING,
 )
 from repro.core import (
-    FullNVMController,
-    NaivePSORAMController,
     PlainNVMController,
-    PSORAMController,
     RcrPSORAMController,
-    VARIANTS,
     build_variant,
 )
 from repro.apps import ObliviousKVStore, ObliviousQueue
@@ -72,12 +68,8 @@ __all__ = [
     # controllers
     "PathORAMController",
     "RecursivePathORAM",
-    "PSORAMController",
-    "NaivePSORAMController",
-    "FullNVMController",
     "PlainNVMController",
     "RcrPSORAMController",
-    "VARIANTS",
     "build_variant",
     # applications
     "ObliviousKVStore",

@@ -257,14 +257,6 @@ class SystemConfig:
     # In-flight access window depth for the memory-level-parallel
     # scheduler (repro.engine.sched); 1 = today's serial pipeline.
     sched_window: int = 1
-    # Bucket-segment hazard tracking: a younger access serializes only
-    # behind the shared bucket segments of older in-flight accesses
-    # (False = whole-path serialization, the pre-segment rule).
-    sched_segment: bool = True
-    # Speculative posmap lookahead: pre-resolve the next request's leaf
-    # while the previous access is in flight (frontend re-accepts after
-    # one cycle instead of the full on-chip lookup latency).
-    sched_lookahead: bool = True
     # Attach the crash-consistent integrity domain (repro.integrity) to
     # built controllers; the persistence policy picks the discipline.
     # Off by default — integrity-off runs are bit-identical to before.
@@ -317,8 +309,6 @@ def small_config(
     stash_capacity: Optional[int] = None,
     wpq: Optional[WPQConfig] = None,
     sched_window: int = 1,
-    sched_segment: bool = True,
-    sched_lookahead: bool = True,
     integrity: bool = False,
 ) -> SystemConfig:
     """A laptop-scale configuration for tests, examples and benches.
@@ -343,8 +333,6 @@ def small_config(
         seed=seed,
         wpq=wpq if wpq is not None else WPQConfig(),
         sched_window=sched_window,
-        sched_segment=sched_segment,
-        sched_lookahead=sched_lookahead,
         integrity=integrity,
     )
     cfg.validate()

@@ -5,34 +5,22 @@
 * :mod:`repro.core.drainer` — the drainer orchestrating atomic dual-WPQ
   eviction rounds ("start"/"end" signals).
 * :mod:`repro.core.backup` — backup (shadow) block creation.
-* :mod:`repro.core.controller` — :class:`PSORAMController`, the five-step
-  PS-ORAM access protocol with persistent eviction (paper Section 4.2).
-* :mod:`repro.core.naive` — Naive-PS-ORAM (flush-all PosMap persistence).
-* :mod:`repro.core.fullnvm` — FullNVM / FullNVM(STT) (on-chip NVM stash and
-  PosMap).
 * :mod:`repro.core.plain` — non-ORAM NVM system (the paper's 11x yardstick).
 * :mod:`repro.core.ordered_eviction` — limited-WPQ ordered write-back.
 * :mod:`repro.core.recovery` — post-crash recovery (paper Section 4.3).
 * :mod:`repro.core.recursive_ps` — Rcr-PS-ORAM.
-* :mod:`repro.core.eadr` — eADR-ORAM draining cost comparison (Table 2).
-* :mod:`repro.core.variants` — factory building any evaluated system.
+* :mod:`repro.core.variants` — the registry rows building every evaluated
+  system (the protocols themselves are policies in :mod:`repro.engine`).
 """
 
-from repro.core.controller import PSORAMController
-from repro.core.fullnvm import FullNVMController
-from repro.core.naive import NaivePSORAMController
 from repro.core.plain import PlainNVMController
 from repro.core.recursive_ps import RcrPSORAMController
 from repro.core.temp_posmap import TempPosMap
-from repro.core.variants import VARIANTS, build_variant
+from repro.core.variants import build_variant
 
 __all__ = [
-    "PSORAMController",
-    "NaivePSORAMController",
-    "FullNVMController",
     "PlainNVMController",
     "RcrPSORAMController",
     "TempPosMap",
-    "VARIANTS",
     "build_variant",
 ]

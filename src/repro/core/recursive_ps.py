@@ -31,10 +31,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.config import SystemConfig
-from repro.core.controller import PSORAMController
-from repro.engine.ps import RecursiveDirtyEntryPSPolicy
+from repro.engine.ps import DirtyEntryPSPolicy, RecursiveDirtyEntryPSPolicy
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access, RequestKind
+from repro.oram.controller import PathORAMController
 from repro.oram.recursive import RecursivePathORAM
 
 
@@ -113,16 +113,16 @@ class RcrPSORAMController(RecursivePathORAM):
         config: SystemConfig,
         memory: Optional[NVMMainMemory] = None,
         key: bytes = b"repro-psoram-key",
-        **kwargs,
     ):
         # RecursivePathORAM.__init__ builds the layout and the posmap tree;
         # the attached policy adds the temp-PosMap/drainer machinery for
         # the data tree.
-        kwargs.setdefault("policy", RecursiveDirtyEntryPSPolicy())
-        super().__init__(config, memory=memory, key=key, **kwargs)
+        super().__init__(
+            config, memory=memory, key=key, policy=RecursiveDirtyEntryPSPolicy()
+        )
         inner = self.posmap_oram.controller
         # Skip the inner controller's version line + bounce region.
-        scratch = (1 + PSORAMController.BOUNCE_LINES) * self.oram_config.block_bytes
+        scratch = (1 + DirtyEntryPSPolicy.BOUNCE_LINES) * self.oram_config.block_bytes
         intent_base = (
             inner.persistent_posmap.region.base
             + inner.persistent_posmap.region.size_bytes
@@ -144,7 +144,7 @@ class RcrPSORAMController(RecursivePathORAM):
         self, config, pm_config, pm_region, root_posmap_region, key
     ):
         """The posmap tree is itself crash-consistent (PS-ORAM flavoured)."""
-        return PSORAMController(
+        return PathORAMController(
             config,
             memory=self.memory,
             key=key,
@@ -153,4 +153,5 @@ class RcrPSORAMController(RecursivePathORAM):
             posmap_region=root_posmap_region,
             request_kind=RequestKind.POSMAP,
             name="posmap-oram",
+            policy=DirtyEntryPSPolicy(),
         )

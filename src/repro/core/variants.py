@@ -33,43 +33,48 @@ name               system
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
-from repro.config import SystemConfig
-from repro.core.controller import PSORAMController
-from repro.core.eadr import EADRORAMController
-from repro.core.fullnvm import FullNVMController
-from repro.core.naive import NaivePSORAMController
+from repro.config import STTRAM_TIMING, SystemConfig
 from repro.core.plain import PlainNVMController
 from repro.core.recursive_ps import RcrPSORAMController
 from repro.engine import registry
+from repro.engine.eadr import EADRPolicy
+from repro.engine.fullnvm import FullNVMPolicy
+from repro.engine.ps import (
+    DirtyEntryPSPolicy,
+    NaiveFlushAllPolicy,
+    RingDirtyEntryPSPolicy,
+)
 from repro.engine.registry import (  # noqa: F401
     VariantSpec,
     get_spec,
     variant_specs,
 )
+from repro.hybrid.controller import HybridPSORAMController
 from repro.mem.controller import NVMMainMemory
 from repro.oram.controller import PathORAMController
 from repro.oram.recursive import RecursivePathORAM
+from repro.ring.controller import RingORAMController
 
 
-def _hybrid_factory(config, memory=None, key=b"repro-psoram-key"):
-    from repro.hybrid.controller import HybridPSORAMController
+def _assemble(hierarchy: Callable, make_policy: Callable) -> Callable:
+    """Factory for ``hierarchy`` with a fresh ``make_policy()`` per build.
 
-    return HybridPSORAMController(config, memory=memory, key=key)
+    The policy is constructed inside the factory, never shared: a policy
+    owns per-controller state (WPQs, the temporary PosMap), so two builds
+    of one spec must not see each other's.
+    """
+
+    def factory(config, memory=None, key=b"repro-psoram-key"):
+        return hierarchy(config, memory=memory, key=key, policy=make_policy())
+
+    return factory
 
 
-def _ring_factory(config, memory=None, key=b"repro-psoram-key"):
-    from repro.ring.controller import RingORAMController
-
-    return RingORAMController(config, memory=memory, key=key)
-
-
-def _ring_ps_factory(config, memory=None, key=b"repro-psoram-key"):
-    from repro.ring.ps import PSRingController
-
-    return PSRingController(config, memory=memory, key=key)
-
+_ps = _assemble(PathORAMController, DirtyEntryPSPolicy)
+_naive_ps = _assemble(PathORAMController, NaiveFlushAllPolicy)
+_eadr = _assemble(PathORAMController, EADRPolicy)
 
 _SPECS = (
     VariantSpec(
@@ -85,22 +90,22 @@ _SPECS = (
     VariantSpec(
         "fullnvm", "path", "full-nvm", "flat",
         "on-chip stash/PosMap built from PCM cells",
-        FullNVMController,
+        _assemble(PathORAMController, FullNVMPolicy),
     ),
     VariantSpec(
         "fullnvm-stt", "path", "full-nvm-stt", "flat",
         "on-chip stash/PosMap built from STT-RAM cells",
-        FullNVMController.stt,
+        _assemble(PathORAMController, lambda: FullNVMPolicy(STTRAM_TIMING)),
     ),
     VariantSpec(
         "naive-ps", "path", "naive-flush-all", "flat",
         "PS-ORAM persisting all Z*(L+1) PosMap entries per access",
-        NaivePSORAMController,
+        _naive_ps,
     ),
     VariantSpec(
         "ps", "path", "dirty-entry-ps", "flat",
         "PS-ORAM with dirty-entry persistence — the paper's design",
-        PSORAMController,
+        _ps,
     ),
     VariantSpec(
         "rcr-baseline", "path", "volatile", "recursive",
@@ -115,22 +120,22 @@ _SPECS = (
     VariantSpec(
         "eadr-oram", "path", "eadr", "flat",
         "extended-ADR ORAM: the crash flush drains the stash into the tree",
-        EADRORAMController,
+        _eadr,
     ),
     VariantSpec(
         "ps-hybrid", "hybrid", "dirty-entry-ps", "flat",
         "PS-ORAM with a write-through DRAM tree-top cache",
-        _hybrid_factory,
+        HybridPSORAMController,
     ),
     VariantSpec(
         "ring-baseline", "ring", "volatile", "flat",
         "Ring ORAM on NVM, volatile stash/PosMap (no crash consistency)",
-        _ring_factory,
+        RingORAMController,
     ),
     VariantSpec(
         "ring-ps", "ring", "dirty-entry-ps", "flat",
         "crash-consistent Ring ORAM (in-place slot backup, atomic rounds)",
-        _ring_ps_factory,
+        _assemble(RingORAMController, RingDirtyEntryPSPolicy),
     ),
 )
 
@@ -162,12 +167,12 @@ _INTEGRITY_SPECS = (
     VariantSpec(
         "naive-ps-int", "path", "naive-flush-all", "flat",
         "Naive-PS-ORAM + eager per-leaf integrity path persistence",
-        _with_integrity(NaivePSORAMController),
+        _with_integrity(_naive_ps),
     ),
     VariantSpec(
         "ps-int", "path", "dirty-entry-ps", "flat",
         "PS-ORAM + lazy-batched persistent integrity tree",
-        _with_integrity(PSORAMController),
+        _with_integrity(_ps),
     ),
     VariantSpec(
         "rcr-ps-int", "path", "dirty-entry-ps", "recursive",
@@ -177,17 +182,12 @@ _INTEGRITY_SPECS = (
     VariantSpec(
         "eadr-int", "path", "eadr", "flat",
         "eADR ORAM + integrity root persisted by the residual-energy flush",
-        _with_integrity(EADRORAMController),
+        _with_integrity(_eadr),
     ),
 )
 
 for _spec in _SPECS + _INTEGRITY_SPECS:
     registry.register(_spec)
-
-#: Backward-compatible name → factory view of the registry.
-VARIANTS: Dict[str, Callable] = {
-    spec.name: spec.factory for spec in _SPECS + _INTEGRITY_SPECS
-}
 
 #: Variants evaluated in Figure 5(a) (non-recursive systems).
 NON_RECURSIVE_VARIANTS = ("baseline", "fullnvm", "fullnvm-stt", "naive-ps", "ps")

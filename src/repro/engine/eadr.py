@@ -1,8 +1,7 @@
 """eADR persistence policy + Table-2 drain inventories (Section 4.2.4).
 
 The inventory/estimate helpers build the Table-2 comparison from a live
-:class:`SystemConfig` instead of the hard-coded paper sizes; they are
-re-exported from :mod:`repro.core.eadr` for compatibility.
+:class:`SystemConfig` instead of the hard-coded paper sizes.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ class FullNVMPolicy(VolatilePolicy):
         c.onchip = NVMMainMemory(
             timing,
             channels=1,
-            banks_per_channel=getattr(c, "ONCHIP_BANKS", self.ONCHIP_BANKS),
+            banks_per_channel=self.ONCHIP_BANKS,
             line_bytes=c.oram_config.block_bytes,
         )
         self._stash_slot_cursor = 0

@@ -112,8 +112,9 @@ class DirtyEntryPSPolicy(PersistencePolicy):
         region = c.persistent_posmap.region
         c._version_line = region.base + region.size_bytes
         line = c.oram_config.block_bytes
-        bounce = getattr(c, "BOUNCE_LINES", self.BOUNCE_LINES)
-        c._bounce_lines = [c._version_line + (1 + i) * line for i in range(bounce)]
+        c._bounce_lines = [
+            c._version_line + (1 + i) * line for i in range(self.BOUNCE_LINES)
+        ]
         c.drainer = Drainer(
             c.memory,
             data_capacity=max(c.config.wpq.data_entries, 1),
@@ -595,6 +596,12 @@ class RingDirtyEntryPSPolicy(DirtyEntryPSPolicy):
       EvictPath and every early reshuffle;
     * dirty-entry persist — entries ride the EvictPath round that places
       their block, exactly as in PS-ORAM.
+
+    Security note: the in-place write-back writes exactly the slots that
+    were just read (a fixed, already-revealed set), so it leaks nothing
+    new; a slot re-validated with fresh ciphertext is indistinguishable
+    from a reshuffled one when read again later, and Ring's no-slot-reuse
+    rule holds because re-validation *is* a rewrite.
     """
 
     CHECKPOINT_BEFORE_REMAP = None

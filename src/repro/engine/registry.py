@@ -96,13 +96,7 @@ def build_scheduled(name: str, config, window: Optional[int] = None, **kwargs):
     from repro.engine.sched import wrap_controller  # lazy: avoid cycle
 
     controller = _apply_config_integrity(get_spec(name).make(config, **kwargs), config)
-    depth = getattr(config, "sched_window", 1) if window is None else window
-    return wrap_controller(
-        controller,
-        depth,
-        segment=getattr(config, "sched_segment", True),
-        lookahead=getattr(config, "sched_lookahead", True),
-    )
+    return wrap_controller(controller, config.sched_window if window is None else window)
 
 
 def variant_specs() -> List[VariantSpec]:

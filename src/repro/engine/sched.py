@@ -17,20 +17,20 @@ earliest cycle its hazards allow:
 
 * **same-address hazard** — a younger access to the address of an older
   in-flight access serializes behind that access's full completion;
-* **bucket-segment hazard** (``segment=True``, the default) — two paths
-  that share buckets *below* the controller-cached top levels contend
-  only for those shared bucket segments.  The older access reports the
-  memory cycle each tree level's write-back round released its bucket
+* **bucket-segment hazard** — two paths that share buckets *below* the
+  controller-cached top levels contend only for those shared bucket
+  segments.  The older access reports the memory cycle each tree level's
+  write-back round released its bucket
   (:attr:`repro.engine.base.AccessResult.writeback_level_release`), and
   the younger access's *fetch of that level* is floored to that cycle —
   everything on the disjoint subtree overlaps freely.  Every pair of
-  paths shares the root; the top ``top_cached_levels`` levels are
+  paths shares the root; the top ``TOP_CACHED_LEVELS`` levels are
   assumed held in the controller's bucket buffer (PLB-style top cache)
   and are never floored;
-* **whole-path fallback** (``segment=False``, or an older access that
-  reported no per-level release — ring write points, stash hits,
-  non-tree hierarchies) — the younger access serializes behind the
-  older's full completion, PR 7's original path-overlap rule;
+* **whole-path fallback** — an older access that reported no per-level
+  release (ring write points, stash hits) or an access whose path cannot
+  be peeked (non-tree hierarchies): the younger access serializes behind
+  the older's full completion;
 * **window retirement** — an access that falls out of the window is a
   hard floor: nothing younger may start before its write-back end, which
   bounds how deep the overlap can run;
@@ -45,14 +45,14 @@ earliest cycle its hazards allow:
   channels exactly as the per-channel ``next_free_cycle`` queries
   report.
 
-**Speculative posmap lookahead** (``lookahead=True``, the default)
-models pre-resolving the next request's leaf while the previous access
-is still in flight: when the scheduler can peek the path (a read-only
-posmap probe), the frontend re-accepts after one cycle instead of the
-full on-chip lookup latency.  The peek is sound because execution is
-functionally serial — every older access's remap has already been
-applied to the posmap by the time the peek runs, so the peeked leaf is
-exactly the leaf the access will fetch.
+**Speculative posmap lookahead** models pre-resolving the next
+request's leaf while the previous access is still in flight: when the
+scheduler can peek the path (a read-only posmap probe), the frontend
+re-accepts after one cycle instead of the full on-chip lookup latency.
+The peek is sound because execution is functionally serial — every
+older access's remap has already been applied to the posmap by the time
+the peek runs, so the peeked leaf is exactly the leaf the access will
+fetch.
 
 Execution stays *functionally serial*: each access runs to completion
 through the unmodified pipeline before the next begins, so stash,
@@ -60,9 +60,12 @@ PosMap, and NVM image are byte-identical to window 1 — only the cycle
 each access is launched at (and, under segment floors, the arrival of
 its per-level fetch groups) changes.  The interval calendars make the
 early launch sound: a request arriving while a resource is busy still
-waits its turn, and in-order (monotone-arrival) traffic is
-cycle-identical to the watermark model, which is why every window-1
-timing digest is unchanged.
+waits its turn.  Window 1 returns the bare controller and never enables
+the calendars, which is why every window-1 timing digest is unchanged;
+the calendars are *not* cycle-identical to the watermarks in general,
+because even serial traffic reaches the bank and bus stages out of
+arrival order (docs/PERF.md records what enabling them everywhere
+measures).
 
 Crash semantics are preserved by the same property.  Every crash point
 fires inside one access's serial execution, when all older accesses
@@ -133,9 +136,6 @@ class WindowScheduler:
         {
             "controller",
             "window",
-            "top_cached_levels",
-            "segment",
-            "lookahead",
             "_inflight",
             "_horizon",
             "_ready",
@@ -150,25 +150,11 @@ class WindowScheduler:
         }
     )
 
-    def __init__(
-        self,
-        controller,
-        window: int = 4,
-        top_cached_levels: Optional[int] = None,
-        segment: bool = True,
-        lookahead: bool = True,
-    ):
+    def __init__(self, controller, window: int = 4):
         if window < 1:
             raise ValueError(f"scheduler window must be >= 1, got {window}")
         self.controller = controller
         self.window = window
-        self.top_cached_levels = (
-            self.TOP_CACHED_LEVELS if top_cached_levels is None else top_cached_levels
-        )
-        #: Bucket-segment hazard tracking (False = PR 7's whole-path rule).
-        self.segment = segment
-        #: Speculative posmap lookahead for the frontend ready cycle.
-        self.lookahead = lookahead
         self._inflight: deque = deque()
         self._horizon = controller.now
         # The cycle the engine frontend next accepts a request (the
@@ -197,9 +183,9 @@ class WindowScheduler:
         self._c_hazard_segment = stats.counter("sched_hazard_segment")
         self._c_lookahead = stats.counter("sched_lookahead_hits")
         if window > 1:
-            # Interval (gap-fill) bank/bus scheduling: cycle-identical
-            # for in-order traffic, but lets a rewound younger fetch use
-            # bank/bus idle gaps under an older write-back.
+            # Interval (gap-fill) bank/bus scheduling: lets a rewound
+            # younger fetch use bank/bus idle gaps under an older
+            # write-back.
             enable = getattr(getattr(controller, "memory", None), "enable_overlap", None)
             if enable is not None:
                 enable()
@@ -236,7 +222,7 @@ class WindowScheduler:
         if a == b:
             return True
         shared_levels = self._height - (a ^ b).bit_length()
-        return shared_levels >= self.top_cached_levels
+        return shared_levels >= self.TOP_CACHED_LEVELS
 
     def _shared_levels(self, a: int, b: int) -> int:
         """Deepest tree level where paths ``a`` and ``b`` share a bucket."""
@@ -296,7 +282,7 @@ class WindowScheduler:
         # memory model's dispatch/bank/bus watermarks.
         if start_cycle is not None:
             arrival = start_cycle
-        elif self.lookahead and path is not None:
+        elif path is not None:
             arrival = self._ready_spec
             if arrival < self._ready:
                 self._c_lookahead.add()
@@ -311,12 +297,7 @@ class WindowScheduler:
                 barrier = rec.finish
                 self._c_hazard_addr.add()
             elif path is None or self._paths_conflict(rec.path, path):
-                if (
-                    self.segment
-                    and path is not None
-                    and rec.wb_release
-                    and rec.fetch_finish >= 0
-                ):
+                if path is not None and rec.wb_release and rec.fetch_finish >= 0:
                     # Bucket-segment hazard: floor only the shared levels'
                     # fetches to the older write-back rounds that released
                     # them; the disjoint subtree overlaps freely.  The
@@ -327,15 +308,15 @@ class WindowScheduler:
                     if level_floors is None:
                         level_floors = [0] * (self._height + 1)
                     release = rec.wb_release
-                    for level in range(self.top_cached_levels, shared + 1):
+                    for level in range(self.TOP_CACHED_LEVELS, shared + 1):
                         if release[level] > level_floors[level]:
                             level_floors[level] = release[level]
                     self._c_hazard_segment.add()
                     continue
-                # Whole-path fallback: unknown path (non-tree hierarchy),
-                # segment mode off, or an older access that reported no
-                # per-level release (ring write points, stash hits) —
-                # stay conservative and serialize behind it.
+                # Whole-path fallback: unknown path (non-tree hierarchy)
+                # or an older access that reported no per-level release
+                # (ring write points, stash hits) — stay conservative and
+                # serialize behind it.
                 barrier = rec.finish
                 self._c_hazard_path.add()
             else:
@@ -435,13 +416,7 @@ class WindowScheduler:
         return self.controller.recover()
 
 
-def wrap_controller(
-    controller,
-    window: int,
-    top_cached_levels: Optional[int] = None,
-    segment: bool = True,
-    lookahead: bool = True,
-):
+def wrap_controller(controller, window: int):
     """Wrap ``controller`` in a :class:`WindowScheduler` when ``window > 1``.
 
     The window-1 case returns the controller untouched so serial setups
@@ -449,10 +424,4 @@ def wrap_controller(
     """
     if window <= 1:
         return controller
-    return WindowScheduler(
-        controller,
-        window,
-        top_cached_levels,
-        segment=segment,
-        lookahead=lookahead,
-    )
+    return WindowScheduler(controller, window)

@@ -25,10 +25,11 @@ import dataclasses
 from typing import Optional
 
 from repro.config import DRAM_TIMING, SystemConfig
-from repro.core.controller import PSORAMController
+from repro.engine.ps import DirtyEntryPSPolicy
 from repro.hybrid.treetop import TreeTopRegion
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access, RequestKind
+from repro.oram.controller import PathORAMController
 from repro.oram.tree import ORAMTree
 from repro.util.bitops import bucket_index
 
@@ -74,7 +75,7 @@ class _HybridTree(ORAMTree):
         return blocks, finish
 
 
-class HybridPSORAMController(PSORAMController):
+class HybridPSORAMController(PathORAMController):
     """PS-ORAM on a hybrid DRAM+NVM memory (write-through tree top)."""
 
     def __init__(
@@ -83,9 +84,8 @@ class HybridPSORAMController(PSORAMController):
         memory: Optional[NVMMainMemory] = None,
         key: bytes = b"repro-psoram-key",
         dram_levels: int = 4,
-        **kwargs,
     ):
-        super().__init__(config, memory=memory, key=key, **kwargs)
+        super().__init__(config, memory=memory, key=key, policy=DirtyEntryPSPolicy())
         # DRAM replica timing, expressed in the NVM clock domain so one
         # clock conversion serves both tiers.
         scale = DRAM_TIMING.freq_hz / config.nvm.freq_hz

@@ -9,16 +9,18 @@ Two scheduling modes share the same interface:
 
 * **watermark** (default) — one ``busy_until`` cursor; a request is
   serviced no earlier than the end of the *last-scheduled* request, even
-  when it arrives while the bank is genuinely idle.  Exact and fast for
-  in-order traffic (arrivals never decrease across calls), which is all
-  the serial access pipeline produces.
+  when it arrives while the bank is genuinely idle.
 * **interval** (:meth:`enable_overlap`) — a sorted busy-interval
   calendar; a request arriving during an idle gap is serviced in that
-  gap.  The two modes are cycle-identical for in-order traffic (a
-  monotone arrival can never land before the watermark), so enabling
-  overlap on a serial workload changes nothing; it only matters once the
-  window scheduler issues a younger access's fetch *earlier* than an
-  older access's already-scheduled write-back.
+  gap.
+
+For one bank the two modes agree whenever arrivals never decrease across
+calls (a monotone arrival can never land before the watermark).  That
+does not make them agree on serial traffic as a whole: the channel bus
+behind the banks sees bursts in bank-completion order, not call order
+(see :mod:`repro.mem.channel`), so enabling overlap changes serial
+timing too.  Only the window scheduler enables it, which is why
+window-1 timing is unchanged.
 """
 
 from __future__ import annotations

@@ -6,10 +6,13 @@ as a second busy-until watermark: a request first waits for the bus, then
 for its bank, and a line transfer occupies the bus for a fixed burst time.
 
 Like :class:`~repro.mem.bank.Bank`, the bus supports two scheduling
-modes — the default watermark (exact for in-order traffic) and an
-interval calendar (:meth:`Channel.enable_overlap`) that lets a burst
-arriving during an idle bus gap use that gap.  The modes are
-cycle-identical for monotone arrivals; the window scheduler enables
+modes — the default watermark and an interval calendar
+(:meth:`Channel.enable_overlap`) that lets a burst arriving during an
+idle bus gap use that gap.  The modes agree only for monotone arrivals,
+and bus arrivals are not monotone even for serial traffic: a line whose
+bank finishes early reaches the bus after a line issued before it whose
+bank was busy, so the watermark queues it behind that later burst while
+the calendar fills the earlier gap.  The window scheduler enables
 overlap so a younger access's fetch bursts can interleave with an older
 access's still-queued write-back.
 """

@@ -62,17 +62,33 @@ class NVMMainMemory:
         #: fast path alike).  The integrity domain registers here to keep
         #: leaf MACs current without monkey-patching the store methods.
         self.line_observer: Optional[Callable[[int], None]] = None
+        #: Optional address-translation layer below the controller
+        #: (start-gap wear leveling): maps the caller's line address to
+        #: the physical one in :meth:`issue`, :meth:`issue_path`,
+        #: :meth:`store_line` and :meth:`load_line`.
+        self.address_translator: Optional[Callable[[int], int]] = None
+        #: Optional hook called after every timed line request with the
+        #: caller's address and the completed request (whose ``address``
+        #: is the physical one) — the bus observer and the wear leveler's
+        #: write counter register here.
+        self.request_observer: Optional[
+            Callable[[int, MemoryRequest], None]
+        ] = None
 
     # -- functional store -----------------------------------------------------
 
     def store_line(self, address: int, data: bytes) -> None:
         """Write the functional content of one line (no timing)."""
+        if self.address_translator is not None:
+            address = self.address_translator(address)
         self._image[address // self.line_bytes] = bytes(data)
         if self.line_observer is not None:
             self.line_observer(address)
 
     def load_line(self, address: int) -> Optional[bytes]:
         """Read the functional content of one line (no timing)."""
+        if self.address_translator is not None:
+            address = self.address_translator(address)
         return self._image.get(address // self.line_bytes)
 
     def written_lines(self, base: int, size_bytes: int) -> List[int]:
@@ -102,13 +118,14 @@ class NVMMainMemory:
     def enable_overlap(self) -> None:
         """Switch dispatch, banks and buses to interval (gap-fill) scheduling.
 
-        Idempotent.  Cycle-identical for in-order traffic (monotone
-        arrivals never land before a watermark); only the window
-        scheduler's rewound arrivals can exploit the idle gaps.  Every
-        stage keeps its full occupancy (one command per
-        ``DISPATCH_CYCLES``, one burst per bus slot, one request per
-        bank), so contention still serializes — just by arrival time
-        rather than by Python call order.
+        Idempotent.  Not cycle-identical to the watermarks even for serial
+        traffic: bus arrivals follow bank completion order, not call
+        order, and the calendar fills bus gaps the watermark skips (see
+        :mod:`repro.mem.channel`), on top of the idle gaps the window
+        scheduler's rewound arrivals exploit.  Every stage keeps its full
+        occupancy (one command per ``DISPATCH_CYCLES``, one burst per bus
+        slot, one request per bank), so contention still serializes —
+        just by arrival time rather than by Python call order.
         """
         self._overlap = True
         if self._dispatch_intervals is None:
@@ -142,6 +159,9 @@ class NVMMainMemory:
         and functional layers share the address, so there is no coherence
         issue.
         """
+        logical = address
+        if self.address_translator is not None:
+            address = self.address_translator(address)
         request = MemoryRequest(
             address=address, access=access, kind=kind, size_bytes=self.line_bytes
         )
@@ -166,7 +186,11 @@ class NVMMainMemory:
         if access is Access.WRITE and data is not None:
             old = self._image.get(line)
             self.traffic.record_cell_flips(old or b"", data)
-            self.store_line(address, data)
+            self._image[line] = bytes(data)
+            if self.line_observer is not None:
+                self.line_observer(address)
+        if self.request_observer is not None:
+            self.request_observer(logical, request)
         return request
 
     def issue_path(
@@ -187,10 +211,10 @@ class NVMMainMemory:
         ``datas`` (writes only) carries the functional content per line;
         ``None`` entries are timing-only writes.
         """
-        if "issue" in self.__dict__:
-            # An address-translation layer (start-gap wear leveling) has
-            # tapped issue() on this instance; route every line through it
-            # so the batched path sees the same physical remapping.
+        if self.address_translator is not None or self.request_observer is not None:
+            # A translation layer or request observer is attached: route
+            # every line through issue() so the batched path sees the same
+            # physical remapping and reports every request.
             finish = arrival_cycle
             for i, address in enumerate(addresses):
                 request = self.issue(

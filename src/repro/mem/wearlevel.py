@@ -14,15 +14,13 @@ Mapping (the MICRO'09 formulation): logical line ``i`` lives at
 else ``addr + 1``.  The gap walks downward; each full sweep increments
 ``start``, so over time every logical line visits every physical slot.
 
-:class:`StartGapRemapper` interposes on an :class:`NVMMainMemory` the same
-way the bus observer does — controllers above it are oblivious to the
+:class:`StartGapRemapper` registers as the memory's ``address_translator``
+and ``request_observer`` hooks — controllers above it are oblivious to the
 remapping (including, pleasingly, the ORAM controller: wear leveling below
 ORAM is sound because ORAM's addresses are already data-independent).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.crypto.prf import Prf
 from repro.mem.controller import NVMMainMemory
@@ -99,6 +97,8 @@ class StartGapRemapper:
             raise ValueError(f"gap period must be >= 1, got {gap_period}")
         if base % memory.line_bytes != 0:
             raise ValueError("region base must be line-aligned")
+        if memory.address_translator is not None or memory.request_observer is not None:
+            raise ValueError("memory already has a translator or request observer")
         self.memory = memory
         self.base = base
         self.num_lines = num_lines
@@ -108,12 +108,10 @@ class StartGapRemapper:
         self._writes_since_move = 0
         self._randomizer = FeistelPermutation(num_lines) if randomize else None
         self.stats = StatSet("startgap")
-        self._original_access = memory.issue
-        self._original_store = memory.store_line
-        self._original_load = memory.load_line
-        memory.issue = self._tapped_access  # type: ignore[assignment]
-        memory.store_line = self._tapped_store  # type: ignore[assignment]
-        memory.load_line = self._tapped_load  # type: ignore[assignment]
+        # Set while the gap walk issues its own (already physical) traffic.
+        self._moving = False
+        memory.address_translator = self._translate
+        memory.request_observer = self._count_write
 
     # -- mapping --------------------------------------------------------------
 
@@ -128,43 +126,23 @@ class StartGapRemapper:
         return addr if addr < self.gap else addr + 1
 
     def _translate(self, address: int) -> int:
-        if not self._in_region(address):
+        if self._moving or not self._in_region(address):
             return address
         line_bytes = self.memory.line_bytes
         logical = (address - self.base) // line_bytes
         offset = address % line_bytes
         return self.base + self.physical_line(logical) * line_bytes + offset
 
-    # -- interposition -----------------------------------------------------------
-
-    def _tapped_access(
-        self,
-        address: int,
-        access: Access,
-        arrival_cycle: int,
-        kind: RequestKind = RequestKind.DATA_PATH,
-        data: Optional[bytes] = None,
-    ) -> MemoryRequest:
-        translated = self._translate(address)
-        # The original access would store through the (patched) store_line
-        # and translate a second time; store at the physical address
-        # directly instead.
-        request = self._original_access(translated, access, arrival_cycle, kind)
-        if access is Access.WRITE and data is not None:
-            self._original_store(translated, data)
-        if access is Access.WRITE and self._in_region(address):
+    def _count_write(self, address: int, request: MemoryRequest) -> None:
+        """Request hook: every ``gap_period`` region writes, walk the gap."""
+        if self._moving or request.access is not Access.WRITE:
+            return
+        if self._in_region(address):
             self._writes_since_move += 1
             if self._writes_since_move >= self.gap_period:
                 self._writes_since_move = 0
                 complete = request.complete_cycle
-                self._move_gap(complete if complete is not None else arrival_cycle)
-        return request
-
-    def _tapped_store(self, address: int, data: bytes) -> None:
-        self._original_store(self._translate(address), data)
-
-    def _tapped_load(self, address: int) -> Optional[bytes]:
-        return self._original_load(self._translate(address))
+                self._move_gap(complete if complete is not None else request.issue_cycle)
 
     # -- the gap walk ----------------------------------------------------------------
 
@@ -190,25 +168,29 @@ class StartGapRemapper:
             self.gap -= 1
         source_address = self.base + source_physical * line_bytes
         dest_address = self.base + dest_physical * line_bytes
-        content = self._original_load(source_address)
-        # One extra read + write of real traffic: the leveling cost.
-        self._original_access(source_address, Access.READ, cycle, RequestKind.PLAIN)
-        self._original_access(dest_address, Access.WRITE, cycle, RequestKind.PLAIN)
-        if content is not None:
-            self._original_store(dest_address, content)
-        else:
-            # The source held nothing; the stale content of the new gap's
-            # slot must not shadow the (empty) line now mapped here.
-            self.memory._image.pop(dest_address // line_bytes, None)
+        memory = self.memory
+        self._moving = True
+        try:
+            content = memory.load_line(source_address)
+            # One extra read + write of real traffic: the leveling cost.
+            memory.issue(source_address, Access.READ, cycle, RequestKind.PLAIN)
+            memory.issue(dest_address, Access.WRITE, cycle, RequestKind.PLAIN)
+            if content is not None:
+                memory.store_line(dest_address, content)
+            else:
+                # The source held nothing; the stale content of the new
+                # gap's slot must not shadow the (empty) line now mapped here.
+                memory._image.pop(dest_address // line_bytes, None)
+        finally:
+            self._moving = False
         self.stats.counter("gap_moves").add()
 
     # -- teardown -------------------------------------------------------------------
 
     def detach(self) -> None:
         """Stop remapping (for tests; real hardware never detaches)."""
-        self.memory.issue = self._original_access  # type: ignore[assignment]
-        self.memory.store_line = self._original_store  # type: ignore[assignment]
-        self.memory.load_line = self._original_load  # type: ignore[assignment]
+        self.memory.address_translator = None
+        self.memory.request_observer = None
 
 
 def attach_wear_leveling(controller, gap_period: int = 100) -> StartGapRemapper:

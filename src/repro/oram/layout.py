@@ -99,7 +99,7 @@ class MemoryLayout:
         )
         # Scratch lines after the PosMap region hold round metadata: the
         # persisted version counter (1 line) and the ordered-eviction
-        # bounce region (16 lines) — see repro.core.controller.
+        # bounce region (16 lines) — see DirtyEntryPSPolicy.BOUNCE_LINES.
         cursor += self.posmap.size_bytes + 17 * line_bytes
         self.recursive_trees: List[TreeRegion] = []
         entries = config.num_logical_blocks

@@ -162,13 +162,12 @@ def report_wpq(args) -> None:
 
 
 def report_ring(args) -> None:
-    from repro.ring.controller import RingORAMController
-    from repro.ring.ps import PSRingController
+    from repro.core.variants import build_variant
     from repro.util.rng import DeterministicRNG
 
     out = {}
-    for name, cls in (("ring-baseline", RingORAMController), ("ring-ps", PSRingController)):
-        controller = cls(BENCH_CONFIG)
+    for name in ("ring-baseline", "ring-ps"):
+        controller = build_variant(name, BENCH_CONFIG)
         rng = DeterministicRNG(5)
         for i in range(200):
             controller.write(rng.randrange(500), bytes([i % 256]))

@@ -16,14 +16,14 @@ mechanisms to it:
 * **EvictPath** and early reshuffles commit through the same atomic
   dual-WPQ drainer rounds.
 
-``repro.ring.controller.RingORAMController`` is the non-persistent
-baseline; ``repro.ring.ps.PSRingController`` is the crash-consistent
-variant.  Both register in :mod:`repro.core.variants` as ``ring-baseline``
-and ``ring-ps``.
+``repro.ring.controller.RingORAMController`` is the hierarchy; with the
+default volatile policy it is ``ring-baseline``, and with
+:class:`repro.engine.ps.RingDirtyEntryPSPolicy` attached it is the
+crash-consistent ``ring-ps`` (both rows registered in
+:mod:`repro.core.variants`).
 """
 
 from repro.ring.controller import RingORAMController
 from repro.ring.metadata import BucketMetadata
-from repro.ring.ps import PSRingController
 
-__all__ = ["RingORAMController", "PSRingController", "BucketMetadata"]
+__all__ = ["RingORAMController", "BucketMetadata"]

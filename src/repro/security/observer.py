@@ -2,18 +2,19 @@
 
 The threat model (paper Section 2.1) grants the adversary the address,
 command and data buses — addresses and read/write types in cleartext, data
-as ciphertext.  The observer hooks an :class:`NVMMainMemory` and records
-exactly that view, so the analysis module can test whether two logical
-access sequences are distinguishable.
+as ciphertext.  The observer registers as an :class:`NVMMainMemory`'s
+``request_observer`` and records exactly that view (physical addresses,
+below any translation layer), so the analysis module can test whether two
+logical access sequences are distinguishable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.mem.controller import NVMMainMemory
-from repro.mem.request import Access, MemoryRequest, RequestKind
+from repro.mem.request import Access, MemoryRequest
 
 
 @dataclass(frozen=True)
@@ -29,27 +30,22 @@ class BusObserver:
     """Records every request an NVM memory services."""
 
     def __init__(self, memory: NVMMainMemory):
+        if memory.request_observer is not None:
+            raise ValueError("memory already has a request observer attached")
         self.memory = memory
         self.events: List[ObservedAccess] = []
-        self._original_access = memory.issue
-        memory.issue = self._tap  # type: ignore[assignment]
+        memory.request_observer = self._record
 
-    def _tap(
-        self,
-        address: int,
-        access: Access,
-        arrival_cycle: int,
-        kind: RequestKind = RequestKind.DATA_PATH,
-        data: Optional[bytes] = None,
-    ) -> MemoryRequest:
+    def _record(self, address: int, request: MemoryRequest) -> None:
         self.events.append(
-            ObservedAccess(address, access is Access.WRITE, kind.value)
+            ObservedAccess(
+                request.address, request.access is Access.WRITE, request.kind.value
+            )
         )
-        return self._original_access(address, access, arrival_cycle, kind, data)
 
     def detach(self) -> None:
-        """Stop observing (restores the original access method)."""
-        self.memory.issue = self._original_access  # type: ignore[assignment]
+        """Stop observing."""
+        self.memory.request_observer = None
 
     def addresses(self) -> List[int]:
         return [event.address for event in self.events]

@@ -6,6 +6,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.config import SystemConfig
 from repro.core.variants import build_variant
+from repro.engine.sched import wrap_controller
 from repro.sim.results import RunResult
 from repro.sim.system import SimulatedSystem
 from repro.workloads.spec import spec_workload
@@ -29,16 +30,7 @@ def run_experiment(
     digest persistence shows up in the NVM write counts and the
     ``integrity_*`` extra stats (docs/INTEGRITY.md).
     """
-    controller = build_variant(variant, config)
-    if getattr(config, "sched_window", 1) > 1:
-        from repro.engine.sched import wrap_controller
-
-        controller = wrap_controller(
-            controller,
-            config.sched_window,
-            segment=getattr(config, "sched_segment", True),
-            lookahead=getattr(config, "sched_lookahead", True),
-        )
+    controller = wrap_controller(build_variant(variant, config), config.sched_window)
     system = SimulatedSystem(config, controller)
 
     if warmup_references > 0:

@@ -28,9 +28,9 @@ def baseline(small_cfg):
 
 @pytest.fixture
 def ps(small_cfg):
-    from repro.core.controller import PSORAMController
+    from repro.core.variants import build_variant
 
-    return PSORAMController(small_cfg)
+    return build_variant("ps", small_cfg)
 
 
 @pytest.fixture

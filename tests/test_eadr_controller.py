@@ -3,14 +3,13 @@
 import pytest
 
 from repro.config import small_config
-from repro.core.eadr import EADRORAMController
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.util.rng import DeterministicRNG
 
 
 @pytest.fixture
 def eadr():
-    return EADRORAMController(small_config(height=6, seed=8))
+    return build_variant("eadr-oram", small_config(height=6, seed=8))
 
 
 class TestEADRFunctional:
@@ -56,15 +55,15 @@ class TestEADRCost:
     def test_drain_bill_dwarfs_ps_oram(self):
         """The point of Table 2: eADR pays orders of magnitude more."""
         config = small_config(height=6, seed=8)
-        eadr = EADRORAMController(config)
-        ps = PSORAMController(config)
+        eadr = build_variant("eadr-oram", config)
+        ps = build_variant("ps", config)
         rng_a, rng_b = DeterministicRNG(3), DeterministicRNG(3)
         for i in range(30):
             eadr.write(rng_a.randrange(20), b"v")
             ps.write(rng_b.randrange(20), b"v")
         eadr.crash()
         ps.crash()
-        from repro.core.eadr import compare_draining
+        from repro.engine.eadr import compare_draining
 
         estimates = compare_draining(config)
         assert eadr.crash_energy_pj == pytest.approx(
@@ -80,7 +79,7 @@ class TestEADRCost:
 
         config = small_config(height=6, seed=8)
         base = PathORAMController(config)
-        eadr = EADRORAMController(config)
+        eadr = build_variant("eadr-oram", config)
         rng_a, rng_b = DeterministicRNG(4), DeterministicRNG(4)
         for i in range(50):
             base.write(rng_a.randrange(25), b"v")

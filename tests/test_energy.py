@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import paper_config
-from repro.core.eadr import compare_draining, inventories_for_config
+from repro.engine.eadr import compare_draining, inventories_for_config
 from repro.energy.model import (
     DRAIN_BYTES_PER_NS,
     DrainCostModel,

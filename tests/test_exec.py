@@ -29,7 +29,7 @@ from repro.sim.results import RunResult
 from repro.sim.runner import run_variants
 
 CONFIG = small_config(height=6)
-VARIANTS = ("plain", "baseline")
+SYSTEMS = ("plain", "baseline")
 WORKLOADS = ("403.gcc", "429.mcf")
 REFS, WARMUP = 60, 10
 
@@ -39,13 +39,13 @@ def _points():
     return [
         SweepPoint(v, w, CONFIG, REFS, WARMUP)
         for w in WORKLOADS
-        for v in VARIANTS
+        for v in SYSTEMS
     ]
 
 
 def _serial_results():
     return run_variants(
-        VARIANTS, CONFIG, WORKLOADS,
+        SYSTEMS, CONFIG, WORKLOADS,
         references=REFS, warmup_references=WARMUP, trace_cache={},
     )
 
@@ -415,11 +415,11 @@ class TestHarnessIntegration:
         # more references than the exec path's exact-length traces.
         monkeypatch.setattr(harness, "_trace_cache", {})
         monkeypatch.setattr(harness, "_result_cache", {})
-        serial = harness.sweep(VARIANTS, WORKLOADS, config=CONFIG,
+        serial = harness.sweep(SYSTEMS, WORKLOADS, config=CONFIG,
                                references=REFS, warmup=WARMUP, jobs=1,
                                use_cache=False)
         monkeypatch.setattr(harness, "_result_cache", {})
-        parallel = harness.sweep(VARIANTS, WORKLOADS, config=CONFIG,
+        parallel = harness.sweep(SYSTEMS, WORKLOADS, config=CONFIG,
                                  references=REFS, warmup=WARMUP, jobs=2)
         assert parallel == serial
         # The exec path journaled under the cache root.
@@ -430,7 +430,7 @@ class TestHarnessIntegration:
         )
         # And cached every point: a fresh-memo rerun is all hits.
         monkeypatch.setattr(harness, "_result_cache", {})
-        again = harness.sweep(VARIANTS, WORKLOADS, config=CONFIG,
+        again = harness.sweep(SYSTEMS, WORKLOADS, config=CONFIG,
                               references=REFS, warmup=WARMUP, jobs=2)
         assert again == serial
         summary = summarize(last_run_events(read_events(journal)))

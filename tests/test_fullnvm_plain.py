@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import STTRAM_TIMING, small_config
-from repro.core.fullnvm import FullNVMController
 from repro.core.plain import PlainNVMController
+from repro.core.variants import build_variant
+from repro.engine.fullnvm import FullNVMPolicy
 from repro.errors import InvalidAddressError
 from repro.oram.controller import PathORAMController
 from repro.util.rng import DeterministicRNG
@@ -14,7 +15,7 @@ class TestFullNVM:
     def test_slower_than_baseline(self):
         config = small_config(height=6, seed=2)
         base = PathORAMController(config)
-        full = FullNVMController(config)
+        full = build_variant("fullnvm", config)
         rng_a, rng_b = DeterministicRNG(1), DeterministicRNG(1)
         for i in range(60):
             base.write(rng_a.randrange(30), b"v")
@@ -23,8 +24,8 @@ class TestFullNVM:
 
     def test_stt_faster_than_pcm_variant(self):
         config = small_config(height=6, seed=2)
-        pcm = FullNVMController(config)
-        stt = FullNVMController.stt(config)
+        pcm = build_variant("fullnvm", config)
+        stt = build_variant("fullnvm-stt", config)
         assert stt.onchip.device.timing.name == "STTRAM"
         rng_a, rng_b = DeterministicRNG(1), DeterministicRNG(1)
         for i in range(60):
@@ -34,7 +35,7 @@ class TestFullNVM:
 
     def test_crash_keeps_nvm_structures(self):
         config = small_config(height=6, seed=2)
-        full = FullNVMController(config)
+        full = build_variant("fullnvm", config)
         full.write(1, b"x")
         stash_before = full.stash.occupancy
         posmap_before = dict(full.posmap.modified_entries())
@@ -47,7 +48,7 @@ class TestFullNVM:
 
     def test_onchip_timing_override(self):
         config = small_config(height=6)
-        full = FullNVMController(config, onchip_timing=STTRAM_TIMING)
+        full = PathORAMController(config, policy=FullNVMPolicy(STTRAM_TIMING))
         assert full.onchip.device.timing.name == "STTRAM"
 
 

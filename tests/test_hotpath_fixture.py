@@ -18,14 +18,7 @@ import json
 import pytest
 
 from repro.config import small_config
-from repro.core.controller import PSORAMController
-from repro.core.eadr import EADRORAMController
-from repro.core.naive import NaivePSORAMController
-from repro.core.recursive_ps import RcrPSORAMController
-from repro.hybrid.controller import HybridPSORAMController
-from repro.oram.controller import PathORAMController
-from repro.ring.controller import RingORAMController
-from repro.ring.ps import PSRingController
+from repro.core.variants import get_spec
 from repro.util.rng import DeterministicRNG
 
 #: (image sha256, stats sha256, final cycle) per variant, captured at
@@ -76,17 +69,18 @@ EXPECTED = {
     ),
 }
 
+#: Fixture key -> (registry variant, accesses, address space).
 CONTROLLERS = {
-    "baseline": (PathORAMController, 300, 200),
-    "ps": (PSORAMController, 300, 200),
-    "naive-ps": (NaivePSORAMController, 300, 200),
+    "baseline": ("baseline", 300, 200),
+    "ps": ("ps", 300, 200),
+    "naive-ps": ("naive-ps", 300, 200),
     # The recursive design pays an ORAM access per PosMap level; a shorter
     # drive keeps the fixture fast without losing coverage.
-    "rcr-ps": (RcrPSORAMController, 120, 100),
-    "ring": (RingORAMController, 300, 200),
-    "ring-ps": (PSRingController, 300, 200),
-    "ps-hybrid": (HybridPSORAMController, 300, 200),
-    "eadr-oram": (EADRORAMController, 300, 200),
+    "rcr-ps": ("rcr-ps", 120, 100),
+    "ring": ("ring-baseline", 300, 200),
+    "ring-ps": ("ring-ps", 300, 200),
+    "ps-hybrid": ("ps-hybrid", 300, 200),
+    "eadr-oram": ("eadr-oram", 300, 200),
 }
 
 #: Mid-drive crash+recover points, exercised so the digest also pins the
@@ -128,8 +122,8 @@ def stats_digest(controller):
 
 @pytest.mark.parametrize("variant", sorted(EXPECTED))
 def test_seeded_run_is_bit_identical(variant):
-    cls, n, space = CONTROLLERS[variant]
-    controller = cls(small_config(height=6))
+    name, n, space = CONTROLLERS[variant]
+    controller = get_spec(name).make(small_config(height=6))
     drive(controller, n, space, crash_at=CRASH_AT.get(variant))
     expected_image, expected_stats, expected_now = EXPECTED[variant]
     assert image_digest(controller.memory) == expected_image

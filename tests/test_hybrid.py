@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import small_config
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.hybrid.controller import HybridPSORAMController
 from repro.hybrid.treetop import TreeTopRegion
 from repro.mem.request import RequestKind
@@ -87,7 +87,7 @@ class TestHybridPlacementEffects:
 
     def test_nvm_read_traffic_reduced(self):
         config = small_config(height=7, seed=6)
-        plain_ps = PSORAMController(config)
+        plain_ps = build_variant("ps", config)
         hybrid = HybridPSORAMController(config, dram_levels=4)
         rng_a, rng_b = DeterministicRNG(4), DeterministicRNG(4)
         for i in range(80):
@@ -100,7 +100,7 @@ class TestHybridPlacementEffects:
     def test_nvm_write_traffic_unchanged(self):
         """Write-through: durability writes all still land on NVM."""
         config = small_config(height=7, seed=6)
-        plain_ps = PSORAMController(config)
+        plain_ps = build_variant("ps", config)
         hybrid = HybridPSORAMController(config, dram_levels=4)
         rng_a, rng_b = DeterministicRNG(5), DeterministicRNG(5)
         for i in range(80):
@@ -110,7 +110,7 @@ class TestHybridPlacementEffects:
 
     def test_hybrid_faster_than_pure_nvm(self):
         config = small_config(height=7, seed=6)
-        plain_ps = PSORAMController(config)
+        plain_ps = build_variant("ps", config)
         hybrid = HybridPSORAMController(config, dram_levels=5)
         rng_a, rng_b = DeterministicRNG(6), DeterministicRNG(6)
         for i in range(80):

@@ -1,11 +1,11 @@
-"""Tests for the integrity subsystem: tree, domain, and the legacy shim."""
+"""Tests for the integrity subsystem: the Merkle tree and the persistence domain."""
 
 import random
 
 import pytest
 
 from repro.config import PCM_TIMING, small_config
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.integrity import MerkleIntegrityTree, enable_integrity
 from repro.mem.controller import NVMMainMemory
 
@@ -149,7 +149,7 @@ class TestIntegrityDomain:
     """The crash-consistent domain attached through the engine pipeline."""
 
     def _controller(self):
-        return PSORAMController(small_config(height=5, seed=2))
+        return build_variant("ps", small_config(height=5, seed=2))
 
     def test_oram_under_integrity_protection(self):
         controller = self._controller()
@@ -234,19 +234,3 @@ class TestIntegrityDomain:
         for label in domain.crash_points():
             assert label in labels
         domain.detach()
-
-
-class TestDeprecatedShim:
-    """`repro.oram.integrity.attach_integrity` keeps the old contract."""
-
-    def test_attach_returns_tree_with_detach(self):
-        from repro.oram.integrity import attach_integrity
-
-        controller = PSORAMController(small_config(height=5, seed=2))
-        tree = attach_integrity(controller)
-        assert isinstance(tree, MerkleIntegrityTree)
-        controller.write(1, b"via-shim")
-        assert tree.audit() == []
-        tree.detach()
-        tree.detach()  # the historical double-detach bug: now a no-op
-        assert controller.memory.line_observer is None

@@ -9,7 +9,7 @@ through the ``repro`` CLI."""
 
 import pytest
 
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.crashsim.conformance import run_cell
 from repro.crashsim.matrix import MatrixPoint, emit_reproducers
 from repro.crashsim.minimize import (
@@ -28,7 +28,7 @@ BUGGY = "buggy-ps-test"
 
 
 def _buggy_factory(config, memory=None, key=b"repro-psoram-key"):
-    controller = PSORAMController(config, memory=memory, key=key)
+    controller = build_variant("ps", config, memory=memory, key=key)
     # The bug under test: dirty-entry persistence silently dropped, so
     # the persistent PosMap goes stale while the tree moves on.
     controller.policy._dirty_entries_for = lambda placed: []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import WPQConfig, small_config
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.core.ordered_eviction import SlotWrite, plan_rounds
 from repro.errors import WPQOverflowError
 from repro.util.rng import DeterministicRNG
@@ -101,7 +101,7 @@ class TestLimitedWPQController:
         config = small_config(
             height=6, seed=5, wpq=WPQConfig(data_entries=4, posmap_entries=4)
         )
-        return PSORAMController(config)
+        return build_variant("ps", config)
 
     def test_functional_correctness(self, small_wpq_ps):
         rng = DeterministicRNG(1)

@@ -167,9 +167,9 @@ class TestCrashDurabilityProperty:
     )
     def test_acknowledged_writes_survive_any_crash_point(self, writes, crash_after):
         from repro.config import small_config
-        from repro.core.controller import PSORAMController
+        from repro.core.variants import build_variant
 
-        controller = PSORAMController(small_config(height=5, seed=2))
+        controller = build_variant("ps", small_config(height=5, seed=2))
         model = {}
         for index, (address, payload) in enumerate(writes):
             controller.write(address, payload)

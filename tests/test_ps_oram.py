@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import small_config
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.mem.request import RequestKind
 from repro.oram.controller import PathORAMController
 from repro.util.rng import DeterministicRNG
@@ -11,7 +11,7 @@ from repro.util.rng import DeterministicRNG
 
 @pytest.fixture
 def ps():
-    return PSORAMController(small_config(height=6, seed=5))
+    return build_variant("ps", small_config(height=6, seed=5))
 
 
 class TestFunctionalParity:
@@ -121,7 +121,7 @@ class TestProtocolMechanisms:
 
         for crash_point in ("step2:after-remap", "step5:before-end",
                             "step5:after-end"):
-            controller = PSORAMController(small_config(height=6, seed=5))
+            controller = build_variant("ps", small_config(height=6, seed=5))
             self._plant_in_stash(controller, 2, b"gen-0")
             controller.write(2, b"gen-1")  # leaves a pending remap
 
@@ -171,7 +171,7 @@ class TestDirtyEntryPersistence:
     def test_write_traffic_close_to_baseline(self):
         config = small_config(height=6, seed=5)
         base = PathORAMController(config)
-        ps = PSORAMController(config)
+        ps = build_variant("ps", config)
         rng_a, rng_b = DeterministicRNG(6), DeterministicRNG(6)
         for i in range(150):
             base.write(rng_a.randrange(50), b"v")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import WPQConfig, small_config
-from repro.core.controller import PSORAMController
 from repro.core.recovery import crash_and_recover
 from repro.core.variants import build_variant
 from repro.oram.block import Block
@@ -78,7 +77,7 @@ class TestCrashAndRecover:
 class TestBounceRestore:
     def test_stale_bounce_copy_ignored(self):
         """A leftover bounce line must not resurrect an old mapping."""
-        controller = PSORAMController(small_config(height=6, seed=3))
+        controller = build_variant("ps", small_config(height=6, seed=3))
         controller.write(5, b"current")
         # Forge a stale bounce copy claiming an unrelated path.
         stale_path = (controller.posmap.get(5) + 1) % controller.posmap.num_leaves
@@ -94,7 +93,7 @@ class TestBounceRestore:
 
     def test_valid_bounce_copy_restored(self):
         """A bounce copy that is the only durable copy is reinstated."""
-        controller = PSORAMController(small_config(height=6, seed=3))
+        controller = build_variant("ps", small_config(height=6, seed=3))
         controller.write(5, b"value")
         label = controller.posmap.get(5)
         # Simulate the mid-chain loss: erase every tree copy of block 5,
@@ -123,7 +122,7 @@ class TestBounceRestore:
         config = small_config(
             height=6, seed=9, wpq=WPQConfig(data_entries=4, posmap_entries=4)
         )
-        controller = PSORAMController(config)
+        controller = build_variant("ps", config)
         rng = DeterministicRNG(5)
         model = {}
         for i in range(200):

@@ -5,13 +5,14 @@ import pytest
 from repro.config import small_config
 from repro.errors import SimulatedCrash
 from repro.ring.controller import RingORAMController
-from repro.ring.ps import PSRingController, RING_CRASH_POINTS
+from repro.engine.ps import RING_CRASH_POINTS
+from repro.core.variants import build_variant
 from repro.util.rng import DeterministicRNG
 
 
 @pytest.fixture
 def ring_ps():
-    return PSRingController(small_config(height=6, seed=3))
+    return build_variant("ring-ps", small_config(height=6, seed=3))
 
 
 class TestFunctionalParity:
@@ -88,7 +89,7 @@ class TestDurability:
     @pytest.mark.parametrize("point", RING_CRASH_POINTS)
     def test_crash_matrix(self, point):
         """Mid-access crash at every PS-Ring checkpoint stays consistent."""
-        controller = PSRingController(small_config(height=6, seed=3))
+        controller = build_variant("ring-ps", small_config(height=6, seed=3))
         rng = DeterministicRNG(4)
         model = {}
         for i in range(60):
@@ -134,7 +135,7 @@ class TestOverheadShape:
         well under the Naive/FullNVM class of overheads."""
         config = small_config(height=7, seed=3)
         base = RingORAMController(config)
-        ps = PSRingController(config)
+        ps = build_variant("ring-ps", config)
         rng_a, rng_b = DeterministicRNG(5), DeterministicRNG(5)
         for i in range(150):
             base.write(rng_a.randrange(50), b"v")
@@ -162,7 +163,7 @@ class TestPosmapWPQSizing:
         from repro.config import WPQConfig
 
         config = small_config(height=6, seed=3, wpq=WPQConfig(4, 4))
-        c = PSRingController(config)
+        c = build_variant("ring-ps", config)
         needed = c.params.slots_per_bucket * (c.store.height + 1)
         assert needed > 8, "config too small to exercise the old floor"
         assert c.drainer.posmap_wpq.capacity >= needed
@@ -171,7 +172,7 @@ class TestPosmapWPQSizing:
         from repro.config import WPQConfig
 
         config = small_config(height=6, seed=3, wpq=WPQConfig(4, 4))
-        c = PSRingController(config)
+        c = build_variant("ring-ps", config)
         needed = c.params.slots_per_bucket * (c.store.height + 1)
         region = c.persistent_posmap.region
         c.drainer.start()

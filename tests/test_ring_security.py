@@ -13,17 +13,17 @@ import pytest
 
 from repro.config import small_config
 from repro.ring.controller import RingORAMController
-from repro.ring.ps import PSRingController
+from repro.core.variants import build_variant
 from repro.security.analysis import path_uniformity_pvalue
 from repro.security.observer import BusObserver
 from repro.util.rng import DeterministicRNG
 
 
 class TestLabelStatistics:
-    @pytest.mark.parametrize("cls", [RingORAMController, PSRingController])
-    def test_paths_uniform(self, cls):
+    @pytest.mark.parametrize("variant", ["ring-baseline", "ring-ps"])
+    def test_paths_uniform(self, variant):
         config = small_config(height=8, seed=7)
-        controller = cls(config)
+        controller = build_variant(variant, config)
         rng = DeterministicRNG(5)
         labels = []
         for i in range(300):
@@ -34,7 +34,7 @@ class TestLabelStatistics:
 
     def test_hot_block_invisible(self):
         config = small_config(height=8, seed=7)
-        controller = PSRingController(config)
+        controller = build_variant("ring-ps", config)
         labels = [controller.write(3, b"hot").old_path for _ in range(250)]
         assert path_uniformity_pvalue(labels, config.oram.num_leaves) > 0.01
 
@@ -71,7 +71,7 @@ class TestNoSlotReuse:
     def test_ps_ring_preserves_no_reuse(self):
         """The in-place write-back is a rewrite: access reads never repeat
         a slot (worst case 1, before the same-access rewrite)."""
-        controller = PSRingController(small_config(height=6, seed=7))
+        controller = build_variant("ring-ps", small_config(height=6, seed=7))
         assert self._reads_between_writes(controller) <= 1
 
 
@@ -97,7 +97,7 @@ class TestScheduleIsPublic:
 
     def test_access_footprint_fixed(self):
         """Each non-evicting access touches the same number of lines."""
-        controller = PSRingController(small_config(height=6, seed=7))
+        controller = build_variant("ring-ps", small_config(height=6, seed=7))
         controller.write(0, b"warm")
         lengths = []
         with BusObserver(controller.memory) as observer:

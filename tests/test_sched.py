@@ -40,8 +40,6 @@ def _run_trace(
     accesses=120,
     seed=7,
     height=6,
-    segment=True,
-    lookahead=True,
 ):
     """Drive a controller through a mixed trace.
 
@@ -50,7 +48,7 @@ def _run_trace(
     """
     config = small_config(height=height, channels=channels, seed=1)
     controller = build_variant(variant, config)
-    sched = wrap_controller(controller, window, segment=segment, lookahead=lookahead)
+    sched = wrap_controller(controller, window)
     rng = DeterministicRNG(seed)
     space = config.oram.total_slots // 2
     datas = []
@@ -77,15 +75,6 @@ class TestLockStepEquivalence:
         assert digest == serial_digest
         # The window may only ever make the modeled time shorter.
         assert cycles <= serial_cycles
-
-    @pytest.mark.parametrize("segment", [True, False])
-    @pytest.mark.parametrize("lookahead", [True, False])
-    def test_hazard_model_knobs_preserve_logical_state(self, segment, lookahead):
-        serial = _run_trace("ps", 1)
-        windowed = _run_trace("ps", 4, segment=segment, lookahead=lookahead)
-        assert windowed[0] == serial[0]
-        assert windowed[1] == serial[1]
-        assert windowed[2] <= serial[2]
 
     @pytest.mark.parametrize("seed", [3, 11, 42])
     def test_randomized_traces(self, seed):
@@ -129,22 +118,28 @@ class TestHazardOrdering:
     def _colliding_pair(config, controller):
         """Two addresses currently mapped to the same leaf path."""
         by_path = {}
-        for address in range(config.oram.total_slots // 2):
+        for address in range(controller.oram_config.num_logical_blocks):
             path = controller._position_of(address)
             if path in by_path:
                 return by_path[path], address
             by_path[path] = address
         pytest.fail("tree too small to collide paths")
 
-    def test_overlapping_paths_serialize_whole_path_mode(self):
+    def test_no_release_vector_serializes_whole_path(self):
+        # Ring's write points report no per-level release vector, so a
+        # younger access on an overlapping path falls back to whole-path
+        # serialization behind the older one's full completion.
         config = small_config(height=6, channels=2, seed=1)
-        controller = build_variant("ps", config)
-        sched = WindowScheduler(controller, 4, segment=False)
+        controller = build_variant("ring-ps", config)
+        sched = WindowScheduler(controller, 4)
         pair = self._colliding_pair(config, controller)
         first = sched.read(pair[0])
         second = sched.read(pair[1])
+        assert not first.writeback_level_release
         assert second.start_cycle >= first.finish_cycle
-        assert controller.stats.snapshot()["sched_hazard_path_overlap"] >= 1
+        snap = controller.stats.snapshot()
+        assert snap["sched_hazard_path_overlap"] >= 1
+        assert snap.get("sched_hazard_segment", 0) == 0
 
     def test_overlapping_paths_floor_shared_segments(self):
         config, controller, sched = self._scheduler()
@@ -155,7 +150,7 @@ class TestHazardOrdering:
         # younger fetch of each such level must wait for the older
         # write-back round that released it — but the access itself may
         # start earlier than the older access's full completion.
-        top = sched.top_cached_levels
+        top = sched.TOP_CACHED_LEVELS
         assert second.fetch_level_spans, "segment mode must report fetch spans"
         assert first.writeback_level_release, "ps must report per-level release"
         for level in range(top, config.oram.height + 1):
@@ -216,7 +211,7 @@ class TestHazardOrdering:
 
 
 class TestSegmentDifferential:
-    """Segment hazards vs the whole-path rule on identical seeded traces."""
+    """Segment floors and posmap lookahead on seeded traces."""
 
     def test_segment_never_starts_a_fetch_too_early(self):
         """Per-level safety: wherever two accesses overlap in time, the
@@ -229,7 +224,7 @@ class TestSegmentDifferential:
         space = config.oram.total_slots // 2
         results = [sched.read(rng.randrange(space)) for _ in range(80)]
         sched.drain()
-        top = sched.top_cached_levels
+        top = sched.TOP_CACHED_LEVELS
         height = config.oram.height
         checked = 0
         for i, younger in enumerate(results):
@@ -252,26 +247,25 @@ class TestSegmentDifferential:
 
     @pytest.mark.parametrize("seed", [13, 29])
     def test_segment_strictly_reduces_whole_path_serialization(self, seed):
-        whole = _run_trace("ps", 4, seed=seed, segment=False, lookahead=False)
-        seg = _run_trace("ps", 4, seed=seed, segment=True, lookahead=False)
-        # Identical logical outcome, strictly fewer full serializations.
-        assert seg[0] == whole[0]
-        assert seg[1] == whole[1]
-        assert (
-            seg[3]["sched_hazard_path_overlap"]
-            < whole[3]["sched_hazard_path_overlap"]
-        )
-        assert seg[3]["sched_hazard_segment"] > 0
-        # Freeing the disjoint subtree may only shorten the modeled time.
-        assert seg[2] <= whole[2]
+        serial = _run_trace("ps", 1, seed=seed)
+        windowed = _run_trace("ps", 4, seed=seed)
+        assert windowed[0] == serial[0]
+        assert windowed[1] == serial[1]
+        # Conflicting in-flight pairs proceed under segment floors far
+        # more often than they fall back to whole-path serialization
+        # (only an older access without a release vector — a stash hit —
+        # still serializes the younger one whole).
+        snap = windowed[3]
+        assert snap.get("sched_hazard_path_overlap", 0) < snap["sched_hazard_segment"]
+        assert windowed[2] <= serial[2]
 
     def test_lookahead_counts_hits_and_never_slower(self):
-        base = _run_trace("ps", 4, seed=13, segment=True, lookahead=False)
-        spec = _run_trace("ps", 4, seed=13, segment=True, lookahead=True)
-        assert spec[0] == base[0]
-        assert spec[1] == base[1]
-        assert spec[3]["sched_lookahead_hits"] > 0
-        assert spec[2] <= base[2]
+        serial = _run_trace("ps", 1, seed=13)
+        windowed = _run_trace("ps", 4, seed=13)
+        assert windowed[0] == serial[0]
+        assert windowed[1] == serial[1]
+        assert windowed[3]["sched_lookahead_hits"] > 0
+        assert windowed[2] <= serial[2]
 
 
 class TestPeekPath:

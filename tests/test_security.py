@@ -75,12 +75,11 @@ class TestLeafLabelStatistics:
         """Label graduation: consecutive writes to a stash-resident block
         read a fresh pending label each time, never the same path twice in
         a row (the leak the graduation mechanism exists to close)."""
-        from repro.core.controller import PSORAMController
         from repro.oram.block import Block
         from repro.oram.stash import StashEntry
 
         config = small_config(height=8, seed=2)
-        controller = PSORAMController(config)
+        controller = build_variant("ps", config)
         label = controller.posmap.get(5)
         controller.persistent_posmap.write_entry(5, label)
         controller.stash.add(

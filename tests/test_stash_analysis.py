@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import small_config
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.oram.controller import PathORAMController
 from repro.oram.stash_analysis import _fit_tail, profile_stash
 
@@ -65,7 +65,7 @@ class TestAcrossVariants:
         """Paper Claim 2, statistically: backups do not raise occupancy."""
         config = small_config(height=7, seed=13)
         base = profile_stash(PathORAMController(config), accesses=300)
-        ps = profile_stash(PSORAMController(config), accesses=300)
+        ps = profile_stash(build_variant("ps", config), accesses=300)
         # Same workload, same tree: PS's post-access occupancy stays within
         # a small additive margin of the baseline's.
         assert ps.mean <= base.mean + 2.0

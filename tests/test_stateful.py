@@ -18,7 +18,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.config import small_config
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 
 ADDRESSES = st.integers(min_value=0, max_value=24)
 PAYLOADS = st.binary(min_size=0, max_size=8)
@@ -35,7 +35,7 @@ class PSORAMMachine(RuleBasedStateMachine):
 
     @initialize(seed=st.integers(min_value=0, max_value=2**16))
     def build(self, seed):
-        self.controller = PSORAMController(small_config(height=5, seed=seed))
+        self.controller = build_variant("ps", small_config(height=5, seed=seed))
         self.model = {}
 
     def _pad(self, data: bytes) -> bytes:

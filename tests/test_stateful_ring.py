@@ -11,7 +11,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.config import small_config
-from repro.ring.ps import PSRingController
+from repro.core.variants import build_variant
 
 ADDRESSES = st.integers(min_value=0, max_value=20)
 PAYLOADS = st.binary(min_size=0, max_size=8)
@@ -28,7 +28,7 @@ class PSRingMachine(RuleBasedStateMachine):
 
     @initialize(seed=st.integers(min_value=0, max_value=2**16))
     def build(self, seed):
-        self.controller = PSRingController(small_config(height=5, seed=seed))
+        self.controller = build_variant("ring-ps", small_config(height=5, seed=seed))
         self.model = {}
 
     def _pad(self, data: bytes) -> bytes:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import PCM_TIMING, small_config
-from repro.core.controller import PSORAMController
+from repro.core.variants import build_variant
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access
 from repro.mem.wearlevel import StartGapRemapper, attach_wear_leveling
@@ -118,7 +118,7 @@ class TestWearSpreading:
 
     def test_oram_controller_transparent_and_leveled(self):
         config = small_config(height=6, seed=4)
-        controller = PSORAMController(config)
+        controller = build_variant("ps", config)
         controller.memory.traffic.track_wear = True
         remapper = attach_wear_leveling(controller, gap_period=32)
         rng = DeterministicRNG(1)
@@ -138,7 +138,7 @@ class TestWearSpreading:
     def test_leveling_reduces_root_hotspot(self):
         def hottest(level: bool) -> int:
             config = small_config(height=6, seed=4)
-            controller = PSORAMController(config)
+            controller = build_variant("ps", config)
             controller.memory.traffic.track_wear = True
             if level:
                 # Aggressive period so several sweeps fit in a short test;
