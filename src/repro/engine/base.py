@@ -95,7 +95,7 @@ class AccessResult:
     #: scheduler overlaps the next access's fetch with everything after
     #: this point.  Equals ``finish_cycle`` for stash-hit short circuits.
     fetch_finish_cycle: int = -1
-    #: Per-channel ``next_free_cycle`` (memory-domain) snapshot taken as
+    #: Per-channel ``next_free_cycles()`` (memory-domain) snapshot taken as
     #: the fetch completed — the scheduler's interleaving signal: a
     #: disjoint younger access may start as soon as the earliest channel
     #: freed, even before the full fetch finished on the others.

@@ -35,15 +35,13 @@ earliest cycle its hazards allow:
   hard floor: nothing younger may start before its write-back end, which
   bounds how deep the overlap can run;
 * **disjoint paths** — no scheduler barrier at all.  Physical
-  serialization is the memory model's job: the window enables the
-  memory's interval (gap-fill) scheduling mode
-  (:meth:`repro.mem.controller.NVMMainMemory.enable_overlap`), where
-  front-end dispatch, every bank, and every data bus keep their full
-  per-request occupancy but serve requests by *arrival time* instead of
-  by Python call order — a younger fetch's lines land in the idle gaps
-  under an older access's still-queued write-back, interleaving across
-  channels exactly as the per-channel ``next_free_cycle`` queries
-  report.
+  serialization is the memory model's job: front-end dispatch, every
+  bank and every data bus are busy-interval calendars
+  (:mod:`repro.mem.controller`) that keep their full per-request
+  occupancy but serve requests by *arrival time* — a younger fetch's
+  lines land in the idle gaps under an older access's still-queued
+  write-back, interleaving across channels as the per-channel
+  ``next_free_cycles`` report.
 
 **Speculative posmap lookahead** models pre-resolving the next
 request's leaf while the previous access is still in flight: when the
@@ -60,12 +58,9 @@ PosMap, and NVM image are byte-identical to window 1 — only the cycle
 each access is launched at (and, under segment floors, the arrival of
 its per-level fetch groups) changes.  The interval calendars make the
 early launch sound: a request arriving while a resource is busy still
-waits its turn.  Window 1 returns the bare controller and never enables
-the calendars, which is why every window-1 timing digest is unchanged;
-the calendars are *not* cycle-identical to the watermarks in general,
-because even serial traffic reaches the bank and bus stages out of
-arrival order (docs/PERF.md records what enabling them everywhere
-measures).
+waits its turn.  Window 1 returns the bare controller; serial and
+windowed runs share the one memory model, so the modeled speedup of a
+window over serial is the scheduler's alone.
 
 Crash semantics are preserved by the same property.  Every crash point
 fires inside one access's serial execution, when all older accesses
@@ -182,13 +177,6 @@ class WindowScheduler:
         self._c_hazard_path = stats.counter("sched_hazard_path_overlap")
         self._c_hazard_segment = stats.counter("sched_hazard_segment")
         self._c_lookahead = stats.counter("sched_lookahead_hits")
-        if window > 1:
-            # Interval (gap-fill) bank/bus scheduling: lets a rewound
-            # younger fetch use bank/bus idle gaps under an older
-            # write-back.
-            enable = getattr(getattr(controller, "memory", None), "enable_overlap", None)
-            if enable is not None:
-                enable()
 
     # -- delegation ---------------------------------------------------------
 
@@ -279,7 +267,7 @@ class WindowScheduler:
         # frontend accepts a new request as soon as the previous one has
         # cleared position lookup — MLP is then bounded only by the
         # window depth, the hazard barriers below, and (physically) the
-        # memory model's dispatch/bank/bus watermarks.
+        # memory model's dispatch/bank/bus calendars.
         if start_cycle is not None:
             arrival = start_cycle
         elif path is not None:
@@ -322,12 +310,11 @@ class WindowScheduler:
             else:
                 # Disjoint paths: no protocol-level ordering is needed,
                 # so the scheduler imposes no barrier.  Physical
-                # serialization is the memory model's job — the in-order
-                # dispatch watermark (one command stream), and the bank/
-                # bus interval calendars where the younger access's lines
-                # interleave with the older write-back's idle gaps.  When
-                # the fetch split is unreported (no timing decomposition
-                # to overlap with), stay fully serial.
+                # serialization is the memory model's job — the dispatch,
+                # bank and bus interval calendars, where the younger
+                # access's lines interleave with the older write-back's
+                # idle gaps.  When the fetch split is unreported (no
+                # timing decomposition to overlap with), stay fully serial.
                 if rec.fetch_finish < 0:
                     barrier = rec.finish
                 else:

@@ -2,9 +2,16 @@
 
 :class:`NVMMainMemory` is both the *functional* backing store (a sparse
 byte-array image keyed by line address — the "chips") and the *timing* model
-(channels -> banks).  Keeping the two together means every functional
-operation is automatically timed and counted, so traffic figures can never
-drift from the protocol that produced them.
+(dispatch -> channel banks -> channel bus).  Keeping the two together
+means every functional operation is automatically timed and counted, so
+traffic figures can never drift from the protocol that produced them.
+
+The timing model is one busy-interval calendar per resource — the shared
+front-end dispatch stage, every bank and every data bus — so each stage
+serves requests by arrival time and keeps its full per-request
+occupancy, whether one access is in flight or a window of them
+(:mod:`repro.engine.sched`).  The per-line arithmetic exists once, in
+:meth:`NVMMainMemory._issue_lines`.
 
 Address-to-channel mapping is line interleaving, the standard layout for
 bandwidth-sharing ORAM systems (Wang et al., HPCA'17, as cited by the
@@ -47,13 +54,11 @@ class NVMMainMemory:
         self.device = DeviceTimingModel(timing)
         self.line_bytes = line_bytes
         self.channels: List[Channel] = [
-            Channel(i, self.device, banks_per_channel) for i in range(channels)
+            Channel(i, banks_per_channel) for i in range(channels)
         ]
         self.traffic = TrafficMeter(line_bytes, track_wear=track_wear)
         self.energy_pj = 0.0
-        self._dispatch_free_at = 0
-        self._dispatch_intervals: Optional[List[int]] = None
-        self._overlap = False
+        self._dispatch_intervals: List[int] = []
         # Functional image: line address -> bytes. Sparse, so a 4GB
         # configured capacity costs nothing until written.
         self._image: Dict[int, bytes] = {}
@@ -115,35 +120,6 @@ class NVMMainMemory:
 
     # -- timed access -----------------------------------------------------------
 
-    def enable_overlap(self) -> None:
-        """Switch dispatch, banks and buses to interval (gap-fill) scheduling.
-
-        Idempotent.  Not cycle-identical to the watermarks even for serial
-        traffic: bus arrivals follow bank completion order, not call
-        order, and the calendar fills bus gaps the watermark skips (see
-        :mod:`repro.mem.channel`), on top of the idle gaps the window
-        scheduler's rewound arrivals exploit.  Every stage keeps its full
-        occupancy (one command per ``DISPATCH_CYCLES``, one burst per bus
-        slot, one request per bank), so contention still serializes —
-        just by arrival time rather than by Python call order.
-        """
-        self._overlap = True
-        if self._dispatch_intervals is None:
-            self._dispatch_intervals = (
-                [0, self._dispatch_free_at] if self._dispatch_free_at else []
-            )
-        for channel in self.channels:
-            channel.enable_overlap()
-
-    def channel_for(self, address: int) -> Channel:
-        """Line-interleaved channel mapping (line index modulo channels)."""
-        line = address // self.line_bytes
-        return self.channels[line % len(self.channels)]
-
-    def local_line(self, address: int) -> int:
-        """Channel-local line index for bank striping."""
-        return (address // self.line_bytes) // len(self.channels)
-
     def issue(
         self,
         address: int,
@@ -159,39 +135,12 @@ class NVMMainMemory:
         and functional layers share the address, so there is no coherence
         issue.
         """
-        logical = address
-        if self.address_translator is not None:
-            address = self.address_translator(address)
-        request = MemoryRequest(
-            address=address, access=access, kind=kind, size_bytes=self.line_bytes
+        requests: List[MemoryRequest] = []
+        self._issue_lines(
+            [address], access, arrival_cycle, kind,
+            None if data is None else [data], requests,
         )
-        request.issue_cycle = arrival_cycle
-        # Front-end dispatch is a shared stage across channels.
-        if self._overlap:
-            dispatched = reserve_interval(
-                self._dispatch_intervals, arrival_cycle, self.DISPATCH_CYCLES
-            )
-            if dispatched + self.DISPATCH_CYCLES > self._dispatch_free_at:
-                self._dispatch_free_at = dispatched + self.DISPATCH_CYCLES
-        else:
-            dispatched = max(arrival_cycle, self._dispatch_free_at)
-            self._dispatch_free_at = dispatched + self.DISPATCH_CYCLES
-        line = address // self.line_bytes
-        channel = self.channels[line % len(self.channels)]
-        request.complete_cycle = channel.service(
-            request, dispatched, line // len(self.channels)
-        )
-        self.traffic.record(request)
-        self.energy_pj += self.device.energy_pj(access)
-        if access is Access.WRITE and data is not None:
-            old = self._image.get(line)
-            self.traffic.record_cell_flips(old or b"", data)
-            self._image[line] = bytes(data)
-            if self.line_observer is not None:
-                self.line_observer(address)
-        if self.request_observer is not None:
-            self.request_observer(logical, request)
-        return request
+        return requests[0]
 
     def issue_path(
         self,
@@ -204,147 +153,13 @@ class NVMMainMemory:
         """Issue a burst of same-kind line accesses; returns the last completion.
 
         Cycle-, counter-, and energy-identical to calling :meth:`issue` once
-        per address in order — the dispatch/bank/bus watermark math is the
-        same, just without a :class:`MemoryRequest` allocation per line.
-        This is the memory-side half of the path-batched access: one call
-        covers a whole ORAM path (or a drainer round's data burst).
+        per address in order, without a :class:`MemoryRequest` allocation
+        per line.  This is the memory-side half of the path-batched access:
+        one call covers a whole ORAM path (or a drainer round's data burst).
         ``datas`` (writes only) carries the functional content per line;
         ``None`` entries are timing-only writes.
         """
-        if self.address_translator is not None or self.request_observer is not None:
-            # A translation layer or request observer is attached: route
-            # every line through issue() so the batched path sees the same
-            # physical remapping and reports every request.
-            finish = arrival_cycle
-            for i, address in enumerate(addresses):
-                request = self.issue(
-                    address, access, arrival_cycle, kind,
-                    data=None if datas is None else datas[i],
-                )
-                complete = request.complete_cycle
-                if complete is not None and complete > finish:
-                    finish = complete
-            return finish
-        device = self.device
-        line_bytes = self.line_bytes
-        channels = self.channels
-        num_channels = len(channels)
-        dispatch_free = self._dispatch_free_at
-        dispatch_cycles = self.DISPATCH_CYCLES
-        burst_cycles = Channel.BURST_CYCLES
-        service_cycles = device.service_cycles(access)
-        gap_cycles = device.min_gap_cycles()
-        energy_each = device.energy_pj(access)
-        energy_acc = self.energy_pj
-        traffic = self.traffic
-        image = self._image
-        line_observer = self.line_observer
-        is_write = access is Access.WRITE
-        overlap = self._overlap
-        dispatch_intervals = self._dispatch_intervals
-        bank_span = service_cycles + gap_cycles
-        # Within one burst every dispatch reservation lands at or after the
-        # previous one (same arrival, earliest-gap-first), so the arrival
-        # floor may ratchet forward — that keeps the O(1) tail-append fast
-        # path hot instead of re-scanning the calendar per line.
-        dispatch_arrival = arrival_cycle
-        finish = arrival_cycle
-        write_lines: List[int] = []
-        for i, address in enumerate(addresses):
-            if overlap:
-                # Inline tail-append fast path for the three calendars
-                # (dispatch, bank, bus); reserve_interval only on genuine
-                # mid-calendar (gap-fill) insertions.  Same math as
-                # Bank.service_span / Channel.reserve_burst.
-                if not dispatch_intervals or dispatch_arrival >= dispatch_intervals[-1]:
-                    dispatched = dispatch_arrival
-                    if dispatch_intervals and dispatch_intervals[-1] == dispatched:
-                        dispatch_intervals[-1] = dispatched + dispatch_cycles
-                    else:
-                        dispatch_intervals.append(dispatched)
-                        dispatch_intervals.append(dispatched + dispatch_cycles)
-                        if len(dispatch_intervals) > MAX_BOUNDARIES:
-                            del dispatch_intervals[1:3]
-                else:
-                    dispatched = reserve_interval(
-                        dispatch_intervals, dispatch_arrival, dispatch_cycles
-                    )
-                dispatch_arrival = dispatched + dispatch_cycles
-                if dispatch_arrival > dispatch_free:
-                    dispatch_free = dispatch_arrival
-            else:
-                dispatched = arrival_cycle if arrival_cycle >= dispatch_free else dispatch_free
-                dispatch_free = dispatched + dispatch_cycles
-            line = address // line_bytes
-            channel = channels[line % num_channels]
-            local_line = line // num_channels
-            bank = channel.banks[local_line % len(channel.banks)]
-            if overlap:
-                bank_intervals = bank.intervals
-                if not bank_intervals or dispatched >= bank_intervals[-1]:
-                    bank_start = dispatched
-                    if bank_intervals and bank_intervals[-1] == bank_start:
-                        bank_intervals[-1] = bank_start + bank_span
-                    else:
-                        bank_intervals.append(bank_start)
-                        bank_intervals.append(bank_start + bank_span)
-                        if len(bank_intervals) > MAX_BOUNDARIES:
-                            del bank_intervals[1:3]
-                else:
-                    bank_start = reserve_interval(bank_intervals, dispatched, bank_span)
-                if bank_start + bank_span > bank.busy_until:
-                    bank.busy_until = bank_start + bank_span
-                bank.serviced += 1
-                bank_done = bank_start + service_cycles
-                bus_intervals = channel.bus_intervals
-                if not bus_intervals or bank_done >= bus_intervals[-1]:
-                    burst_start = bank_done
-                    if bus_intervals and bus_intervals[-1] == burst_start:
-                        bus_intervals[-1] = burst_start + burst_cycles
-                    else:
-                        bus_intervals.append(burst_start)
-                        bus_intervals.append(burst_start + burst_cycles)
-                        if len(bus_intervals) > MAX_BOUNDARIES:
-                            del bus_intervals[1:3]
-                else:
-                    burst_start = reserve_interval(bus_intervals, bank_done, burst_cycles)
-                complete = burst_start + burst_cycles
-                if complete > channel.bus_free_at:
-                    channel.bus_free_at = complete
-                channel.serviced += 1
-            else:
-                bank_start = dispatched if dispatched >= bank.busy_until else bank.busy_until
-                bank_done = bank_start + service_cycles
-                bank.busy_until = bank_done + gap_cycles
-                bank.serviced += 1
-                burst_start = bank_done if bank_done >= channel.bus_free_at else channel.bus_free_at
-                complete = burst_start + burst_cycles
-                channel.bus_free_at = complete
-                channel.serviced += 1
-            if complete > finish:
-                finish = complete
-            energy_acc += energy_each
-            if is_write:
-                write_lines.append(line)
-                if datas is not None:
-                    data = datas[i]
-                    if data is not None:
-                        traffic.record_cell_flips(image.get(line) or b"", data)
-                        image[line] = bytes(data)
-                        if line_observer is not None:
-                            line_observer(address)
-        self._dispatch_free_at = dispatch_free
-        self.energy_pj = energy_acc
-        traffic.record_burst(access, kind, len(addresses), write_lines if is_write else None)
-        return finish
-
-    def next_free_cycles(self) -> List[int]:
-        """Per-channel earliest-issue cycles (index-aligned with ``channels``).
-
-        The scheduler's hazard/overlap logic reads these to decide how far
-        a younger access's fetch can slide under an older write-back.
-        """
-        return [channel.bus_free_at for channel in self.channels]
+        return self._issue_lines(addresses, access, arrival_cycle, kind, datas, None)
 
     def access_batch(
         self,
@@ -358,13 +173,138 @@ class NVMMainMemory:
         The batch is issued back-to-back so channel/bank overlap is
         exploited exactly as a burst path read/write would be.
         """
+        return self._issue_lines(addresses, access, arrival_cycle, kind, None, None)
+
+    def _issue_lines(
+        self,
+        addresses: List[int],
+        access: Access,
+        arrival_cycle: int,
+        kind: RequestKind,
+        datas: Optional[List[Optional[bytes]]],
+        requests: Optional[List[MemoryRequest]],
+    ) -> int:
+        """Time every line of a burst through dispatch, bank and bus.
+
+        Each stage is a busy-interval calendar; a line takes the first
+        idle slot at or after it is ready (arrival, then dispatch, then
+        bank completion).  The tail cases — ready after the last busy
+        window, or inside it — are inlined per stage;
+        :func:`reserve_interval` runs only for true gap fills.  A
+        :class:`MemoryRequest` is built per line only when ``requests``
+        collects them or a request observer is attached.
+        """
+        device = self.device
+        line_bytes = self.line_bytes
+        channels = self.channels
+        num_channels = len(channels)
+        num_banks = len(channels[0].bank_intervals)
+        dispatch_cycles = self.DISPATCH_CYCLES
+        burst_cycles = Channel.BURST_CYCLES
+        service_cycles = device.service_cycles(access)
+        bank_span = service_cycles + device.min_gap_cycles()
+        energy_each = device.energy_pj(access)
+        energy = self.energy_pj
+        traffic = self.traffic
+        image = self._image
+        translator = self.address_translator
+        line_observer = self.line_observer
+        request_observer = self.request_observer
+        is_write = access is Access.WRITE
+        build_requests = requests is not None or request_observer is not None
+        dispatch_intervals = self._dispatch_intervals
+        # Every dispatch reservation of a burst lands at or after the
+        # previous one's end (same arrival, earliest gap first), so the
+        # dispatch arrival may ratchet forward: that keeps the tail cases
+        # hot instead of searching the calendar again per line.
+        ready = arrival_cycle
         finish = arrival_cycle
-        for address in addresses:
-            request = self.issue(address, access, arrival_cycle, kind)
-            complete = request.complete_cycle
-            if complete is not None and complete > finish:
+        write_lines: List[int] = []
+        for i, address in enumerate(addresses):
+            logical = address
+            if translator is not None:
+                address = translator(address)
+            cal = dispatch_intervals
+            if not cal or ready > cal[-1]:
+                dispatched = ready
+                cal.append(ready)
+                cal.append(ready + dispatch_cycles)
+                if len(cal) > MAX_BOUNDARIES:
+                    del cal[1:3]
+            elif ready >= cal[-2]:
+                dispatched = cal[-1]
+                cal[-1] = dispatched + dispatch_cycles
+            else:
+                dispatched = reserve_interval(cal, ready, dispatch_cycles)
+            ready = dispatched + dispatch_cycles
+            line = address // line_bytes
+            channel = channels[line % num_channels]
+            cal = channel.bank_intervals[(line // num_channels) % num_banks]
+            if not cal or dispatched > cal[-1]:
+                bank_start = dispatched
+                cal.append(dispatched)
+                cal.append(dispatched + bank_span)
+                if len(cal) > MAX_BOUNDARIES:
+                    del cal[1:3]
+            elif dispatched >= cal[-2]:
+                bank_start = cal[-1]
+                cal[-1] = bank_start + bank_span
+            else:
+                bank_start = reserve_interval(cal, dispatched, bank_span)
+            bank_done = bank_start + service_cycles
+            cal = channel.bus_intervals
+            if not cal or bank_done > cal[-1]:
+                complete = bank_done + burst_cycles
+                cal.append(bank_done)
+                cal.append(complete)
+                if len(cal) > MAX_BOUNDARIES:
+                    del cal[1:3]
+            elif bank_done >= cal[-2]:
+                complete = cal[-1] + burst_cycles
+                cal[-1] = complete
+            else:
+                complete = reserve_interval(cal, bank_done, burst_cycles) + burst_cycles
+            if complete > finish:
                 finish = complete
+            energy += energy_each
+            if is_write:
+                write_lines.append(line)
+                if datas is not None:
+                    data = datas[i]
+                    if data is not None:
+                        traffic.record_cell_flips(image.get(line) or b"", data)
+                        image[line] = bytes(data)
+                        if line_observer is not None:
+                            line_observer(address)
+            if build_requests:
+                request = MemoryRequest(
+                    address=address, access=access, kind=kind, size_bytes=line_bytes
+                )
+                request.issue_cycle = arrival_cycle
+                request.complete_cycle = complete
+                if requests is not None:
+                    requests.append(request)
+                if request_observer is not None:
+                    # The observer may issue traffic of its own (a wear
+                    # leveler's gap move): hand it the energy tally.
+                    self.energy_pj = energy
+                    request_observer(logical, request)
+                    energy = self.energy_pj
+        self.energy_pj = energy
+        traffic.record_burst(access, kind, len(addresses), write_lines if is_write else None)
         return finish
+
+    def next_free_cycles(self) -> List[int]:
+        """Per-channel earliest-issue cycles (index-aligned with ``channels``).
+
+        The last boundary of a bus calendar is its latest busy end.  The
+        scheduler's hazard/overlap logic reads these to decide how far a
+        younger access's fetch can slide under an older write-back.
+        """
+        return [
+            channel.bus_intervals[-1] if channel.bus_intervals else 0
+            for channel in self.channels
+        ]
 
     # -- maintenance ---------------------------------------------------------
 
@@ -374,9 +314,7 @@ class NVMMainMemory:
             channel.reset()
         self.traffic.reset()
         self.energy_pj = 0.0
-        self._dispatch_free_at = 0
-        if self._dispatch_intervals is not None:
-            self._dispatch_intervals = []
+        self._dispatch_intervals = []
 
     @property
     def num_channels(self) -> int:

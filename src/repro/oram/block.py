@@ -22,6 +22,7 @@ substitution.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.crypto.engine import CryptoEngine
@@ -132,8 +133,13 @@ class BlockCodec:
         # plaintext fields without redoing the keystream/MAC walk — the
         # bytes are identical by construction (decode inverts encode), and
         # a tampered wire misses the memo and takes the verifying slow
-        # path.  Bounded FIFO so long-running services stay flat.
+        # path.  Bounded FIFO so long-running services stay flat: the
+        # deque holds the keys oldest-first, so eviction is O(1) (finding
+        # the oldest key by iterating the dict rescans every entry deleted
+        # since its last resize) and costs one pointer per entry, where an
+        # OrderedDict's linked nodes cost several.
         self._plain_memo: dict = {}
+        self._memo_order: deque = deque()
         self._memo_capacity = self.PLAIN_MEMO_CAPACITY
 
     #: Entries kept in the decode memo (FIFO eviction).  At the default
@@ -235,8 +241,9 @@ class BlockCodec:
     def _memo_put(self, iv1: int, wire: bytes, block: "Block") -> None:
         memo = self._plain_memo
         if len(memo) >= self._memo_capacity:
-            memo.pop(next(iter(memo)))
+            del memo[self._memo_order.popleft()]
         memo[iv1] = (wire, block.address, block.path_id, block.data, block.version)
+        self._memo_order.append(iv1)
 
     def decode(self, wire: bytes) -> Block:
         """Decrypt a wire-format block."""

@@ -77,3 +77,30 @@ class TestCodec:
         wire = a.encode(Block(address=1, path_id=1, data=b"z" * 64))
         with pytest.raises(IntegrityError):
             b.decode(wire)
+
+
+class TestDecodeMemo:
+    def test_fifo_bounded_and_decodes_identical(self):
+        codec = BlockCodec(CryptoEngine(b"memo-key"), 64)
+        codec._memo_capacity = 8
+        blocks = [
+            Block(address=i, path_id=i % 5, data=bytes([i]) * 64, version=i)
+            for i in range(20)
+        ]
+        wires = []
+        for block in blocks[:12]:
+            wires.append(codec.encode(block))
+            assert len(codec._plain_memo) <= 8
+        wires += codec.encode_path(blocks[12:])
+        assert len(codec._plain_memo) == 8
+        # Oldest-first eviction: exactly the 8 newest IV1s remain, in order.
+        iv1s = [int.from_bytes(w[:8], "little") for w in wires]
+        assert list(codec._plain_memo) == iv1s[-8:]
+        # A codec with no memo entries decodes every wire the slow way;
+        # memo hits and evicted entries must both match it byte for byte.
+        cold = BlockCodec(CryptoEngine(b"memo-key"), 64)
+        assert codec.decode_path(wires) == blocks
+        assert [codec.decode(w) for w in wires] == [cold.decode(w) for w in wires]
+        assert [codec.decode_header(w) for w in wires] == [
+            cold.decode_header(w) for w in wires
+        ]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import PCM_TIMING, STTRAM_TIMING
-from repro.mem.bank import Bank
 from repro.mem.channel import Channel
 from repro.mem.controller import NVMMainMemory
 from repro.mem.device import DeviceTimingModel
@@ -27,43 +26,49 @@ class TestDevice:
 
 
 class TestBank:
+    """Bank occupancy, observed through ``NVMMainMemory.issue``."""
+
     def test_serializes_back_to_back(self):
-        bank = Bank(0, DeviceTimingModel(PCM_TIMING))
-        first = bank.service(0, Access.READ)
-        second = bank.service(0, Access.READ)
+        memory = NVMMainMemory(PCM_TIMING)
+        first = memory.issue(0, Access.READ, 0).complete_cycle
+        second = memory.issue(0, Access.READ, 0).complete_cycle
         assert second >= first + 49
 
     def test_idle_bank_services_immediately(self):
-        bank = Bank(0, DeviceTimingModel(PCM_TIMING))
-        assert bank.service(1000, Access.READ) == 1049
+        memory = NVMMainMemory(PCM_TIMING)
+        request = memory.issue(0, Access.READ, 1000)
+        assert request.issue_cycle == 1000
+        assert request.complete_cycle == 1000 + 49 + Channel.BURST_CYCLES
 
     def test_reset(self):
-        bank = Bank(0, DeviceTimingModel(PCM_TIMING))
-        bank.service(0, Access.WRITE)
-        bank.reset()
-        assert bank.busy_until == 0
+        memory = NVMMainMemory(PCM_TIMING)
+        idle = memory.issue(0, Access.WRITE, 0).complete_cycle
+        memory.issue(0, Access.WRITE, 0)
+        memory.reset_timing()
+        assert memory.next_free_cycles() == [0]
+        assert all(not bank for bank in memory.channels[0].bank_intervals)
+        assert memory.issue(0, Access.WRITE, 0).complete_cycle == idle
 
 
 class TestChannel:
-    def _request(self, address):
-        return MemoryRequest(address=address, access=Access.READ)
+    """Bank parallelism behind one data bus, through ``NVMMainMemory.issue``."""
 
     def test_different_banks_overlap(self):
-        channel = Channel(0, DeviceTimingModel(PCM_TIMING), num_banks=8)
-        done_a = channel.service(self._request(0), 0, local_line=0)
-        done_b = channel.service(self._request(64), 0, local_line=1)
+        memory = NVMMainMemory(PCM_TIMING, banks_per_channel=8)
+        done_a = memory.issue(0, Access.READ, 0).complete_cycle
+        done_b = memory.issue(64, Access.READ, 0).complete_cycle
         # Second access uses another bank: only the burst serializes.
         assert done_b - done_a <= Channel.BURST_CYCLES
 
     def test_same_bank_serializes(self):
-        channel = Channel(0, DeviceTimingModel(PCM_TIMING), num_banks=8)
-        done_a = channel.service(self._request(0), 0, local_line=0)
-        done_b = channel.service(self._request(8 * 64), 0, local_line=8)
+        memory = NVMMainMemory(PCM_TIMING, banks_per_channel=8)
+        done_a = memory.issue(0, Access.READ, 0).complete_cycle
+        done_b = memory.issue(8 * 64, Access.READ, 0).complete_cycle
         assert done_b >= done_a + 49
 
     def test_rejects_zero_banks(self):
         with pytest.raises(ValueError):
-            Channel(0, DeviceTimingModel(PCM_TIMING), num_banks=0)
+            NVMMainMemory(PCM_TIMING, banks_per_channel=0)
 
 
 class TestNVMMainMemory:
@@ -82,19 +87,24 @@ class TestNVMMainMemory:
         assert memory.energy_pj > 0
         assert memory.load_line(64) == b"x"
 
+    @staticmethod
+    def _busy(calendar):
+        return sum(end - start for start, end in zip(calendar[::2], calendar[1::2]))
+
     def test_channel_interleaving_balances(self):
         memory = NVMMainMemory(PCM_TIMING, channels=4)
         for line in range(32):
             memory.issue(line * 64, Access.READ, 0)
-        counts = [c.serviced for c in memory.channels]
-        assert counts == [8, 8, 8, 8]
+        busy = [self._busy(c.bus_intervals) for c in memory.channels]
+        assert busy == [8 * Channel.BURST_CYCLES] * 4
 
     def test_bank_striping_uses_all_banks_per_channel(self):
         memory = NVMMainMemory(PCM_TIMING, channels=2, banks_per_channel=4)
         for line in range(16):
             memory.issue(line * 64, Access.READ, 0)
+        span = memory.device.service_cycles(Access.READ) + memory.device.min_gap_cycles()
         for channel in memory.channels:
-            assert all(bank.serviced == 2 for bank in channel.banks)
+            assert [self._busy(bank) for bank in channel.bank_intervals] == [2 * span] * 4
 
     def test_more_channels_finish_sooner(self):
         def finish_with(channels):

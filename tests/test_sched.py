@@ -17,9 +17,7 @@ import pytest
 from repro.config import small_config
 from repro.core.variants import build_variant
 from repro.engine.sched import WindowScheduler, wrap_controller
-from repro.mem.bank import MAX_BOUNDARIES, Bank, reserve_interval
-from repro.mem.device import DeviceTimingModel
-from repro.mem.request import Access
+from repro.mem.bank import MAX_BOUNDARIES, reserve_interval
 from repro.util.rng import DeterministicRNG
 
 
@@ -323,6 +321,17 @@ class TestReserveInterval:
         assert reserve_interval(calendar, 4, 10) == 10
         assert calendar == [0, 30]
 
+    def test_arrival_inside_last_window_extends_it(self):
+        calendar = [0, 10, 20, 30]
+        # At or after the start of the last busy window: queue at its end.
+        assert reserve_interval(calendar, 25, 4) == 30
+        assert calendar == [0, 10, 20, 34]
+        assert reserve_interval(calendar, 20, 2) == 34
+        assert calendar == [0, 10, 20, 36]
+        # An arrival inside an earlier window still takes the gap-fill search.
+        assert reserve_interval(calendar, 5, 4) == 10
+        assert calendar == [0, 14, 20, 36]
+
     def test_arrival_inside_busy_interval(self):
         calendar = [0, 10, 20, 30]
         assert reserve_interval(calendar, 5, 4) == 10
@@ -355,19 +364,3 @@ class TestReserveInterval:
                 busy.update(range(start, start + span))
                 # Boundaries stay strictly increasing (disjoint, coalesced).
                 assert all(a < b for a, b in zip(calendar, calendar[1:]))
-
-    def test_bank_modes_agree_on_monotone_arrivals(self):
-        """Watermark and interval scheduling are cycle-identical in-order."""
-        from repro.config import small_config as _cfg
-
-        timing = _cfg(height=6).nvm
-        watermark = Bank(0, DeviceTimingModel(timing))
-        interval = Bank(0, DeviceTimingModel(timing))
-        interval.enable_overlap()
-        arrival = 0
-        rng = random.Random(5)
-        for _ in range(200):
-            arrival += rng.randrange(0, 120)
-            kind = Access.WRITE if rng.randrange(2) else Access.READ
-            assert watermark.service(arrival, kind) == interval.service(arrival, kind)
-            assert watermark.busy_until == interval.busy_until
