@@ -39,7 +39,6 @@ class RecoveryReport:
     the mirror was left in.
     """
 
-    variant: str
     recovered: bool
     wpq_blocks_applied: Optional[int]
     wpq_entries_applied: Optional[int]
@@ -74,7 +73,6 @@ def crash_and_recover(controller) -> RecoveryReport:
     if recovered and posmap is not None and hasattr(posmap, "modified_entries"):
         rebuilt = sum(1 for _ in posmap.modified_entries())
     return RecoveryReport(
-        variant=type(controller).__name__,
         recovered=recovered,
         wpq_blocks_applied=(drainer.stats.get("crash_blocks_applied") - blocks_before)
         if drainer

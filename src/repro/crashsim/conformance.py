@@ -136,16 +136,13 @@ def run_cell(
     seed: int = 1,
     height: int = 6,
     ops_between_crashes: int = 8,
-    differential: bool = True,
-    record_trace: bool = True,
     window: int = 1,
 ) -> CellResult:
     """Run one conformance cell; see the module docstring for the contract.
 
     ``point=None`` arms a random point each round (fuzzing mode);
     a fixed ``point`` pins every round's crash to that label (matrix
-    mode).  ``differential=False`` skips the reference diff (the legacy
-    oracle-only campaign behaviour).
+    mode).
     """
     if wpq not in WPQ_CONFIGS:
         raise ValueError(f"unknown WPQ config {wpq!r}; "
@@ -254,12 +251,11 @@ def run_cell(
                 result.violations.extend(f"{prefix}: {v}"
                                          for v in check.violations)
                 break
-            if differential:
-                diffs = diff_logical_state(controller, reference,
-                                           checker.in_flight_window)
-                if diffs:
-                    result.violations.extend(f"{prefix}: {v}" for v in diffs)
-                    break
+            diffs = diff_logical_state(controller, reference,
+                                       checker.in_flight_window)
+            if diffs:
+                result.violations.extend(f"{prefix}: {v}" for v in diffs)
+                break
             # Adopt the surviving value of the interrupted op on both
             # sides before the next round's workload.
             reference.apply(checker.settle())
@@ -276,6 +272,6 @@ def run_cell(
             trace.clear()
 
     result.wall_seconds = time.perf_counter() - started
-    if result.violations and record_trace:
+    if result.violations:
         result.trace = trace
     return result

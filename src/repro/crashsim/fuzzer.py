@@ -7,12 +7,10 @@ oracle *and* the differential reference check verifying after each power
 cycle.  This is the Jiang et al. "crash consistency validation" style of
 testing the paper cites [33], applied to our own implementation.
 
-Since the conformance subsystem landed, a campaign is simply a cell with
-a random crash point per round: :func:`run_campaign` wraps
-:func:`repro.crashsim.conformance.run_cell` and keeps the original
-result shape for existing callers.
-
-Usable as a library (:func:`run_campaign`) or a CLI::
+A campaign is a conformance cell with a random crash point per round:
+:func:`repro.crashsim.conformance.run_cell` with ``point=None``.  The
+matrix pins one label for every round of a cell, so only a campaign
+crashes a recovered system at a different point each round.  CLI::
 
     python -m repro.crashsim --variant ps --rounds 50
     python -m repro.crashsim --variant rcr-ps --rounds 20 --seed 9
@@ -22,63 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.crashsim.conformance import run_cell
 from repro.engine.registry import variant_specs
-
-
-@dataclass
-class CampaignResult:
-    """Outcome of one crash-fuzzing campaign."""
-
-    variant: str
-    rounds: int
-    crashes_fired: int
-    quiescent_crashes: int
-    operations: int
-    violations: List[str] = field(default_factory=list)
-    wall_seconds: float = 0.0
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
-
-
-def run_campaign(
-    variant: str = "ps",
-    rounds: int = 30,
-    seed: int = 1,
-    height: int = 6,
-    ops_between_crashes: int = 8,
-    small_wpq: bool = False,
-) -> CampaignResult:
-    """Run one randomized crash campaign against a fresh system.
-
-    Each round: a burst of random writes/reads through the oracle, a crash
-    armed at a random checkpoint (with random skip count, so later
-    occurrences of the same checkpoint get hit too), one interrupted
-    operation, power-cycle, full verification (oracle + differential).
-    """
-    cell = run_cell(
-        variant,
-        point=None,  # random checkpoint each round
-        wpq="small" if small_wpq else "default",
-        rounds=rounds,
-        seed=seed,
-        height=height,
-        ops_between_crashes=ops_between_crashes,
-    )
-    return CampaignResult(
-        variant=cell.variant,
-        rounds=cell.rounds,
-        crashes_fired=cell.crashes_fired,
-        quiescent_crashes=cell.quiescent_crashes,
-        operations=cell.operations,
-        violations=list(cell.violations),
-        wall_seconds=cell.wall_seconds,
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -97,9 +42,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="4-entry WPQs (ordered multi-round evictions)")
     args = parser.parse_args(argv)
 
-    result = run_campaign(
-        variant=args.variant, rounds=args.rounds, seed=args.seed,
-        height=args.height, small_wpq=args.small_wpq,
+    result = run_cell(
+        args.variant,
+        point=None,  # random checkpoint each round
+        wpq="small" if args.small_wpq else "default",
+        rounds=args.rounds, seed=args.seed, height=args.height,
     )
     print(f"variant:            {result.variant}")
     print(f"rounds:             {result.rounds}")

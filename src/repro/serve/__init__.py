@@ -3,10 +3,9 @@
 The serving layer over the PR 4 engine registry and the PR 5 crash
 story: hash-partitioned shards (:mod:`repro.serve.sharding`), batch
 planning with read/write coalescing (:mod:`repro.serve.batcher`),
-per-shard workers (:mod:`repro.serve.worker`) behind a thread-pool or
-deterministic-inline front end (:mod:`repro.serve.frontend`), a two-pool
-hot/bulk compartmentalized store (:mod:`repro.serve.twopool` over
-:mod:`repro.serve.bulk`), service-level crash conformance
+per-shard workers (:mod:`repro.serve.worker`) behind a deterministic
+front end that runs every request inline on the calling thread
+(:mod:`repro.serve.frontend`), service-level crash conformance
 (:mod:`repro.serve.conformance`) and a modeled closed-loop load
 generator (:mod:`repro.serve.loadgen`).  CLI: ``python -m repro.serve``.
 """
@@ -19,12 +18,10 @@ from repro.serve.batcher import (
     Request,
     plan_batch,
 )
-from repro.serve.bulk import BulkStore
 from repro.serve.conformance import ServiceCellResult, run_service_cell
 from repro.serve.frontend import SERVICE_QUIESCENT, ShardedKVService
 from repro.serve.loadgen import LoadResult, run_load
 from repro.serve.sharding import balance_histogram, partition, route_digest, shard_of
-from repro.serve.twopool import PromotionPolicy, TwoPoolStats, TwoPoolStore
 from repro.serve.worker import ShardWorker
 
 __all__ = [
@@ -32,16 +29,12 @@ __all__ = [
     "OP_GET",
     "OP_PUT",
     "BatchPlan",
-    "BulkStore",
     "LoadResult",
-    "PromotionPolicy",
     "Request",
     "SERVICE_QUIESCENT",
     "ServiceCellResult",
     "ShardWorker",
     "ShardedKVService",
-    "TwoPoolStats",
-    "TwoPoolStore",
     "balance_histogram",
     "partition",
     "plan_batch",

@@ -10,10 +10,10 @@ Usage::
                                                 [--point LABEL] [--seed S]
     PYTHONPATH=src python -m repro.serve status [--journal PATH]
 
-``serve`` runs an interactive thread-mode service on stdin (PUT/GET/DEL/
-STATUS/QUIT); ``bench`` runs one modeled load point; ``conformance``
-runs a service-crash cell and exits non-zero on violations; ``status``
-summarizes a bench journal.
+``serve`` runs an interactive service on stdin (PUT/GET/DEL/STATUS/QUIT),
+executing each line inline as a one-request batch; ``bench`` runs one
+modeled load point; ``conformance`` runs a service-crash cell and exits
+non-zero on violations; ``status`` summarizes a bench journal.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _cmd_serve(args) -> int:
 
     service = ShardedKVService(
         shards=args.shards, variant=args.variant, height=args.height,
-        batch_max=args.batch_max, seed=args.seed, mode="thread",
+        batch_max=args.batch_max, seed=args.seed,
         window=args.window, integrity=args.integrity,
     ).start()
     print(f"serving {args.shards} x {args.variant} shard(s); "
@@ -144,7 +144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="attach the crash-consistent integrity domain "
                             "to every shard (docs/INTEGRITY.md)")
 
-    p_serve = sub.add_parser("serve", help="interactive thread-mode service")
+    p_serve = sub.add_parser("serve", help="interactive service on stdin")
     common(p_serve)
     p_serve.set_defaults(fn=_cmd_serve)
 

@@ -1,6 +1,6 @@
 """Request batching and coalescing for one shard's worker.
 
-A shard worker drains its queue into a **batch** and executes the batch
+A shard worker takes a run of requests as a **batch** and executes it
 as one unit against the shard's oblivious store.  Planning is a pure
 function (:func:`plan_batch`) so the semantics are unit-testable without
 an ORAM in sight:
@@ -31,9 +31,10 @@ service API anyway.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.errors import ServiceError
 
 OP_GET = "get"
 OP_PUT = "put"
@@ -45,13 +46,12 @@ _VALID_OPS = (OP_GET, OP_PUT, OP_DELETE)
 class Request:
     """One client operation travelling through the service.
 
-    Carries its own completion latch so the thread-mode frontend can
-    block the submitting client until the shard worker resolves it; the
-    inline mode resolves synchronously through the same interface.
+    The shard worker settles it synchronously: :meth:`resolve` or
+    :meth:`fail` sets ``done``, and :meth:`wait` hands back the outcome.
     """
 
     __slots__ = ("op", "key", "value", "shard", "result", "error",
-                 "arrival_cycle", "finish_cycle", "_done")
+                 "arrival_cycle", "finish_cycle", "done")
 
     def __init__(self, op: str, key: str, value: Optional[bytes] = None):
         if op not in _VALID_OPS:
@@ -67,27 +67,23 @@ class Request:
         #: Modeled timing (shard-clock cycles), filled by the worker.
         self.arrival_cycle: int = 0
         self.finish_cycle: int = 0
-        self._done = threading.Event()
+        self.done = False
 
     def resolve(self, result: Optional[bytes]) -> None:
         self.result = result
-        self._done.set()
+        self.done = True
 
     def fail(self, error: BaseException) -> None:
         self.error = error
-        self._done.set()
+        self.done = True
 
-    def wait(self, timeout: Optional[float] = None) -> Optional[bytes]:
-        """Block until resolved; re-raise the failure if there was one."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"request {self.op} {self.key!r} timed out")
+    def wait(self) -> Optional[bytes]:
+        """The result; re-raises the failure if there was one."""
+        if not self.done:
+            raise ServiceError(f"request {self.op} {self.key!r} was never executed")
         if self.error is not None:
             raise self.error
         return self.result
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
 
 
 #: Per-request execution outcome, decided at plan time:

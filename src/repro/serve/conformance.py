@@ -86,7 +86,6 @@ def _build_service(shards, variant, height, batch_max, seed,
         height=height,
         batch_max=batch_max,
         seed=seed,
-        mode="inline",
         integrity=integrity,
         window=window,
     ).start()

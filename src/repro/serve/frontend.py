@@ -2,24 +2,19 @@
 
 :class:`ShardedKVService` hash-partitions the key space over N
 :class:`~repro.serve.worker.ShardWorker`\\ s (one crash-consistent engine
-+ oblivious store each) and offers a dict-like API on top.  Two
-deployment modes share every line of shard/batch code:
-
-* ``mode="thread"`` — a thread-pool service: one dispatcher queue per
-  shard, one worker thread per shard draining it with an opportunistic
-  batch window.  Clients block on their request's latch.  This is the
-  interactive deployment behind ``python -m repro.serve serve``.
-* ``mode="inline"`` — fully deterministic: :meth:`execute` groups a
-  request list by shard and runs the batches on the calling thread in
-  shard order.  The crash-conformance cells and the modeled load
-  generator use this mode, so every service behaviour they observe is
-  reproducible bit-for-bit from a seed.
++ oblivious store each) and offers a dict-like API on top.  Every request
+runs inline on the calling thread: :meth:`execute` groups a request list
+by shard and runs the batches in shard order, and ``put``/``get``/
+``delete`` are one-request :meth:`execute` calls.  Every service
+behaviour is therefore reproducible bit-for-bit from a seed.  Shards
+overlap in modeled time (the load generator's event loop), not on host
+threads: the paper's parallelism is memory-level, inside the controller.
 
 Crash story (the service-level analogue of the paper's power-failure
-model): :meth:`crash` cuts power to *every* shard at once — queued and
-in-flight requests fail with :class:`ServiceCrashedError` (they were
-never acknowledged; after recovery each affected key legally holds its
-old or new value), then :meth:`recover` power-cycles every shard and the
+model): :meth:`crash` cuts power to *every* shard at once — in-flight
+requests fail with :class:`ServiceCrashedError` (they were never
+acknowledged; after recovery each affected key legally holds its old or
+new value), then :meth:`recover` power-cycles every shard and the
 service resumes.  Injection points come from
 :meth:`crash_points`: every shard's engine/policy labels, prefixed
 ``shard<i>:``, exactly mirroring the single-controller surface the
@@ -28,14 +23,12 @@ crashsim matrix drives.
 
 from __future__ import annotations
 
-import queue as queue_module
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceStoppedError
 from repro.serve.batcher import OP_DELETE, OP_GET, OP_PUT, Request
 from repro.serve.sharding import shard_of
-from repro.serve.worker import SHUTDOWN, ShardWorker
+from repro.serve.worker import ShardWorker
 
 #: Service-level pseudo-point: the power cut lands between batches, when
 #: every shard is quiescent (mirrors crashsim's "quiescent" cell).
@@ -54,19 +47,21 @@ class ShardedKVService:
         batch_max: int = 16,
         seed: int = 1,
         key: bytes = b"repro-psoram-key",
-        mode: str = "thread",
+        mode: str = "inline",
         pad_batches: bool = False,
         window: int = 1,
         integrity: bool = False,
     ):
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
-        if mode not in ("thread", "inline"):
-            raise ValueError(f"unknown mode {mode!r}; 'thread' or 'inline'")
+        # ``mode`` remains only so existing ``mode="inline"`` callers
+        # (benchmarks/e2e) keep working; it has no other legal value.
+        if mode != "inline":
+            raise ValueError(f"unknown mode {mode!r}: thread mode was removed; "
+                             "the service only runs inline")
         self.num_shards = shards
         self.variant = variant
         self.batch_max = batch_max
-        self.mode = mode
         self.workers: List[ShardWorker] = [
             ShardWorker(
                 index,
@@ -81,9 +76,6 @@ class ShardedKVService:
             )
             for index in range(shards)
         ]
-        self._inboxes: List["queue_module.Queue"] = []
-        self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
         self._started = False
         self._crashed = False
 
@@ -92,38 +84,14 @@ class ShardedKVService:
     # ------------------------------------------------------------------
 
     def start(self) -> "ShardedKVService":
-        """Spin up the per-shard worker threads (thread mode only)."""
-        if self.mode == "inline":
-            self._started = True
-            return self
-        if self._started:
-            return self
-        self._stop.clear()
-        self._inboxes = [queue_module.Queue() for _ in self.workers]
-        self._threads = []
-        for worker, inbox in zip(self.workers, self._inboxes):
-            thread = threading.Thread(
-                target=worker.run_loop,
-                args=(inbox, self.batch_max, self._stop),
-                name=f"serve-shard-{worker.index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        """Open the front door; requests are refused until this runs."""
         self._started = True
         return self
 
     def stop(self) -> None:
-        """Graceful shutdown: drain queues, stop threads, settle stores."""
+        """Graceful shutdown: drain every shard's window, settle stores."""
         if not self._started:
             return
-        if self.mode == "thread":
-            for inbox in self._inboxes:
-                inbox.put(SHUTDOWN)
-            for thread in self._threads:
-                thread.join(timeout=5.0)
-            self._stop.set()
-            self._threads = []
         self._started = False
         for worker in self.workers:
             if not worker.crashed:
@@ -143,22 +111,6 @@ class ShardedKVService:
     def shard_for(self, key: str) -> int:
         """The shard a key routes to (pure function of key and N)."""
         return shard_of(key, self.num_shards)
-
-    def submit(self, op: str, key: str, value: Optional[bytes] = None) -> Request:
-        """Route one request to its shard; returns the pending request.
-
-        In thread mode the request is enqueued and resolved by the shard
-        thread; in inline mode it executes immediately (a batch of one).
-        """
-        if not self._started:
-            raise ServiceStoppedError("service not started (call start())")
-        request = Request(op, key, value)
-        request.shard = self.shard_for(key)
-        if self.mode == "thread":
-            self._inboxes[request.shard].put(request)
-        else:
-            self.workers[request.shard].execute_batch([request])
-        return request
 
     def route(self, ops: Sequence[Tuple]) -> List[Request]:
         """Build routed (but unexecuted) requests from op tuples.
@@ -206,18 +158,21 @@ class ShardedKVService:
         self.run_batches(requests)
         return requests
 
-    # -- blocking dict-like helpers ------------------------------------
+    # -- dict-like helpers -----------------------------------------------
 
-    def put(self, key: str, value: bytes, timeout: Optional[float] = 30.0) -> None:
-        self.submit(OP_PUT, key, value).wait(timeout)
+    def _one(self, op: str, key: str, value: Optional[bytes] = None):
+        return self.execute([(op, key, value)])[0].wait()
 
-    def get(self, key: str, timeout: Optional[float] = 30.0) -> bytes:
-        result = self.submit(OP_GET, key).wait(timeout)
+    def put(self, key: str, value: bytes) -> None:
+        self._one(OP_PUT, key, value)
+
+    def get(self, key: str) -> bytes:
+        result = self._one(OP_GET, key)
         assert result is not None
         return result
 
-    def delete(self, key: str, timeout: Optional[float] = 30.0) -> None:
-        self.submit(OP_DELETE, key).wait(timeout)
+    def delete(self, key: str) -> None:
+        self._one(OP_DELETE, key)
 
     # ------------------------------------------------------------------
     # crash surface
@@ -235,43 +190,22 @@ class ShardedKVService:
     def crash(self) -> None:
         """Whole-service power failure: every shard loses power at once.
 
-        Queued (thread-mode) requests fail as unacknowledged; worker
-        threads die with their shards.  The service refuses new requests
-        until :meth:`recover`.
+        The service refuses new requests until :meth:`recover`.
         """
-        from repro.errors import ServiceCrashedError
-
-        self._stop.set()
-        if self.mode == "thread" and self._threads:
-            for thread in self._threads:
-                thread.join(timeout=5.0)
-            self._threads = []
-            error = ServiceCrashedError("service lost power with this request queued")
-            for inbox in self._inboxes:
-                while True:
-                    try:
-                        pending = inbox.get_nowait()
-                    except queue_module.Empty:
-                        break
-                    if pending is not SHUTDOWN and not pending.done:
-                        pending.fail(error)
         for worker in self.workers:
             worker.power_fail()
         self._crashed = True
         self._started = False
 
     def recover(self) -> bool:
-        """Power-cycle recovery of every shard; restarts thread mode.
+        """Power-cycle recovery of every shard; reopens the front door.
 
         True only if *every* shard recovered (all-or-nothing: a service
         over a volatile variant honestly reports False).
         """
         recovered = all([worker.recover() for worker in self.workers])
         self._crashed = not recovered
-        if recovered and self.mode == "thread":
-            self._started = False
-            self.start()
-        elif recovered:
+        if recovered:
             self._started = True
         return recovered
 
@@ -300,7 +234,6 @@ class ShardedKVService:
                 totals[field] += worker.stats[field]
         requests = totals["requests"] or 1
         return {
-            "mode": self.mode,
             "variant": self.variant,
             "shards": self.num_shards,
             "batch_max": self.batch_max,

@@ -83,7 +83,7 @@ def run_load(
         service = ShardedKVService(
             shards=shards, variant=variant, height=height,
             directory_buckets=max(32, 2 * num_keys),
-            batch_max=batch_max, seed=seed, mode="inline",
+            batch_max=batch_max, seed=seed,
             window=window, integrity=integrity,
         ).start()
     rng = DeterministicRNG(seed)

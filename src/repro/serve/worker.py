@@ -6,14 +6,9 @@ controller (any crash-consistent variant from the PR 4 registry) with an
 :class:`~repro.serve.batcher.BatchPlan`\\ s against it.  Workers share
 nothing: no locks, no cross-shard state, so N workers model N independent
 ORAM memories proceeding concurrently (the Palermo parallelism argument
-at the serving layer).
-
-Two execution modes, same code path:
-
-* **inline** — :meth:`execute_batch` on the caller's thread; used by the
-  deterministic load generator and the crash-conformance cells;
-* **thread** — :meth:`run_loop` drains a queue in a background thread
-  with a bounded batch window; used by ``python -m repro.serve serve``.
+at the serving layer).  That concurrency lives in modeled time: the
+front end calls :meth:`execute_batch` on its own thread, shard after
+shard, and the load generator overlaps the shards' cycle costs.
 
 The worker is the service's crash surface: a :class:`SimulatedCrash`
 raised by the controller mid-batch unwinds the batch, fails its
@@ -23,8 +18,6 @@ worker dead until :meth:`recover`.
 
 from __future__ import annotations
 
-import queue as queue_module
-import threading
 from typing import Dict, List, Optional
 
 from repro.apps.kvstore import ObliviousKVStore
@@ -34,9 +27,6 @@ from repro.engine.registry import build_scheduled
 from repro.errors import ReproError, ServiceCrashedError, SimulatedCrash
 from repro.serve.batcher import BatchPlan, Request, plan_batch
 from repro.util.rng import DeterministicRNG
-
-#: Queue sentinel that tells a thread-mode worker loop to exit.
-SHUTDOWN = object()
 
 
 class ShardWorker:
@@ -122,11 +112,11 @@ class ShardWorker:
         return self.controller.now
 
     # ------------------------------------------------------------------
-    # batch execution (both modes)
+    # batch execution
     # ------------------------------------------------------------------
 
     def execute_batch(self, requests: List[Request]) -> BatchPlan:
-        """Plan and execute one batch; resolves every request's future.
+        """Plan and execute one batch; resolves every request.
 
         On a simulated crash the batch's unresolved requests fail with
         :class:`ServiceCrashedError` and the crash re-raises so the
@@ -219,45 +209,6 @@ class ShardWorker:
                     request.fail(error)
                 else:
                     request.resolve(None)
-
-    # ------------------------------------------------------------------
-    # thread mode
-    # ------------------------------------------------------------------
-
-    def run_loop(
-        self,
-        inbox: "queue_module.Queue",
-        batch_max: int = 16,
-        stop: Optional[threading.Event] = None,
-        poll_s: float = 0.05,
-    ) -> None:
-        """Drain ``inbox`` in batches until SHUTDOWN, a stop, or a crash.
-
-        The batch window is opportunistic: block for the first request,
-        then take whatever else is already queued (up to ``batch_max``)
-        without waiting — latency is never traded for batching.
-        """
-        while stop is None or not stop.is_set():
-            try:
-                first = inbox.get(timeout=poll_s)
-            except queue_module.Empty:
-                continue
-            if first is SHUTDOWN:
-                return
-            batch = [first]
-            while len(batch) < batch_max:
-                try:
-                    request = inbox.get_nowait()
-                except queue_module.Empty:
-                    break
-                if request is SHUTDOWN:
-                    inbox.put(SHUTDOWN)  # preserve shutdown for the outer loop
-                    break
-                batch.append(request)
-            try:
-                self.execute_batch(batch)
-            except ServiceCrashedError:
-                return  # worker is down until the service recovers it
 
     # ------------------------------------------------------------------
     # crash plumbing

@@ -1,28 +1,30 @@
-"""Tests for the crash-fuzzing campaign driver."""
+"""Tests for the crash-fuzzing campaign driver: ``run_cell`` with a
+random crash point per round, and its CLI."""
 
 import pytest
 
-from repro.crashsim.fuzzer import main, run_campaign
+from repro.crashsim.conformance import run_cell
+from repro.crashsim.fuzzer import main
 
 
 class TestCampaign:
     @pytest.mark.parametrize("variant", ["ps", "naive-ps", "rcr-ps", "ring-ps"])
     def test_campaign_consistent(self, variant):
-        result = run_campaign(variant=variant, rounds=6, seed=3)
+        result = run_cell(variant, point=None, rounds=6, seed=3)
         assert result.consistent, result.violations
         assert result.operations > 0
 
     def test_mid_access_crashes_actually_fire(self):
-        result = run_campaign(variant="ps", rounds=12, seed=3)
+        result = run_cell("ps", point=None, rounds=12, seed=3)
         assert result.crashes_fired >= result.rounds // 2
 
     def test_small_wpq_campaign(self):
-        result = run_campaign(variant="ps", rounds=6, seed=3, small_wpq=True)
+        result = run_cell("ps", point=None, rounds=6, seed=3, wpq="small")
         assert result.consistent, result.violations
 
     def test_deterministic(self):
-        a = run_campaign(variant="ps", rounds=5, seed=7)
-        b = run_campaign(variant="ps", rounds=5, seed=7)
+        a = run_cell("ps", point=None, rounds=5, seed=7)
+        b = run_cell("ps", point=None, rounds=5, seed=7)
         assert a.crashes_fired == b.crashes_fired
         assert a.operations == b.operations
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.serve.batcher import (
     OP_DELETE,
     OP_GET,
@@ -29,17 +30,17 @@ class TestRequest:
         assert not request.done
         request.resolve(b"v")
         assert request.done
-        assert request.wait(0.1) == b"v"
+        assert request.wait() == b"v"
 
     def test_latch_failure_reraises(self):
         request = Request(OP_GET, "k")
         request.fail(KeyError("k"))
         with pytest.raises(KeyError):
-            request.wait(0.1)
+            request.wait()
 
-    def test_wait_times_out(self):
-        with pytest.raises(TimeoutError):
-            Request(OP_GET, "k").wait(0.01)
+    def test_wait_before_execution_raises(self):
+        with pytest.raises(ServiceError):
+            Request(OP_GET, "k").wait()
 
 
 class TestReadCoalescing:

@@ -1,18 +1,22 @@
 """End-to-end tests for the sharded service (repro.serve.frontend/worker)."""
 
+import io
+import json
+
 import pytest
 
 from repro.crashsim.injector import CrashInjector
 from repro.errors import ServiceCrashedError, ServiceStoppedError, SimulatedCrash
 from repro.serve.batcher import OP_DELETE, OP_GET, OP_PUT, Request
+from repro.serve.__main__ import main as serve_main
 from repro.serve.frontend import SERVICE_QUIESCENT, ShardedKVService
 from repro.serve.worker import ShardWorker
 from repro.util.rng import DeterministicRNG
 
 
-def _service(shards=2, mode="inline", **kwargs):
+def _service(shards=2, **kwargs):
     kwargs.setdefault("height", 6)
-    return ShardedKVService(shards=shards, mode=mode, **kwargs).start()
+    return ShardedKVService(shards=shards, **kwargs).start()
 
 
 class TestInlineService:
@@ -51,9 +55,28 @@ class TestInlineService:
         assert all(count > 0 for count in busy)
 
     def test_requires_start(self):
-        service = ShardedKVService(shards=1, height=6, mode="inline")
+        service = ShardedKVService(shards=1, height=6)
         with pytest.raises(ServiceStoppedError):
             service.put("k", b"v")
+
+    def test_roundtrip_and_context_manager(self):
+        with ShardedKVService(shards=2, height=6) as service:
+            for i in range(10):
+                service.put(f"k{i}", bytes([i]) * 8)
+            for i in range(10):
+                assert service.get(f"k{i}") == bytes([i]) * 8
+        assert service.status()["started"] is False
+
+    def test_stop_then_request_refused(self):
+        service = ShardedKVService(shards=1, height=6).start()
+        service.put("x", b"1")
+        service.stop()
+        with pytest.raises(ServiceStoppedError):
+            service.get("x")
+
+    def test_thread_mode_rejected(self):
+        with pytest.raises(ValueError, match="thread mode was removed"):
+            ShardedKVService(shards=1, height=6, mode="thread")
 
     def test_status_totals(self):
         service = _service()
@@ -64,22 +87,6 @@ class TestInlineService:
         assert status["totals"]["requests"] == 2
         assert len(status["per_shard"]) == 2
         assert status["crashed"] is False
-
-
-class TestThreadService:
-    def test_roundtrip_and_context_manager(self):
-        with ShardedKVService(shards=2, height=6, mode="thread") as service:
-            for i in range(10):
-                service.put(f"k{i}", bytes([i]) * 8)
-            for i in range(10):
-                assert service.get(f"k{i}") == bytes([i]) * 8
-
-    def test_stop_then_submit_refused(self):
-        service = ShardedKVService(shards=1, height=6, mode="thread").start()
-        service.put("x", b"1")
-        service.stop()
-        with pytest.raises(ServiceStoppedError):
-            service.get("x")
 
 
 class TestWindowedShards:
@@ -264,3 +271,16 @@ class TestPadding:
         # Coalescing saved store ops; padding re-spent them as dummies.
         assert worker.stats["coalesced_reads"] + worker.stats["coalesced_writes"] > 0
         assert worker.stats["pad_accesses"] > 0
+
+
+class TestServeCLI:
+    def test_stdin_session(self, monkeypatch, capsys):
+        script = "PUT a hello\nGET a\nDEL a\nGET a\nSTATUS\nQUIT\nGET never-read\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        assert serve_main(["serve", "--shards", "2", "--height", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("serving 2 x ps shard(s)")
+        assert lines[1:5] == ["OK", "hello", "OK", "ERR missing key 'a'"]
+        status = json.loads("\n".join(lines[5:]))
+        assert status["totals"]["requests"] == 4
+        assert status["shards"] == 2
