@@ -1,13 +1,11 @@
 #!/usr/bin/env python
 """Tour of the beyond-the-paper extensions.
 
-The paper sketches three directions this library implements end-to-end:
+The paper sketches two directions this library implements end-to-end:
 
-1. **generality** (abstract): PS crash consistency on *Ring ORAM* — the
-   in-place-backup variant of the protocol;
-2. **hybrid memory** (Section 4.5): a write-through DRAM tree-top that
+1. **hybrid memory** (Section 4.5): a write-through DRAM tree-top that
    accelerates reads without weakening any crash guarantee;
-3. **integrity** (related work): a keyed Merkle tree over the NVM image
+2. **integrity** (related work): a keyed Merkle tree over the NVM image
    that catches replay attacks the per-line MACs cannot.
 
 Run:  python examples/extensions_tour.py
@@ -19,37 +17,9 @@ from repro.integrity import enable_integrity
 from repro.util.rng import DeterministicRNG
 
 
-def tour_ring() -> None:
-    print("=" * 70)
-    print("1. PS crash consistency on Ring ORAM")
-    print("=" * 70)
-    config = small_config(height=7, seed=11)
-    base, ps = build_variant("ring-baseline", config), build_variant("ring-ps", config)
-    rng_a, rng_b = DeterministicRNG(1), DeterministicRNG(1)
-    model = {}
-    for i in range(150):
-        addr = rng_a.randrange(50)
-        value = bytes([i % 256, addr])
-        base.write(addr, value)
-        ps.write(rng_b.randrange(50) if False else addr, value)
-        model[addr] = value + bytes(62)
-    print(f"Ring baseline: {base.now:,} cycles; PS-Ring: {ps.now:,} cycles "
-          f"(+{ps.now / base.now - 1:.1%})")
-
-    ps.crash()
-    assert ps.recover()
-    survived = sum(1 for a, w in model.items() if ps.read(a).data == w)
-    print(f"PS-Ring after power loss: {survived}/{len(model)} writes intact")
-
-    base.crash()
-    recovered = base.recover()
-    print(f"Ring baseline after power loss: recover() -> {recovered} "
-          f"(stash and PosMap were volatile)\n")
-
-
 def tour_hybrid() -> None:
     print("=" * 70)
-    print("2. Hybrid DRAM+NVM: write-through tree-top (Section 4.5)")
+    print("1. Hybrid DRAM+NVM: write-through tree-top (Section 4.5)")
     print("=" * 70)
     config = small_config(height=9, seed=11)
     hybrid = HybridPSORAMController(config, dram_levels=5)
@@ -71,7 +41,7 @@ def tour_hybrid() -> None:
 
 def tour_integrity() -> None:
     print("=" * 70)
-    print("3. Merkle integrity: catching replay attacks")
+    print("2. Merkle integrity: catching replay attacks")
     print("=" * 70)
     controller = build_variant("ps", small_config(height=6, seed=11))
     domain = enable_integrity(controller)
@@ -91,7 +61,6 @@ def tour_integrity() -> None:
 
 
 def main() -> None:
-    tour_ring()
     tour_hybrid()
     tour_integrity()
 

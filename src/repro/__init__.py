@@ -38,7 +38,7 @@ from repro.core import (
     RcrPSORAMController,
     build_variant,
 )
-from repro.apps import ObliviousKVStore, ObliviousQueue
+from repro.apps import ObliviousKVStore
 from repro.crashsim import ConsistencyChecker, CrashInjector
 from repro.errors import (
     ConfigError,
@@ -73,7 +73,6 @@ __all__ = [
     "build_variant",
     # applications
     "ObliviousKVStore",
-    "ObliviousQueue",
     # crash tooling
     "ConsistencyChecker",
     "CrashInjector",

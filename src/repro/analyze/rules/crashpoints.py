@@ -1,17 +1,16 @@
 """R2 crash-point-coverage: declared labels ⟺ injection sites.
 
 The crash-conformance matrix (:mod:`repro.crashsim`) enumerates the
-labels a controller *declares* (``PIPELINE_PHASES``, the policies'
-``*_CRASH_POINTS`` tuples, ``CHECKPOINT_*`` class attributes) and arms
-the injector at each.  A label declared but never announced by a
-``_checkpoint(...)`` call is a cell the matrix silently never tests; a
-label announced but never declared is a window no campaign can target.
+labels a controller *declares* (``PIPELINE_PHASES`` and the policies'
+``*_CRASH_POINTS`` tuples) and arms the injector at each.  A label
+declared but never announced by a ``_checkpoint(...)`` call is a cell
+the matrix silently never tests; a label announced but never declared
+is a window no campaign can target.
 Both directions drift easily as policies grow — this rule pins them.
 
 It also requires every atomic WPQ round in policy code to announce at
 least one checkpoint while the round is open: a ``start()``/``end()``
-bracket with no label inside is an uninjectable atomicity window (the
-Ring early-reshuffle round was one).
+bracket with no label inside is an uninjectable atomicity window.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ from repro.analyze.source import Project, SourceFile
 from repro.analyze.rules.persist import _FunctionScan
 
 _DECLARED_NAME = re.compile(r"(^|_)(CRASH_POINTS|PIPELINE_PHASES)$")
-_CHECKPOINT_ATTR = re.compile(r"^CHECKPOINT_[A-Z_]+$")
 
 #: Directories whose atomic rounds must contain an injectable label.
 #: "integrity" keeps the integrity domain's persist-commit window honest:
 #: its INTEGRITY_CRASH_POINTS declarations must match the _checkpoint
 #: literals it fires, in both directions, like any policy's.
-ROUND_SCOPE_DIRS = ("engine", "ring", "core", "hybrid", "integrity")
+ROUND_SCOPE_DIRS = ("engine", "core", "hybrid", "integrity")
 ROUND_EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py", "mem/persistence.py")
 
 
@@ -107,22 +105,6 @@ class CrashPointCoverageRule:
             value = const_str(call.args[0])
             if value is not None:
                 yield value, call.lineno
-        # CHECKPOINT_* class attributes feed _checkpoint via indirection
-        # (`self.CHECKPOINT_AFTER_REMAP`); their constants count as fired.
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for item in node.body:
-                if not isinstance(item, ast.Assign):
-                    continue
-                for target in item.targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and _CHECKPOINT_ATTR.match(target.id)
-                    ):
-                        value = const_str(item.value)
-                        if value is not None:
-                            yield value, item.lineno
 
     # -- round label coverage ----------------------------------------------
 

@@ -13,7 +13,7 @@ interpreter's randomized hash order.  Three families of violations:
   ``for`` loop or comprehension: iteration order varies per process
   unless wrapped in ``sorted()``.
 
-Scope: the deterministic core (engine/crypto/mem/oram/ring/core/hybrid/
+Scope: the deterministic core (engine/crypto/mem/oram/core/hybrid/
 util).  ``exec`` and ``report`` may time things and are exempt.
 """
 
@@ -26,7 +26,7 @@ from repro.analyze.astutil import attr_chain, calls_in, in_dirs
 from repro.analyze.model import Finding
 from repro.analyze.source import Project, SourceFile
 
-SCOPE_DIRS = ("engine", "crypto", "mem", "oram", "ring", "core", "hybrid", "util")
+SCOPE_DIRS = ("engine", "crypto", "mem", "oram", "core", "hybrid", "util")
 
 #: Full dotted call names that are nondeterministic across runs.
 BANNED_CALLS = {

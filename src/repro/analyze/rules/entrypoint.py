@@ -28,7 +28,7 @@ from repro.analyze.astutil import attr_chain, calls_in, in_dirs
 from repro.analyze.model import Finding
 from repro.analyze.source import FunctionInfo, Project, SourceFile
 
-SCOPE_DIRS = ("engine", "oram", "ring", "serve", "hybrid")
+SCOPE_DIRS = ("engine", "oram", "serve", "hybrid")
 
 #: The one function allowed to run the phase pipeline.
 CANONICAL = ("engine/base.py", "AccessEngine.access")

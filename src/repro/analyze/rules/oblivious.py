@@ -35,7 +35,7 @@ from repro.analyze.astutil import attr_chain, calls_in, in_dirs
 from repro.analyze.model import Finding
 from repro.analyze.source import FunctionInfo, Project, SourceFile
 
-SCOPE_DIRS = ("engine", "oram", "ring", "core", "hybrid")
+SCOPE_DIRS = ("engine", "oram", "core", "hybrid")
 
 #: Phase hooks whose address/payload parameters are secret by default.
 PHASE_FUNCS = {
@@ -49,16 +49,12 @@ PHASE_FUNCS = {
     "_absorb_blocks",
     "_apply_program_op",
     "_after_fetch",
-    "_writeback_phase",
     "_evict",
     "evict",
     "_plan_eviction",
     "remap",
     "pre_relabel",
     "post_relabel",
-    "write_back_access",
-    "evict_write_path",
-    "write_bucket",
     "_relieve_temp_posmap",
 }
 

@@ -28,7 +28,7 @@ statically checkable corollaries — so this rule checks them up front:
   The eADR remap-rollback bug (PR 5) was an instance: the crash flush
   persisted a PosMap mapping whose block still carried the old label.
 
-Scope: the policy/controller layers (``engine/``, ``ring/``, ``core/``,
+Scope: the policy/controller layers (``engine/``, ``core/``,
 ``hybrid/``).  The WPQ/drainer mechanics themselves
 (``core/drainer.py``, ``mem/wpq.py``, ``mem/persistence.py``) implement
 the contract and are excluded.
@@ -52,7 +52,7 @@ from repro.analyze.cfg import CFG, Node, build_cfg
 from repro.analyze.model import Finding
 from repro.analyze.source import FunctionInfo, Project, SourceFile
 
-SCOPE_DIRS = ("engine", "ring", "core", "hybrid")
+SCOPE_DIRS = ("engine", "core", "hybrid")
 EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py", "mem/persistence.py")
 
 #: Direct persistent-image writes (outside the WPQ path) relevant to R1.4.

@@ -1,7 +1,7 @@
 """Application layer: oblivious, crash-safe data structures.
 
 What a downstream user actually builds on an ORAM: block storage is the
-primitive, but applications want maps and queues.  These structures add
+primitive, but applications want maps.  This structure adds
 allocation, multi-block values and commit ordering on top of any
 crash-consistent controller from :mod:`repro.core.variants`, preserving
 both guarantees:
@@ -9,11 +9,10 @@ both guarantees:
 * **obliviousness** — every operation decomposes into ordinary ORAM block
   accesses, so the bus trace stays independent of keys and values;
 * **crash consistency** — every mutation is a sequence of durable block
-  writes ordered so the *commit point* is a single block write (directory
-  entry or queue header), making each operation atomic across crashes.
+  writes ordered so the *commit point* is a single block write (the
+  directory entry), making each operation atomic across crashes.
 """
 
 from repro.apps.kvstore import ObliviousKVStore
-from repro.apps.queue import ObliviousQueue
 
-__all__ = ["ObliviousKVStore", "ObliviousQueue"]
+__all__ = ["ObliviousKVStore"]

@@ -26,7 +26,6 @@ class PlainNVMController(AccessEngine):
 
     #: No stash CAM or PosMap to consult.
     ONCHIP_LOOKUP_CYCLES = 0
-    SUPPORTS_MUTATOR = False
 
     def __init__(
         self,
@@ -56,9 +55,14 @@ class PlainNVMController(AccessEngine):
     # ------------------------------------------------------------------
 
     def _validate_request(self, address, is_write, data, mutator):
-        # Writes treat a missing payload as zeros (plain-memory semantics);
-        # reads silently ignore any payload, as the original interface did.
-        super()._validate_request(address, False, None, mutator)
+        # No on-chip mutate path.  Writes treat a missing payload as zeros
+        # (plain-memory semantics); reads silently ignore any payload, as
+        # the original interface did.
+        self._check_address(address)
+        if mutator is not None:
+            raise ValueError(
+                f"{type(self).__name__} does not support read-modify-write"
+            )
         if not is_write:
             return None
         payload = bytes(data or b"")

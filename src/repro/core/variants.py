@@ -1,7 +1,7 @@
 """Every evaluated system variant as a hierarchy × policy × posmap row.
 
 No variant is *defined* here — each is an assembly of one access
-hierarchy (``path`` / ``ring`` / ``hybrid`` / ``plain``), one persistence
+hierarchy (``path`` / ``hybrid`` / ``plain``), one persistence
 policy (:mod:`repro.engine.policy`, :mod:`repro.engine.ps`, ...) and one
 PosMap mode (``flat`` on-chip mirror vs ``recursive`` posmap tree),
 registered as a :class:`repro.engine.registry.VariantSpec` (paper
@@ -21,8 +21,6 @@ name               system
 ``rcr-ps``         recursive PS-ORAM (crash-consistent)
 ``eadr-oram``      extended-ADR: crash flush drains the stash (Table 2)
 ``ps-hybrid``      PS-ORAM with a write-through DRAM tree-top
-``ring-baseline``  Ring ORAM on NVM, no crash consistency
-``ring-ps``        crash-consistent Ring ORAM (in-place slot backup)
 ``*-int``          integrity-enabled rows (baseline / naive-ps / ps / rcr-ps /
                    eadr with the persistent Merkle integrity domain attached
                    — docs/INTEGRITY.md)
@@ -41,11 +39,7 @@ from repro.core.recursive_ps import RcrPSORAMController
 from repro.engine import registry
 from repro.engine.eadr import EADRPolicy
 from repro.engine.fullnvm import FullNVMPolicy
-from repro.engine.ps import (
-    DirtyEntryPSPolicy,
-    NaiveFlushAllPolicy,
-    RingDirtyEntryPSPolicy,
-)
+from repro.engine.ps import DirtyEntryPSPolicy, NaiveFlushAllPolicy
 from repro.engine.registry import (  # noqa: F401
     VariantSpec,
     get_spec,
@@ -55,7 +49,6 @@ from repro.hybrid.controller import HybridPSORAMController
 from repro.mem.controller import NVMMainMemory
 from repro.oram.controller import PathORAMController
 from repro.oram.recursive import RecursivePathORAM
-from repro.ring.controller import RingORAMController
 
 
 def _assemble(hierarchy: Callable, make_policy: Callable) -> Callable:
@@ -126,16 +119,6 @@ _SPECS = (
         "ps-hybrid", "hybrid", "dirty-entry-ps", "flat",
         "PS-ORAM with a write-through DRAM tree-top cache",
         HybridPSORAMController,
-    ),
-    VariantSpec(
-        "ring-baseline", "ring", "volatile", "flat",
-        "Ring ORAM on NVM, volatile stash/PosMap (no crash consistency)",
-        RingORAMController,
-    ),
-    VariantSpec(
-        "ring-ps", "ring", "dirty-entry-ps", "flat",
-        "crash-consistent Ring ORAM (in-place slot backup, atomic rounds)",
-        _assemble(RingORAMController, RingDirtyEntryPSPolicy),
     ),
 )
 

@@ -4,8 +4,7 @@
 
 * :mod:`repro.engine.base` — :class:`AccessEngine`, the single ``access``
   pipeline (position lookup → remap → fetch → absorb → program op →
-  eviction plan → write-back → persist commit) both the Path and Ring
-  hierarchies drive.
+  eviction plan → write-back → persist commit) every hierarchy drives.
 * :mod:`repro.engine.policy` — the :class:`PersistencePolicy` strategy
   interface and the :class:`VolatilePolicy` baseline.
 * :mod:`repro.engine.ps` / :mod:`repro.engine.eadr` /

@@ -1,14 +1,15 @@
 """The phase-structured ORAM access pipeline shared by every hierarchy.
 
-Every evaluated system — Path, Ring, recursive, hybrid — drives its
-accesses through the single :meth:`AccessEngine.access` implementation
-below.  The pipeline is a fixed sequence of named phases::
+Every evaluated system — Path ORAM with a flat or recursive PosMap,
+the hybrid tree-top, plain NVM — drives its accesses through the single
+:meth:`AccessEngine.access` implementation below.  The pipeline is a
+fixed sequence of named phases::
 
     position lookup -> remap -> fetch -> absorb -> program op
                     -> eviction plan -> write-back -> persist commit
 
-Hierarchies (Path vs Ring) supply the *mechanics* of each phase
-(`_fetch_blocks`, `_absorb_fetched`, `_writeback_phase`, ...); the
+Hierarchies supply the *mechanics* of each phase
+(`_fetch_blocks`, `_absorb_fetched`, `_evict`, ...); the
 attached :class:`~repro.engine.policy.PersistencePolicy` supplies the
 *persistence semantics* (what is durable when, what happens on crash).
 The paper's protocol (temporary PosMap -> backup block -> dual-WPQ
@@ -19,7 +20,7 @@ Phase boundaries are announced through :meth:`AccessEngine._checkpoint`
 with the labels in :data:`PIPELINE_PHASES`, so the crash simulator can
 cut power at any boundary on any variant without grepping controller
 internals.  Policies add their own finer-grained labels (the historical
-``step2:*``/``step5:*``/``ring:*`` points) via
+``step2:*``/``step5:*`` points) via
 :meth:`~repro.engine.policy.PersistencePolicy.crash_points`.
 """
 
@@ -63,7 +64,7 @@ class CrashPointInfo:
     ``origin`` records which layer announces the label: ``"engine"`` for
     the variant-independent pipeline phase boundaries, ``"policy"`` for
     the persistence policy's protocol-internal checkpoints (the
-    historical ``step2:*``/``step5:*``/``ring:*`` points), and
+    historical ``step2:*``/``step5:*`` points), and
     ``"integrity"`` for the integrity domain's persist-commit window
     (:data:`repro.integrity.domain.INTEGRITY_CRASH_POINTS`).  The crash
     conformance matrix journals this so failures can be bucketed by
@@ -110,7 +111,7 @@ class AccessResult:
     #: half of the decomposition.  A younger access that shares a bucket
     #: segment with this access must not fetch that level before its
     #: release cycle.  Empty when the policy does not decompose its
-    #: write-back (Ring's own write points, stash hits).
+    #: write-back (stash hits).
     writeback_level_release: tuple = ()
 
     @property
@@ -131,10 +132,6 @@ class AccessEngine:
     #: address logic), in core cycles.  SRAM structures are fast; the
     #: FullNVM variants replace this with timed NVM accesses.
     ONCHIP_LOOKUP_CYCLES = 4
-
-    #: Whether :meth:`read_modify_write` is available (Ring and plain
-    #: NVM do not implement the on-chip mutate path).
-    SUPPORTS_MUTATOR = True
 
     #: Injection point for the crash harness (:mod:`repro.crashsim`):
     #: when set, called with a label at every announced checkpoint; it
@@ -231,7 +228,8 @@ class AccessEngine:
         self._after_fetch(target, old_path, new_path)
 
         self._checkpoint("phase:evict-plan")
-        self._writeback_phase(target, old_path)
+        self._checkpoint("phase:write-back")
+        self._evict(old_path)
         wb_level_release = self._wb_level_release
         if wb_level_release is not None:
             self._wb_level_release = None
@@ -264,10 +262,6 @@ class AccessEngine:
         """Address + payload validation; returns the padded payload."""
         self._check_address(address)
         if mutator is not None:
-            if not self.SUPPORTS_MUTATOR:
-                raise ValueError(
-                    f"{type(self).__name__} does not support read-modify-write"
-                )
             if data is not None:
                 raise ValueError("pass either data or mutator, not both")
             return None
@@ -400,11 +394,6 @@ class AccessEngine:
     # phase: eviction plan + write-back
     # ------------------------------------------------------------------
 
-    def _writeback_phase(self, target: StashEntry, old_path: int) -> None:
-        """Write the access's effects back (Ring overrides the shape)."""
-        self._checkpoint("phase:write-back")
-        self._evict(old_path)
-
     def _evict(self, path_id: int) -> None:
         """Evict onto ``path_id`` (policy decides durability semantics)."""
         self.policy.evict(path_id)
@@ -418,8 +407,8 @@ class AccessEngine:
         the blocks written into the bucket at that level (dummy padding is
         applied by the bucket writer).
         """
-        height = self._plan_height
-        z = self._plan_z
+        height = self.tree.height
+        z = self.tree.z
         assignment: List[List[Block]] = [[] for _ in range(height + 1)]
         placed: List[StashEntry] = []
         # Blocks fetched from the current path (and backup blocks, whose
@@ -447,16 +436,6 @@ class AccessEngine:
                     placed.append(entry)
                     break
         return assignment, placed
-
-    @property
-    def _plan_height(self) -> int:
-        """Tree height used by the eviction planner."""
-        raise NotImplementedError
-
-    @property
-    def _plan_z(self) -> int:
-        """Bucket capacity used by the eviction planner."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # crash semantics (delegated to the policy)

@@ -15,22 +15,16 @@ evaluated systems differ:
 * ``crash`` / ``recover`` / ``supports_crash_consistency`` — what
   survives power loss and how state is rebuilt.
 
-The Ring hierarchy routes its extra write points (per-access bucket
-write-back, reshuffles) through the ``write_back_access`` /
-``evict_write_path`` / ``write_bucket`` / ``absorb_shadowed`` /
-``reshuffle_shadowed`` hooks; Path-only policies never see them and the
-defaults delegate straight to the controller mechanics.
-
 Concrete policies: :class:`VolatilePolicy` (baseline) here, and
-``NaiveFlushAllPolicy`` / ``DirtyEntryPSPolicy`` (+ Ring and recursive
-specializations) in :mod:`repro.engine.ps`, ``EADRPolicy`` in
+``NaiveFlushAllPolicy`` / ``DirtyEntryPSPolicy`` (+ the recursive
+specialization) in :mod:`repro.engine.ps`, ``EADRPolicy`` in
 :mod:`repro.engine.eadr`, ``FullNVMPolicy`` in
 :mod:`repro.engine.fullnvm`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class PersistencePolicy:
@@ -76,33 +70,6 @@ class PersistencePolicy:
     def evict(self, path_id: int) -> None:
         """Write stash contents back onto ``path_id`` (durability here)."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Ring-specific write points (Path policies never see these)
-    # ------------------------------------------------------------------
-
-    def write_back_access(self, target, old_path: int) -> None:
-        """Per-access bucket write-back after a Ring path read."""
-        self.c._write_back_metadata()
-
-    def begin_evict_path(self) -> None:
-        """Called at the top of a Ring eviction pass."""
-
-    def evict_write_path(self, path_id: int, assignment, placed) -> None:
-        """Write a full Ring eviction path."""
-        self.c._write_path_direct(path_id, assignment)
-
-    def write_bucket(self, bucket_idx: int, blocks, metadata) -> None:
-        """Write one reshuffled Ring bucket."""
-        self.c._write_bucket_direct(bucket_idx, blocks, metadata)
-
-    def absorb_shadowed(self, block) -> None:
-        """A fetched block whose live copy is already stash-resident."""
-        self.c.stats.counter("stale_copies_dropped").add()
-
-    def reshuffle_shadowed(self, block) -> List:
-        """Blocks to keep for a stash-shadowed copy met during reshuffle."""
-        return []
 
     # ------------------------------------------------------------------
     # crash semantics

@@ -2,12 +2,10 @@
 
 Extracted from the former controller subclasses: the temporary PosMap,
 backup block, and atomic dual-WPQ drainer protocol live here as
-:class:`DirtyEntryPSPolicy`, with three specializations:
+:class:`DirtyEntryPSPolicy`, with two specializations:
 
 * :class:`NaiveFlushAllPolicy` — persists ``Z*(L+1)`` PosMap entries per
   access instead of only the dirty ones (the straw man of Section 4.2.2).
-* :class:`RingDirtyEntryPSPolicy` — the Ring mapping: in-place slot
-  backup, atomic write-back/EvictPath/reshuffle rounds.
 * :class:`RecursiveDirtyEntryPSPolicy` — the recursive PosMap flavour:
   a persistent intent log instead of flat-region entry flushes.
 
@@ -64,20 +62,6 @@ RCR_CRASH_POINTS = (
     "step5:after-flush",
 )
 
-#: Labels fired inside the Ring write rounds.
-RING_CRASH_POINTS = (
-    "ring:after-remap",
-    "ring:wb-round-open",
-    "ring:wb-before-end",
-    "ring:wb-after-end",
-    "ring:evict-round-open",
-    "ring:evict-before-end",
-    "ring:evict-after-end",
-    "ring:reshuffle-round-open",
-    "ring:reshuffle-before-end",
-    "ring:reshuffle-after-end",
-)
-
 
 class DirtyEntryPSPolicy(PersistencePolicy):
     """PS-ORAM: temp PosMap + backup block + atomic dual-WPQ eviction.
@@ -98,12 +82,6 @@ class DirtyEntryPSPolicy(PersistencePolicy):
     #: Persistent bounce lines available to the limited-WPQ ordered
     #: eviction for breaking slot-permutation cycles longer than the WPQ.
     BOUNCE_LINES = 16
-
-    #: Checkpoint labels around the remap (the Ring flavour renames and
-    #: drops some of them to keep its historical injection points).
-    CHECKPOINT_BEFORE_REMAP: Optional[str] = "step2:before-remap"
-    CHECKPOINT_AFTER_REMAP = "step2:after-remap"
-    COUNT_TEMP_INSERTS = True
 
     def attach(self, controller) -> None:
         super().attach(controller)
@@ -160,8 +138,7 @@ class DirtyEntryPSPolicy(PersistencePolicy):
         uniform draw.
         """
         c = self.c
-        if self.CHECKPOINT_BEFORE_REMAP is not None:
-            c._checkpoint(self.CHECKPOINT_BEFORE_REMAP)
+        c._checkpoint("step2:before-remap")
         if c.temp_posmap.is_full:
             self._relieve_temp_posmap()
         pending = c.temp_posmap.get(address)
@@ -174,9 +151,8 @@ class DirtyEntryPSPolicy(PersistencePolicy):
             self._graduate = None
         new_path = c.rng.randrange(c.posmap.num_leaves)
         c.temp_posmap.set(address, new_path)
-        if self.COUNT_TEMP_INSERTS:
-            self._c_temp_posmap_inserts.add()
-        c._checkpoint(self.CHECKPOINT_AFTER_REMAP)
+        self._c_temp_posmap_inserts.add()
+        c._checkpoint("step2:after-remap")
         return old_path, new_path
 
     # ------------------------------------------------------------------
@@ -583,251 +559,6 @@ class NaiveFlushAllPolicy(DirtyEntryPSPolicy):
     def integrity_discipline(self) -> str:
         """Flush-all spirit: a full ancestor-path write per dirty leaf."""
         return "eager"
-
-
-class RingDirtyEntryPSPolicy(DirtyEntryPSPolicy):
-    """PS-Ring: the PS mechanisms mapped onto Ring ORAM's write points.
-
-    * temporary PosMap — identical to the Path flavour;
-    * backup block — **in-place slot write-back**: every slot read on the
-      access path is re-written in one atomic WPQ round; the slot where
-      the target was found receives the *fresh* data under the old label;
-    * atomic dual-WPQ round — brackets the access write-back, every
-      EvictPath and every early reshuffle;
-    * dirty-entry persist — entries ride the EvictPath round that places
-      their block, exactly as in PS-ORAM.
-
-    Security note: the in-place write-back writes exactly the slots that
-    were just read (a fixed, already-revealed set), so it leaks nothing
-    new; a slot re-validated with fresh ciphertext is indistinguishable
-    from a reshuffled one when read again later, and Ring's no-slot-reuse
-    rule holds because re-validation *is* a rewrite.
-    """
-
-    CHECKPOINT_BEFORE_REMAP = None
-    CHECKPOINT_AFTER_REMAP = "ring:after-remap"
-    COUNT_TEMP_INSERTS = False
-
-    def attach(self, controller) -> None:
-        PersistencePolicy.attach(self, controller)
-        c = controller
-        c.temp_posmap = TempPosMap(c.config.oram.temp_posmap_capacity)
-        region = c.persistent_posmap.region
-        c._version_line = region.base + region.size_bytes
-        # An EvictPath round stages (Z+S) slots + 1 metadata line per level;
-        # the WPQ must hold one full path (the paper's sizing rule applied
-        # to Ring's bigger path).  The posmap WPQ obeys the same rule: an
-        # EvictPath can graduate a dirty entry for every block placed on
-        # the path, so a fixed floor (the old 8) is a latent overflow once
-        # stash pressure lines up more pending remaps than that on one
-        # eviction path.
-        needed = (c.params.slots_per_bucket + 1) * (c.store.height + 1)
-        posmap_needed = c.params.slots_per_bucket * (c.store.height + 1)
-        c.drainer = Drainer(
-            c.memory,
-            data_capacity=max(c.config.wpq.data_entries, needed),
-            posmap_capacity=max(c.config.wpq.posmap_entries, posmap_needed),
-            apply_posmap_entry=self._commit_posmap_entry,
-            version_line=c._version_line,
-            version_provider=lambda: c._version,
-        )
-        self._backup_info: Optional[Tuple[int, int, bytes, int]] = None
-        self._evict_preserved: set = set()
-        self._graduate: Optional[Tuple[int, int]] = None
-        # No bounce region / pad cursor: Ring rounds always fit the WPQ.
-
-    # -- in-place backup: the atomic access write-back -------------------
-
-    def pre_relabel(self, target: StashEntry, old_path: int, new_path: int) -> None:
-        # Capture the backup content *before* the label/version bump so the
-        # live copy always wins version comparison.
-        self._backup_info = (
-            target.block.address,
-            old_path,
-            target.block.data,
-            target.block.version,
-        )
-
-    def post_relabel(self, target: StashEntry, old_path: int, new_path: int) -> None:
-        pass
-
-    def write_back_access(self, target: StashEntry, old_path: int) -> None:
-        """One atomic WPQ round: every read slot re-written + metadata.
-
-        The backup slot receives the target's fresh data under the old
-        label; all other read slots become re-encrypted consumed dummies.
-        """
-        c = self.c
-        touched = c._touched
-        c._touched = []
-        if not touched:
-            return
-        backup = self._backup_info
-        self._backup_info = None
-
-        c.drainer.start()
-        c._checkpoint("ring:wb-round-open")
-        # touched holds one (bucket, metadata, slot) triple per path level
-        # (height+1 of them, two pushes each); the data WPQ is sized at
-        # attach to a full path of slots+metadata, which dominates that.
-        for bucket_idx, metadata, slot in touched:  # analyze: ignore[persist-ordering]
-            if backup is not None and c._backup_slot == (bucket_idx, slot):
-                address, label, _old_data, version = backup
-                block = Block(address=address, path_id=label,
-                              data=target.block.data, version=version)
-                metadata.addresses[slot] = address
-                metadata.consumed[slot] = False
-                c.stats.counter("inplace_backups").add()
-            else:
-                block = Block.dummy(c.codec.block_bytes)
-            c.drainer.push_block(
-                c.store.slot_address(bucket_idx, slot),
-                c.codec.encode(block),
-            )
-            c.drainer.push_block(
-                c.store.layout.metadata_address(bucket_idx),
-                self._encode_metadata(metadata),
-            )
-        if self._graduate is not None:
-            # The pending label becomes persistent atomically with the
-            # backup now sitting on it.
-            address, path = self._graduate
-            self._graduate = None
-            c.drainer.push_posmap_entry(
-                c.persistent_posmap.region.entry_address(address),
-                address, path,
-            )
-        c._checkpoint("ring:wb-before-end")
-        c.drainer.end()
-        c._checkpoint("ring:wb-after-end")
-        c.drainer.flush(c.clock.core_to_mem(c.now))
-
-    def _encode_metadata(self, metadata) -> bytes:
-        c = self.c
-        c.store._meta_iv += 1
-        return metadata.encode(c.engine, c.store._meta_iv)
-
-    # -- EvictPath and reshuffle through atomic rounds --------------------
-
-    def absorb_shadowed(self, block: Block) -> None:
-        """Preserve the durable copy of a stash-resident pending block.
-
-        If this tree copy is where the *persistent* PosMap points and the
-        live block's remap is still pending, it is the block's only durable
-        copy: re-add it as a backup stash entry so the eviction planner
-        (which prioritizes backups) writes it back out.
-        """
-        c = self.c
-        pending = c.temp_posmap.get(block.address)
-        if pending is None:
-            c.stats.counter("stale_copies_dropped").add()
-            return
-        if block.path_id != c.posmap.get(block.address):
-            c.stats.counter("stale_copies_dropped").add()
-            return
-        if block.address in self._evict_preserved:
-            return
-        self._evict_preserved.add(block.address)
-        c.stash.add(StashEntry(block, dirty=True, is_backup=True,
-                               fetch_round=c._round))
-        c.stats.counter("evict_backups_preserved").add()
-
-    def reshuffle_shadowed(self, block: Block) -> List[Block]:
-        c = self.c
-        pending = c.temp_posmap.get(block.address)
-        if pending is not None and block.path_id == c.posmap.get(block.address):
-            return [block]  # keep the durable copy in the bucket
-        return []
-
-    def begin_evict_path(self) -> None:
-        self._evict_preserved = set()
-
-    def evict_write_path(self, path_id: int, assignment, placed) -> None:
-        """EvictPath: slots + metadata + dirty entries in one atomic round."""
-        c = self.c
-        dirty = []
-        for entry in placed:
-            if entry.is_backup:
-                continue
-            pending = c.temp_posmap.get(entry.block.address)
-            if pending is not None and pending == entry.block.path_id:
-                dirty.append((entry.block.address, pending))
-
-        c.drainer.start()
-        c._checkpoint("ring:evict-round-open")
-        for level, bucket_idx in enumerate(c.store.path_buckets(path_id)):
-            blocks, metadata = c._permuted_bucket(assignment[level])
-            # blocks is one bucket's Z+S slots; the whole path of
-            # slots+metadata is exactly the attach-time data WPQ sizing.
-            for slot, block in enumerate(blocks):  # analyze: ignore[persist-ordering]
-                c.drainer.push_block(
-                    c.store.slot_address(bucket_idx, slot),
-                    c.codec.encode(block),
-                )
-            c.drainer.push_block(
-                c.store.layout.metadata_address(bucket_idx),
-                self._encode_metadata(metadata),
-            )
-        # dirty holds at most one entry per block placed on the path; the
-        # posmap WPQ is sized at attach to that same full-path bound.
-        for address, pending in dirty:  # analyze: ignore[persist-ordering]
-            c.drainer.push_posmap_entry(
-                c.persistent_posmap.region.entry_address(address),
-                address, pending,
-            )
-        c._checkpoint("ring:evict-before-end")
-        c.drainer.end()
-        c._checkpoint("ring:evict-after-end")
-        c.drainer.flush(c.clock.core_to_mem(c.now))
-        for address, pending in dirty:
-            if c.temp_posmap.get(address) == pending:
-                c.temp_posmap.pop(address)
-        c.stats.counter("posmap_entries_persisted").add(len(dirty))
-
-    def write_bucket(self, bucket_idx: int, blocks, metadata) -> None:
-        """Early reshuffle commits atomically too."""
-        c = self.c
-        c.drainer.start()
-        c._checkpoint("ring:reshuffle-round-open")
-        # blocks is one bucket's Z+S slots; the data WPQ is sized at attach
-        # to a full path of slots+metadata, so one bucket always fits.
-        for slot, block in enumerate(blocks):  # analyze: ignore[persist-ordering]
-            c.drainer.push_block(
-                c.store.slot_address(bucket_idx, slot),
-                c.codec.encode(block),
-            )
-        c.drainer.push_block(
-            c.store.layout.metadata_address(bucket_idx),
-            self._encode_metadata(metadata),
-        )
-        c._checkpoint("ring:reshuffle-before-end")
-        c.drainer.end()
-        c._checkpoint("ring:reshuffle-after-end")
-        c.drainer.flush(c.clock.core_to_mem(c.now))
-
-    def _relieve_temp_posmap(self) -> None:
-        """Drain pressure by forcing EvictPath rounds."""
-        c = self.c
-        for _ in range(4 * c.params.a):
-            if not c.temp_posmap.is_full:
-                return
-            c._evict_path()
-        if c.temp_posmap.is_full:  # pragma: no cover - pathological
-            raise RecoveryError("temporary PosMap pressure not relieved")
-
-    # -- crash / recovery --------------------------------------------------
-
-    def recover(self) -> bool:
-        c = self.c
-        c.posmap.clear()
-        for address, path_id in c.persistent_posmap.iter_written_entries():
-            c.posmap.set(address, path_id)
-        self._restore_version_counter()
-        c.stats.counter("recoveries").add()
-        return True
-
-    def crash_points(self) -> Tuple[str, ...]:
-        return RING_CRASH_POINTS
 
 
 class RecursiveDirtyEntryPSPolicy(DirtyEntryPSPolicy):

@@ -28,7 +28,7 @@ earliest cycle its hazards allow:
   assumed held in the controller's bucket buffer (PLB-style top cache)
   and are never floored;
 * **whole-path fallback** — an older access that reported no per-level
-  release (ring write points, stash hits) or an access whose path cannot
+  release (stash hits) or an access whose path cannot
   be peeked (non-tree hierarchies): the younger access serializes behind
   the older's full completion;
 * **window retirement** — an access that falls out of the window is a
@@ -107,7 +107,7 @@ class _Inflight:
         self.channel_free = channel_free
         #: Per-level mem cycle at which this access's write-back released
         #: each tree bucket segment (root-first); empty when the policy
-        #: reported none (ring write points, stash hits) — the scheduler
+        #: reported none (stash hits) — the scheduler
         #: then falls back to whole-path serialization against it.
         self.wb_release = wb_release
 
@@ -303,7 +303,7 @@ class WindowScheduler:
                     continue
                 # Whole-path fallback: unknown path (non-tree hierarchy)
                 # or an older access that reported no per-level release
-                # (ring write points, stash hits) — stay conservative and
+                # (stash hits) — stay conservative and
                 # serialize behind it.
                 barrier = rec.finish
                 self._c_hazard_path.add()

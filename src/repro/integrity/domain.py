@@ -299,10 +299,10 @@ def _protected_extent(controller) -> int:
     """Upper bound (bytes) of the controller's persistent data layout.
 
     Everything the protocol writes functionally must fall below this
-    bound so the tree covers it: the main layout, the Ring store layout,
-    the recursive intent log, and the version/bounce scratch lines.  The
-    current image extent and a 1 MiB floor keep pre-existing content and
-    late small allocations covered.
+    bound so the tree covers it: the main layout, the recursive intent
+    log, and the version/bounce scratch lines.  The current image extent
+    and a 1 MiB floor keep pre-existing content and late small
+    allocations covered.
     """
     memory = controller.memory
     line_bytes = memory.line_bytes
@@ -311,11 +311,6 @@ def _protected_extent(controller) -> int:
         getattr(getattr(controller, "layout", None), "total_bytes", 0) or 0,
         1 << 20,
     )
-    store = getattr(controller, "store", None)
-    if store is not None:
-        extent = max(
-            extent, getattr(getattr(store, "layout", None), "total_bytes", 0) or 0
-        )
     intent_log = getattr(controller, "intent_log", None)
     if intent_log is not None:
         extent = max(extent, intent_log.base + intent_log.size_bytes)

@@ -230,14 +230,6 @@ class PathORAMController(AccessEngine):
     # step 5: eviction mechanics shared by every policy
     # ------------------------------------------------------------------
 
-    @property
-    def _plan_height(self) -> int:
-        return self.tree.height
-
-    @property
-    def _plan_z(self) -> int:
-        return self.tree.z
-
     def _finish_eviction(self, placed: List[StashEntry]) -> None:
         """Remove evicted entries from the stash and update stats."""
         for entry in placed:

@@ -161,27 +161,6 @@ def report_wpq(args) -> None:
     ))
 
 
-def report_ring(args) -> None:
-    from repro.core.variants import build_variant
-    from repro.util.rng import DeterministicRNG
-
-    out = {}
-    for name in ("ring-baseline", "ring-ps"):
-        controller = build_variant(name, BENCH_CONFIG)
-        rng = DeterministicRNG(5)
-        for i in range(200):
-            controller.write(rng.randrange(500), bytes([i % 256]))
-        out[name] = controller.now
-    print(format_table(
-        "Extension — PS on Ring ORAM",
-        ["Variant", "Cycles", "vs baseline"],
-        [
-            ("ring-baseline", out["ring-baseline"], 1.0),
-            ("ring-ps", out["ring-ps"], out["ring-ps"] / out["ring-baseline"]),
-        ],
-    ))
-
-
 EXPERIMENTS = {
     "table2": report_table2,
     "table4": report_table4,
@@ -190,7 +169,6 @@ EXPERIMENTS = {
     "fig6": report_fig6,
     "fig7": report_fig7,
     "wpq": report_wpq,
-    "ring": report_ring,
 }
 
 

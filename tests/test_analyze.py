@@ -270,19 +270,21 @@ class TestCrashPointCoverage:
         )
         assert any("announces no checkpoint" in f.message for f in active(result))
 
-    def test_checkpoint_class_attr_counts_as_injected(self, tmp_path):
+    def test_class_attr_label_is_not_an_injection_site(self, tmp_path):
+        """Only a literal ``_checkpoint`` call fires a label; a constant
+        parked in a class attribute leaves the declared label uncovered."""
         result = analyze_fixture(
             tmp_path,
             {
                 "engine/labels.py": (
                     "X_CRASH_POINTS = ('b:after-remap',)\n"
                     "class P:\n"
-                    "    CHECKPOINT_AFTER_REMAP = 'b:after-remap'\n"
+                    "    CHECKPOINT_LABEL = 'b:after-remap'\n"
                 )
             },
             rules=["R2"],
         )
-        assert not active(result)
+        assert any("b:after-remap" in f.message for f in active(result))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Tests for the application layer: oblivious KV store and queue."""
+"""Tests for the application layer: the oblivious KV store."""
 
 import pytest
 
 from repro.apps.kvstore import ObliviousKVStore, StoreFullError
-from repro.apps.queue import ObliviousQueue, QueueEmptyError, QueueFullError
 from repro.config import small_config
 from repro.core.variants import build_variant
 from repro.errors import SimulatedCrash
@@ -135,89 +134,6 @@ class TestKVStoreCrash:
         assert store.free_blocks == free_before
         store.put("c", b"z" * 150)  # allocator still functional
         assert store.get("c") == b"z" * 150
-
-
-class TestQueue:
-    def _queue(self, capacity=8):
-        controller = build_variant("ps", small_config(height=7, seed=22))
-        return ObliviousQueue(controller, base_block=0, capacity=capacity), controller
-
-    def test_fifo_order(self):
-        queue, _ = self._queue()
-        for i in range(5):
-            queue.enqueue(bytes([i]))
-        assert [queue.dequeue()[0] for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_len_and_peek(self):
-        queue, _ = self._queue()
-        assert len(queue) == 0
-        assert queue.peek() is None
-        queue.enqueue(b"x")
-        assert len(queue) == 1
-        assert queue.peek() == b"x"
-        assert len(queue) == 1  # peek does not consume
-
-    def test_wraparound(self):
-        queue, _ = self._queue(capacity=3)
-        for round_no in range(4):
-            for i in range(3):
-                queue.enqueue(bytes([round_no, i]))
-            for i in range(3):
-                assert queue.dequeue() == bytes([round_no, i])
-
-    def test_full_and_empty_errors(self):
-        queue, _ = self._queue(capacity=2)
-        queue.enqueue(b"a")
-        queue.enqueue(b"b")
-        with pytest.raises(QueueFullError):
-            queue.enqueue(b"c")
-        queue.dequeue()
-        queue.dequeue()
-        with pytest.raises(QueueEmptyError):
-            queue.dequeue()
-
-    def test_item_size_limit(self):
-        queue, _ = self._queue()
-        with pytest.raises(ValueError):
-            queue.enqueue(b"x" * 63)
-
-    def test_crash_preserves_queue(self):
-        queue, controller = self._queue()
-        queue.enqueue(b"one")
-        queue.enqueue(b"two")
-        queue.dequeue()
-        controller.crash()
-        assert controller.recover()
-        assert len(queue) == 1
-        assert queue.dequeue() == b"two"
-
-    def test_interrupted_enqueue_atomic(self):
-        queue, controller = self._queue()
-        queue.enqueue(b"stable")
-        fired = []
-
-        def hook(label):
-            if label == "step5:after-end" and not fired:
-                fired.append(label)
-                raise SimulatedCrash(label)
-
-        controller.crash_hook = hook
-        try:
-            queue.enqueue(b"maybe")
-        except SimulatedCrash:
-            pass
-        controller.crash_hook = None
-        controller.crash()
-        assert controller.recover()
-        assert len(queue) in (1, 2)
-        assert queue.dequeue() == b"stable"
-
-    def test_epoch_monotone(self):
-        queue, _ = self._queue()
-        e1 = queue.enqueue(b"a")
-        e2 = queue.enqueue(b"b")
-        assert e2 > e1
-        assert queue.epoch == e2
 
 
 class TestKVStoreLifecycle:

@@ -18,7 +18,6 @@ from repro.config import small_config
 from repro.oram.block import Block
 from repro.oram.controller import PathORAMController
 from repro.oram.stash import StashEntry
-from repro.ring.controller import RingORAMController
 from repro.util.bitops import lowest_common_level
 
 HEIGHT = 6
@@ -85,10 +84,9 @@ def assert_plans_equal(controller, specs, path_id, height, z):
     assert [id(e) for e in got_placed] == [id(e) for e in want_placed]
 
 
-# Shared controllers: the planner only reads the stash (repopulated per
-# example) and static geometry, so one instance per class is safe.
+# Shared controller: the planner only reads the stash (repopulated per
+# example) and static geometry, so one instance is safe.
 _PATH_CONTROLLER = PathORAMController(small_config(height=HEIGHT))
-_RING_CONTROLLER = RingORAMController(small_config(height=HEIGHT))
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,11 +97,3 @@ def test_path_oram_planner_matches_reference(specs, path_id):
         controller, specs, path_id, controller.tree.height, controller.tree.z
     )
 
-
-@settings(max_examples=200, deadline=None)
-@given(specs=entry_specs, path_id=path_ids)
-def test_ring_oram_planner_matches_reference(specs, path_id):
-    controller = _RING_CONTROLLER
-    assert_plans_equal(
-        controller, specs, path_id, controller.store.height, controller.params.z
-    )

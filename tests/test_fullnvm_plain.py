@@ -76,6 +76,15 @@ class TestPlainNVM:
         with pytest.raises(InvalidAddressError):
             plain.read(10**9)
 
+    def test_rejects_read_modify_write(self):
+        plain = PlainNVMController(small_config(height=6))
+        with pytest.raises(ValueError, match="does not support read-modify-write"):
+            plain.read_modify_write(3, lambda old: old)
+        # The address is still checked before the mutator.
+        with pytest.raises(InvalidAddressError):
+            plain.read_modify_write(10**9, lambda old: old)
+        assert plain.stats.snapshot().get("accesses", 0) == 0
+
     def test_oram_overhead_magnitude(self):
         """The paper's Section-5.1 remark: ORAM costs an order of magnitude."""
         config = small_config(height=8, seed=2)

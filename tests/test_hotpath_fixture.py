@@ -26,8 +26,8 @@ from repro.util.rng import DeterministicRNG
 #: final cycles were recaptured when the busy-interval calendar became the
 #: only memory timing model: serial bursts now reach the bank and bus
 #: stages by arrival time rather than issue order, so every serial run
-#: finishes 2-3% sooner (ps 1,446,022 -> 1,405,438 cycles).  All eight
-#: image digests were unchanged by that recapture.
+#: finishes 2-3% sooner (ps 1,446,022 -> 1,405,438 cycles).  Every image
+#: digest was unchanged by that recapture.
 EXPECTED = {
     "baseline": (
         "5433fda7a1a3674366ad9de115ad99ad159d533daea83af030bfe20356b16e11",
@@ -48,16 +48,6 @@ EXPECTED = {
         "35cb338d383c96ab486707e5224562bfe127b36a73d5913901370dbaa3e3e4a9",
         "1e50af16acea576a7872f656cb6defa7ba67ff336c016df35cb247eca8e19036",
         1034942,
-    ),
-    "ring": (
-        "b1bf5707593d50ae002d29c1f55a7bc718ac1fdf175e07a9735117000f0b52f7",
-        "2e3b269c328bde9e09c53e6eedb4ac160b1fc621e00f4bd203a2e5b28a85a0ba",
-        1895446,
-    ),
-    "ring-ps": (
-        "a80c7fa0a052be9bdc634b7fcfda653dd31f0c6428dc1ee8c10489f206c571eb",
-        "f23c34008f7bb729ca5462682e0d902b3ffd51af1a174b9aeea9e0c3ff97189d",
-        2144790,
     ),
     # ps-hybrid and eadr-oram goldens captured at acba882 (pre-engine
     # refactor) with the same drive; eadr-oram includes a mid-drive
@@ -82,8 +72,6 @@ CONTROLLERS = {
     # The recursive design pays an ORAM access per PosMap level; a shorter
     # drive keeps the fixture fast without losing coverage.
     "rcr-ps": ("rcr-ps", 120, 100),
-    "ring": ("ring-baseline", 300, 200),
-    "ring-ps": ("ring-ps", 300, 200),
     "ps-hybrid": ("ps-hybrid", 300, 200),
     "eadr-oram": ("eadr-oram", 300, 200),
 }

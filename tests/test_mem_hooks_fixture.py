@@ -3,8 +3,8 @@
 Start-Gap wear leveling translates every line address below the ORAM
 controller, and the bus observer records every line request.  Both tap
 :class:`repro.mem.controller.NVMMainMemory`; these digests pin what they
-produce on a seeded ``ps`` run (and a ``ring-ps`` run, whose tree issues
-single lines rather than path bursts), so a change to how the taps are
+produce on a seeded ``ps`` run (and an ``rcr-ps`` run, whose intent log
+issues single lines rather than path bursts), so a change to how the taps are
 wired into the memory cannot move a line, a cycle or a counter.
 """
 
@@ -34,10 +34,12 @@ WEAR_EXPECTED = (
     "1727594fea9766c0aa35a018d010a00463dd0b75a734b4db686aa3169c98294c",
 )
 
-#: sha256 of the observed ``(address, is_write, kind)`` event list.
+#: sha256 of the observed ``(address, is_write, kind)`` event list.  The
+#: ``rcr-ps`` digest was captured at the last commit that still carried the
+#: Ring hierarchy, before any of its removal touched ``src/``.
 BUS_EXPECTED = {
     "ps": "654e23c8836df0321daf2469e90b3268e81cec92ccd53e314ec39dda2da35010",
-    "ring-ps": "a8ed16f2cf55c2b31c2abc0cce04a127084d0c57aa9c1b62ff189010fc30cc33",
+    "rcr-ps": "b4196ade3efbcaa7e2580263e239c0b7f88fc80a47381a0deefc6925faacbc0a",
 }
 
 

@@ -8,7 +8,7 @@ from repro.report import EXPERIMENTS, PAPER, main
 class TestReportCLI:
     def test_experiment_registry_complete(self):
         assert {"table2", "table4", "fig5a", "fig5b", "fig6", "fig7",
-                "wpq", "ring"} <= set(EXPERIMENTS)
+                "wpq"} <= set(EXPERIMENTS)
 
     def test_paper_values_present(self):
         assert PAPER["ps"] == pytest.approx(1.0429)
@@ -33,7 +33,7 @@ class TestReportCLI:
         assert main(["--list-variants"]) == 0
         out = capsys.readouterr().out
         for name in ("plain", "baseline", "ps", "naive-ps", "rcr-ps",
-                     "ring-baseline", "ring-ps", "ps-hybrid", "eadr-oram"):
+                     "ps-hybrid", "eadr-oram"):
             assert name in out
         assert "hierarchy" in out and "policy" in out and "posmap" in out
         assert "dirty-entry-ps" in out

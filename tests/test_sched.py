@@ -124,19 +124,35 @@ class TestHazardOrdering:
         pytest.fail("tree too small to collide paths")
 
     def test_no_release_vector_serializes_whole_path(self):
-        # Ring's write points report no per-level release vector, so a
-        # younger access on an overlapping path falls back to whole-path
-        # serialization behind the older one's full completion.
+        # A stash-hit read never writes back, so it reports no per-level
+        # release vector: a younger access on an overlapping path falls
+        # back to whole-path serialization behind the hit's completion.
         config = small_config(height=6, channels=2, seed=1)
-        controller = build_variant("ring-ps", config)
+        controller = build_variant("ps", config)
+        rng = DeterministicRNG(5)
+        space = config.oram.total_slots // 2
+        resident = None
+        for _ in range(500):
+            controller.write(rng.randrange(space), b"x")
+            live = [e for e in controller.stash.entries() if not e.is_backup]
+            if live:
+                resident = live[0].block
+                break
+        assert resident is not None, "no block stayed stash-resident"
+        other = next(
+            address for address in range(space)
+            if address != resident.address
+            and controller._position_of(address) == resident.path_id
+        )
         sched = WindowScheduler(controller, 4)
-        pair = self._colliding_pair(config, controller)
-        first = sched.read(pair[0])
-        second = sched.read(pair[1])
+        before = controller.stats.snapshot().get("sched_hazard_path_overlap", 0)
+        first = sched.read(resident.address)
+        second = sched.read(other)
+        assert first.stash_hit
         assert not first.writeback_level_release
         assert second.start_cycle >= first.finish_cycle
         snap = controller.stats.snapshot()
-        assert snap["sched_hazard_path_overlap"] >= 1
+        assert snap["sched_hazard_path_overlap"] > before
         assert snap.get("sched_hazard_segment", 0) == 0
 
     def test_overlapping_paths_floor_shared_segments(self):

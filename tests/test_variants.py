@@ -84,8 +84,6 @@ class TestCrashConsistencySupportMatrix:
             ("rcr-ps", True),
             ("eadr-oram", True),
             ("ps-hybrid", True),
-            ("ring-baseline", False),
-            ("ring-ps", True),
         ],
     )
     def test_support_flag(self, name, expected):
