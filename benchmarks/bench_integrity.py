@@ -4,12 +4,13 @@ Drives the ps controller directly with the hot-path synthetic stream
 under three integrity modes:
 
 * ``none``  — no integrity domain: the PR 8 baseline cost;
-* ``eager`` — the non-batched strawman: every dirty leaf writes its full
-  ancestor path at persist-commit, shared interior nodes re-written once
-  per leaf (what a per-line integrity engine would issue);
+* ``eager`` — the non-batched strawman: every dirty leaf writes the node
+  line of each node on its path at persist-commit, shared lines
+  re-written once per leaf (what a per-line integrity engine would issue);
 * ``lazy``  — the Freij-style batched discipline the PS variants declare:
   one propagation per commit, each affected node line written exactly
-  once (docs/INTEGRITY.md).
+  once (docs/INTEGRITY.md).  Node lines pack four sibling digests, so
+  the tree has arity 4.
 
 Both integrity modes run the same tree over the same protected region,
 so the *modeled* cycles/access gap between them is purely the duplicate

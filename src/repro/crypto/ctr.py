@@ -65,26 +65,26 @@ class CtrCipher:
 
         Byte-identical to ``[self.encrypt(p, iv) for p, iv in zip(...)]``;
         the keystreams for the whole batch come from one
-        :meth:`Prf.keystream_many` walk and the XOR/MAC loop is tight.
-        Every plaintext must have the same length (a path's headers, or a
-        path's payloads — the two batched codec passes).
+        :meth:`Prf.keystream_many` walk, the whole batch is XORed as one
+        big int, and the MAC tags come from one :meth:`Prf.evaluate_many`
+        pass.  Every plaintext must have the same length (a path's
+        headers, or a path's payloads — the two batched codec passes).
         """
         if not plaintexts:
             return []
         length = len(plaintexts[0])
         nonces = [iv.to_bytes(16, "little", signed=False) for iv in ivs]
-        streams = self._enc_prf.keystream_many(nonces, length)
-        mac_evaluate = self._mac_prf.evaluate
+        stream = b"".join(self._enc_prf.keystream_many(nonces, length))
+        joined = (
+            int.from_bytes(b"".join(plaintexts), "little")
+            ^ int.from_bytes(stream, "little")
+        ).to_bytes(len(stream), "little")
+        bodies = [joined[i * length:(i + 1) * length] for i in range(len(nonces))]
         mac_bytes = self.MAC_BYTES
-        from_bytes = int.from_bytes
-        out = []
-        append = out.append
-        for plaintext, nonce, stream in zip(plaintexts, nonces, streams):
-            body = (
-                from_bytes(plaintext, "little") ^ from_bytes(stream, "little")
-            ).to_bytes(length, "little")
-            append(body + mac_evaluate(nonce + body)[:mac_bytes])
-        return out
+        tags = self._mac_prf.evaluate_many(
+            [nonce + body for nonce, body in zip(nonces, bodies)]
+        )
+        return [body + tag[:mac_bytes] for body, tag in zip(bodies, tags)]
 
     def decrypt_batch(self, ciphertexts, ivs):
         """Decrypt + verify many same-length units in one pass.

@@ -9,13 +9,26 @@ standard library.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
+from itertools import repeat
+from typing import List
 
 #: LE64 encoding of counter 0, hoisted for the single-digest fast path.
 _COUNTER0 = (0).to_bytes(8, "little")
 
+_copy = hashlib.blake2b.copy
+_update = hashlib.blake2b.update
+_digest = hashlib.blake2b.digest
+
 
 class Prf:
-    """Keyed PRF: ``bytes -> digest_size bytes``."""
+    """Keyed PRF: ``bytes -> digest_size bytes``.
+
+    The keyed BLAKE2b state is built once; every evaluation copies it and
+    absorbs the message, which is byte-identical to a fresh keyed
+    ``hashlib.blake2b(message, key=..., digest_size=...)`` but skips the
+    per-call parameter parsing and key block compression.
+    """
 
     def __init__(self, key: bytes, digest_size: int = 16):
         if not key:
@@ -24,6 +37,7 @@ class Prf:
             raise ValueError(f"digest size must be in [1, 64], got {digest_size}")
         self._key = key[:64]  # BLAKE2b keyed mode allows at most 64 key bytes.
         self._digest_size = digest_size
+        self._state = hashlib.blake2b(key=self._key, digest_size=digest_size)
 
     @property
     def digest_size(self) -> int:
@@ -31,8 +45,15 @@ class Prf:
 
     def evaluate(self, message: bytes) -> bytes:
         """PRF output for ``message``."""
-        h = hashlib.blake2b(message, key=self._key, digest_size=self._digest_size)
+        h = self._state.copy()
+        h.update(message)
         return h.digest()
+
+    def evaluate_many(self, messages: List[bytes]) -> List[bytes]:
+        """``[self.evaluate(m) for m in messages]`` as three C-level passes."""
+        states = list(map(_copy, repeat(self._state, len(messages))))
+        deque(map(_update, states, messages), maxlen=0)
+        return list(map(_digest, states))
 
     def keystream(self, nonce: bytes, length: int) -> bytes:
         """``length`` keystream bytes derived from ``nonce`` in counter mode.
@@ -48,75 +69,48 @@ class Prf:
             raise ValueError(f"keystream length must be >= 0, got {length}")
         if length == 0:
             return b""
-        blake2b = hashlib.blake2b
-        key = self._key
-        digest_size = self._digest_size
-        if length <= digest_size:
+        if length <= self._digest_size:
             # One digest covers the request (the common case for headers
             # and MAC-sized outputs): no buffer assembly at all.
-            digest = blake2b(
-                nonce + _COUNTER0, key=key, digest_size=digest_size
-            ).digest()
-            return digest if length == digest_size else digest[:length]
-        out = bytearray(length)  # preallocated; no quadratic regrowth
-        pos = 0
-        counter = 0
-        while pos < length:
-            block = blake2b(
-                nonce + counter.to_bytes(8, "little"), key=key, digest_size=digest_size
-            ).digest()
-            take = length - pos
-            if take >= digest_size:
-                out[pos : pos + digest_size] = block
-                pos += digest_size
-            else:
-                out[pos:] = block[:take]
-                pos = length
-            counter += 1
-        return bytes(out)
+            digest = self.evaluate(nonce + _COUNTER0)
+            return digest if length == self._digest_size else digest[:length]
+        evaluate = self.evaluate
+        stream = b"".join(
+            evaluate(nonce + counter.to_bytes(8, "little"))
+            for counter in range(-(-length // self._digest_size))
+        )
+        return stream if len(stream) == length else stream[:length]
 
     def keystream_many(self, nonces, length: int):
         """Keystreams for many nonces of one shared ``length``, in one walk.
 
         Byte-identical to ``[self.keystream(n, length) for n in nonces]``
         (the frozen per-counter digest wire format is untouched); the win
-        is amortization: the BLAKE2b constructor, key, digest size and the
-        LE64 counter encodings are bound once for the whole batch instead
-        of once per block.  This is the primitive behind the path-batched
-        codec pass (:meth:`repro.oram.block.BlockCodec.encode_path`).
+        is amortization: every counter block of the whole batch is one
+        :meth:`evaluate_many` pass.  This is the primitive behind the
+        path-batched codec pass (:meth:`repro.oram.block.BlockCodec.encode_path`).
         """
         if length < 0:
             raise ValueError(f"keystream length must be >= 0, got {length}")
         if length == 0:
             return [b"" for _ in nonces]
-        blake2b = hashlib.blake2b
-        key = self._key
         digest_size = self._digest_size
         if length <= digest_size:
             # Single-digest fast path for the whole batch (headers, MACs).
+            digests = self.evaluate_many([nonce + _COUNTER0 for nonce in nonces])
             if length == digest_size:
-                return [
-                    blake2b(nonce + _COUNTER0, key=key, digest_size=digest_size).digest()
-                    for nonce in nonces
-                ]
-            return [
-                blake2b(nonce + _COUNTER0, key=key, digest_size=digest_size).digest()[
-                    :length
-                ]
-                for nonce in nonces
-            ]
+                return digests
+            return [digest[:length] for digest in digests]
         # Counter suffixes are shared by every nonce in the batch.
         num_blocks = -(-length // digest_size)
         counters = [i.to_bytes(8, "little") for i in range(num_blocks)]
-        streams = []
-        append = streams.append
-        for nonce in nonces:
-            out = b"".join(
-                blake2b(nonce + suffix, key=key, digest_size=digest_size).digest()
-                for suffix in counters
-            )
-            append(out[:length] if len(out) != length else out)
-        return streams
+        stream = b"".join(self.evaluate_many(
+            [nonce + suffix for nonce in nonces for suffix in counters]
+        ))
+        stride = num_blocks * digest_size
+        return [
+            stream[start:start + length] for start in range(0, len(stream), stride)
+        ]
 
     def derive(self, label: str) -> "Prf":
         """Derive an independent PRF keyed by ``label`` (domain separation)."""

@@ -35,12 +35,12 @@ discipline** (:meth:`repro.engine.policy.PersistencePolicy.integrity_discipline`
     Volatile baselines: the tree tracks and audits, nothing persists,
     recovery verification is vacuous (there is no witness to check).
 ``"eager"``
-    Naive flush-all: every dirty leaf writes its full ancestor path,
-    duplicates included — the per-line update stream a non-batched
-    integrity engine would issue.
+    Naive flush-all: every dirty leaf writes the node line of every node
+    on its path, duplicates included — the per-line update stream a
+    non-batched integrity engine would issue.
 ``"lazy"``
-    The PS variants: one batched propagation per commit; each affected
-    node line is written exactly once, root last.
+    The PS variants: one batched propagation per commit; each node line
+    holding an affected digest is written exactly once, witness last.
 ``"eadr"``
     eADR: no runtime traffic at all — the whole tree rides the
     residual-energy flush, so only the crash-time root persist remains.
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.integrity.tree import MerkleIntegrityTree
+from repro.integrity.tree import DIGEST_BYTES, MerkleIntegrityTree
 from repro.mem.request import Access, RequestKind
 from repro.util.stats import LazyCounter
 
@@ -78,9 +78,10 @@ class IntegrityDomain:
     Layout: the tree covers the *protected region* ``[0, protect_bytes)``
     (the controller's data/posmap/scratch layout).  The digest lines live
     immediately above it: line 0 is the **root witness**
-    (``seq || root``), then one line per interior node level-major
-    (height down to 1), then one line per leaf.  Digest lines are outside
-    the protected region, so persisting them never re-dirties the tree.
+    (``seq || root``), then one line per sibling group of ``arity``
+    digests, level-major from the root's level down to the leaves.
+    Digest lines are outside the protected region, so persisting them
+    never re-dirties the tree.
     """
 
     def __init__(self, controller, tree: MerkleIntegrityTree,
@@ -95,14 +96,14 @@ class IntegrityDomain:
         self.discipline = discipline
         self.protect_bytes = tree.base + tree.num_leaves * tree.line_bytes
         self.node_base = self.protect_bytes
-        # Node-line offsets: root first, then interior levels (top-down),
-        # then the leaves.
+        # Node-line offsets: the witness first, then each level's sibling
+        # groups, root level down to the leaves.
         self._level_base = {}
         cursor = 1
-        for level in range(tree.height, 0, -1):
+        for level in range(tree.height, -1, -1):
             self._level_base[level] = cursor
-            cursor += -(-tree.num_leaves // (1 << level))
-        self._level_base[0] = cursor
+            nodes = -(-tree.num_leaves // tree.arity ** level)
+            cursor += -(-nodes // tree.arity)
         self.root_line = self.node_base
         self._seq = 0
         self._installed = False
@@ -159,8 +160,13 @@ class IntegrityDomain:
     # -- node-line addressing ----------------------------------------------
 
     def node_address(self, level: int, index: int) -> int:
-        """Byte address of the persisted digest line for one tree node."""
-        return self.node_base + (self._level_base[level] + index) * self.tree.line_bytes
+        """Byte address of the persisted line holding one node's digest:
+        the line of its sibling group ``index // arity`` at ``level``."""
+        return self._group_address(level, index // self.tree.arity)
+
+    def _group_address(self, level: int, group: int) -> int:
+        line = self._level_base[level] + group
+        return self.node_base + line * self.tree.line_bytes
 
     def _root_payload(self) -> bytes:
         return self._seq.to_bytes(_ROOT_SEQ_BYTES, "little") + self.tree.node(
@@ -172,7 +178,7 @@ class IntegrityDomain:
         line = self.c.memory.load_line(self.root_line)
         if line is None or len(line) <= _ROOT_SEQ_BYTES:
             return None
-        return line[_ROOT_SEQ_BYTES:_ROOT_SEQ_BYTES + 16]
+        return line[_ROOT_SEQ_BYTES:_ROOT_SEQ_BYTES + DIGEST_BYTES]
 
     @property
     def root_sequence(self) -> int:
@@ -200,18 +206,23 @@ class IntegrityDomain:
         touched = self.tree.propagate()
         c._checkpoint("integrity:after-propagate")
         if self.discipline == "eager":
-            # One full ancestor-path write per dirty leaf, duplicates and
-            # all: shared interior nodes are re-written once per leaf,
-            # which is the whole overhead lazy batching removes.
+            # One full ancestor path per dirty leaf, duplicates and all:
+            # shared node lines are re-written once per leaf, which is the
+            # whole overhead lazy batching removes.
             nodes: List[Tuple[int, int]] = []
             for leaf in dirty:
                 nodes.append((0, leaf))
                 nodes.extend(self.tree.ancestors(leaf))
         else:
             nodes = touched
-        addresses = [self.node_address(level, index) for level, index in nodes]
+        # A node's digest lives in the line of its sibling group.
+        arity = self.tree.arity
+        groups = [(level, index // arity) for level, index in nodes]
+        if self.discipline == "lazy":
+            groups = list(dict.fromkeys(groups))  # each line once, leaves first
+        addresses = [self._group_address(level, group) for level, group in groups]
         datas: List[Optional[bytes]] = [
-            self.tree.node(level, index) for level, index in nodes
+            b"".join(self.tree.group(level, group)) for level, group in groups
         ]
         # The root witness line is written last; its functional content
         # goes through _persist_root so the commit point is one discrete,

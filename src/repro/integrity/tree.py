@@ -25,15 +25,25 @@ authenticate a recovered image against the persisted root witness
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.prf import Prf
 from repro.mem.controller import NVMMainMemory
 
+#: Width of every tree digest (leaf MAC, interior node, persisted root).
+#: A node line packs ``line_bytes // DIGEST_BYTES`` sibling digests, which
+#: is what fixes the tree's arity.
+DIGEST_BYTES = 16
+
 
 class MerkleIntegrityTree:
-    """Incremental keyed Merkle tree with lazy interior-node propagation."""
+    """Incremental keyed Merkle tree with lazy interior-node propagation.
+
+    The tree is line-shaped: its arity is the number of digests one NVM
+    line holds (4 at 64 B lines), so each group of siblings persists as
+    exactly one line (:mod:`repro.integrity.domain`).  The arity is derived
+    from the memory geometry, never configured.
+    """
 
     def __init__(self, memory: NVMMainMemory, base: int, size_bytes: int,
                  key: bytes = b"integrity-key"):
@@ -42,9 +52,16 @@ class MerkleIntegrityTree:
         self.memory = memory
         self.base = base
         self.line_bytes = memory.line_bytes
+        self.arity = self.line_bytes // DIGEST_BYTES
+        if self.arity < 2:
+            raise ValueError(
+                f"{self.line_bytes} B lines cannot hold two {DIGEST_BYTES} B digests"
+            )
         self.num_leaves = max(1, -(-size_bytes // self.line_bytes))
-        self.height = max(1, math.ceil(math.log2(self.num_leaves)))
-        self._prf = Prf(key, digest_size=16).derive("merkle")
+        self.height = 1
+        while self.arity ** self.height < self.num_leaves:
+            self.height += 1
+        self._prf = Prf(key, digest_size=DIGEST_BYTES).derive("merkle")
         # Sparse node store: (level, index) -> digest.  Level 0 = leaves.
         self._nodes: Dict[Tuple[int, int], bytes] = {}
         # Leaves whose ancestor paths are stale (leaf digests are always
@@ -70,8 +87,17 @@ class MerkleIntegrityTree:
             self._empty[level] = digest
         return digest
 
-    def _interior_digest(self, level: int, left: bytes, right: bytes) -> bytes:
-        return self._prf.evaluate(b"N" + level.to_bytes(4, "little") + left + right)
+    def _interior_digest(self, level: int, children: List[bytes]) -> bytes:
+        return self._prf.evaluate(
+            b"N" + level.to_bytes(4, "little") + b"".join(children)
+        )
+
+    def group(self, level: int, group: int) -> List[bytes]:
+        """The ``arity`` sibling digests of one group at ``level``, in index
+        order: the children of node ``(level + 1, group)``, and the content
+        of one persisted node line."""
+        first = self.arity * group
+        return [self._node(level, first + j) for j in range(self.arity)]
 
     def _node(self, level: int, index: int) -> bytes:
         digest = self._nodes.get((level, index))
@@ -111,7 +137,7 @@ class MerkleIntegrityTree:
         out = []
         index = leaf
         for level in range(1, self.height + 1):
-            index //= 2
+            index //= self.arity
             out.append((level, index))
         return out
 
@@ -125,17 +151,18 @@ class MerkleIntegrityTree:
         """
         if not self._dirty:
             return []
+        arity = self.arity
         touched: List[Tuple[int, int]] = [(0, leaf) for leaf in sorted(self._dirty)]
-        frontier = sorted({leaf // 2 for leaf in self._dirty})
+        frontier = sorted({leaf // arity for leaf in self._dirty})
         self._dirty.clear()
         for level in range(1, self.height + 1):
             for index in frontier:
-                left = self._node(level - 1, 2 * index)
-                right = self._node(level - 1, 2 * index + 1)
-                self._nodes[(level, index)] = self._interior_digest(level, left, right)
+                self._nodes[(level, index)] = self._interior_digest(
+                    level, self.group(level - 1, index)
+                )
                 self.node_hashes += 1
                 touched.append((level, index))
-            frontier = sorted({index // 2 for index in frontier})
+            frontier = sorted({index // arity for index in frontier})
         return touched
 
     @property
@@ -185,11 +212,14 @@ class MerkleIntegrityTree:
         for address in self.memory.written_lines(self.base, span):
             leaf = (address - self.base) // self.line_bytes
             level_digests[leaf] = self._leaf_digest(leaf)
+        arity = self.arity
         for level in range(1, self.height + 1):
+            empty = self._empty_digest(level - 1)
             parents: Dict[int, bytes] = {}
-            for index in sorted({child // 2 for child in level_digests}):
-                left = level_digests.get(2 * index, self._empty_digest(level - 1))
-                right = level_digests.get(2 * index + 1, self._empty_digest(level - 1))
-                parents[index] = self._interior_digest(level, left, right)
+            for index in sorted({child // arity for child in level_digests}):
+                first = arity * index
+                parents[index] = self._interior_digest(
+                    level, [level_digests.get(first + j, empty) for j in range(arity)]
+                )
             level_digests = parents
         return level_digests.get(0, self._empty_digest(self.height))

@@ -122,6 +122,17 @@ class TestBatchedCryptoGolden:
             batched = prf.keystream_many(nonces, length)
             assert batched == [prf.keystream(n, length) for n in nonces]
 
+    def test_evaluate_many_matches_fresh_keyed_blake2b(self):
+        prf = Prf(b"golden-key", digest_size=16)
+        messages = [b"", b"m", bytes(range(200))]
+        reference = [
+            hashlib.blake2b(m, key=b"golden-key", digest_size=16).digest()
+            for m in messages
+        ]
+        assert prf.evaluate_many(messages) == reference
+        assert [prf.evaluate(m) for m in messages] == reference
+        assert prf.evaluate_many([]) == []
+
     def test_keystream_many_golden_vector(self):
         prf = Prf(b"golden-key", digest_size=16)
         streams = prf.keystream_many([b"nonce-16", b"other-16"], 40)

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from repro.config import PCM_TIMING, small_config
-from repro.core.variants import build_variant
+from repro.core.variants import build_variant, get_spec
 from repro.integrity import MerkleIntegrityTree, enable_integrity
+from repro.integrity.tree import DIGEST_BYTES
 from repro.mem.controller import NVMMainMemory
+from repro.mem.request import RequestKind
 
 
 @pytest.fixture
@@ -80,6 +82,23 @@ class TestMerkleTree:
         assert t.audit(expected_root=b"wrong") == [-1]
 
 
+class TestLineShape:
+    """The tree's arity is the number of digests one NVM line holds."""
+
+    def test_arity_and_height_follow_line_geometry(self, tree):
+        t, memory = tree
+        assert t.arity == memory.line_bytes // DIGEST_BYTES == 4
+        # 64 leaves: 4**3 == 64 exactly, so three levels above the leaves.
+        assert t.num_leaves == 64
+        assert t.height == 3
+        grown = MerkleIntegrityTree(memory, base=0, size_bytes=65 * 64)
+        assert grown.height == 4
+
+    def test_ancestors_divide_by_arity(self, tree):
+        t, _ = tree
+        assert t.ancestors(37) == [(1, 9), (2, 2), (3, 0)]
+
+
 class TestLazyPropagation:
     """The cached lazy tree against the uncached reference implementation."""
 
@@ -122,9 +141,9 @@ class TestLazyPropagation:
                 t.update_line(line * 64)
             calls = [0]
 
-            def counting(level, left, right):
+            def counting(level, children):
                 calls[0] += 1
-                return original(level, left, right)
+                return original(level, children)
 
             t._interior_digest = counting
             reference_root = t.recompute_root()
@@ -234,3 +253,93 @@ class TestIntegrityDomain:
         for label in domain.crash_points():
             assert label in labels
         domain.detach()
+
+
+def _record_commits(domain):
+    """Log every lazy commit as ``(touched, addresses, datas, expected)``.
+
+    ``touched`` is what ``propagate()`` returned; ``addresses``/``datas``
+    are the commit's integrity burst; ``expected`` maps each touched
+    node's line address to its sibling group's digests in index order,
+    read off the tree at issue time.
+    """
+    memory = domain.c.memory
+    tree = domain.tree
+    arity = tree.arity
+    commits = []
+    propagate = tree.propagate
+    issue_path = memory.issue_path
+
+    def recording_propagate():
+        touched = propagate()
+        commits.append((touched,))
+        return touched
+
+    def recording_issue_path(addresses, access, arrival, kind, datas=None):
+        if kind is RequestKind.INTEGRITY:
+            touched = commits[-1][0]
+            expected = {
+                domain.node_address(level, index): b"".join(
+                    tree.node(level, (index // arity) * arity + j)
+                    for j in range(arity)
+                )
+                for level, index in touched
+            }
+            commits[-1] = (touched, list(addresses), list(datas), expected)
+        return issue_path(addresses, access, arrival, kind, datas)
+
+    tree.propagate = recording_propagate
+    memory.issue_path = recording_issue_path
+    return commits
+
+
+class TestLinePackedCommit:
+    """A lazy commit writes each sibling-group line once, the witness last."""
+
+    def test_lazy_commit_writes_each_group_line_once(self):
+        controller = build_variant("ps", small_config(height=6, seed=5))
+        domain = enable_integrity(controller)
+        commits = _record_commits(domain)
+        for addr in range(12):
+            controller.write(addr, bytes([addr]) * 4)
+            controller.read((addr * 7) % 12)
+        arity = domain.tree.arity
+        assert len(commits) == 24
+        for touched, addresses, _, expected in commits:
+            groups = {(level, index // arity) for level, index in touched}
+            assert len(addresses) == 1 + len(groups)
+            assert len(set(addresses)) == len(addresses)
+            assert addresses[-1] == domain.root_line
+            assert set(addresses[:-1]) == set(expected)
+        domain.detach()
+
+    def test_node_line_content_is_its_group_in_index_order(self):
+        controller = build_variant("ps", small_config(height=6, seed=5))
+        domain = enable_integrity(controller)
+        commits = _record_commits(domain)
+        for addr in range(6):
+            controller.write(addr, b"group")
+        line_bytes = domain.tree.arity * DIGEST_BYTES
+        for _, addresses, datas, expected in commits:
+            assert datas[-1] is None  # the witness goes through _persist_root
+            for address, data in zip(addresses[:-1], datas[:-1]):
+                assert len(data) == line_bytes
+                assert data == expected[address]
+        domain.detach()
+
+
+def test_ps_int_integrity_lines_per_access_pinned():
+    """Line packing: a ps-int access at height 10 writes far fewer
+    integrity lines than the binary one-digest-per-line layout, which
+    wrote 167.2 per access on this stream; the arity-4 tree writes 53.7."""
+    controller = get_spec("ps-int").make(small_config(height=10, seed=3))
+    rng = random.Random(99)
+    accesses = 80
+    for _ in range(accesses):
+        addr = rng.randrange(512)
+        if rng.randrange(2):
+            controller.write(addr, addr.to_bytes(4, "little"))
+        else:
+            controller.read(addr)
+    per_access = controller.stats.get("integrity_node_writes") / accesses
+    assert per_access < 60
