@@ -45,15 +45,14 @@ def tour_integrity() -> None:
     print("=" * 70)
     controller = build_variant("ps", small_config(height=6, seed=11))
     domain = enable_integrity(controller)
-    tree = domain.tree
     controller.write(1, b"version-1")
     # The attacker snapshots the NVM image...
     stolen = controller.memory.snapshot_image()
     controller.write(1, b"version-2")
-    root = tree.root
+    root = domain.root
     # ...and later replays the stale (perfectly authentic) image.
     controller.memory.restore_image(stolen)
-    corrupt = tree.audit(expected_root=root)
+    corrupt = domain.audit(expected_root=root)
     print(f"per-line MACs: all replayed lines still decrypt fine")
     print(f"Merkle audit: {len([c for c in corrupt if c >= 0])} replayed "
           f"lines flagged -> replay DETECTED")

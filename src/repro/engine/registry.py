@@ -66,12 +66,12 @@ def _apply_config_integrity(controller, config):
 
     ``enable_integrity`` is idempotent, so variants whose factories
     already attach a domain (the ``-int`` registry rows) compose with the
-    switch instead of double-wrapping.  Controllers without a persistence
-    policy (the plain non-ORAM yardstick) have no engine pipeline to hook
-    and are left untouched, so an ``--integrity`` sweep can still include
-    them as the no-integrity baseline.
+    switch instead of double-wrapping.  Controllers without an ORAM memory
+    layout (the plain non-ORAM yardstick) have no trees for the domain to
+    cover and are left untouched, so an ``--integrity`` sweep can still
+    include them as the no-integrity baseline.
     """
-    if getattr(config, "integrity", False) and getattr(controller, "policy", None) is not None:
+    if getattr(config, "integrity", False) and getattr(controller, "layout", None) is not None:
         from repro.integrity.domain import enable_integrity  # lazy: avoid cycle
 
         enable_integrity(controller)

@@ -1,17 +1,20 @@
 """Crash-consistent persistent integrity metadata (secure persistent NVM).
 
-The subsystem has two halves:
+The subsystem has three parts:
 
-* :mod:`repro.integrity.tree` — the lazy-propagation keyed Merkle tree
-  (leaf MACs eager, interior propagation batched, clean subtrees cached);
+* :mod:`repro.integrity.buckets` — the path-aligned bucket tree: each
+  ORAM tree region is its own Merkle tree, digests riding in bucket lines;
+* :mod:`repro.integrity.tree` — the lazy-propagation line-packed Merkle
+  tree over the small residual region (flat PosMap, scratch, intent log);
 * :mod:`repro.integrity.domain` — the persistence domain that registers
-  the tree into the engine pipeline, persists digest lines as
-  first-class NVM traffic, and enforces the recovery contract
+  both into the engine pipeline, persists the residual tree's digest
+  lines as first-class NVM traffic, and enforces the recovery contract
   (recomputed root == persisted witness).
 
 See docs/INTEGRITY.md for the design and the per-policy disciplines.
 """
 
+from repro.integrity.buckets import BucketIntegrityTree
 from repro.integrity.domain import (
     DEFAULT_INTEGRITY_KEY,
     INTEGRITY_CRASH_POINTS,
@@ -22,6 +25,7 @@ from repro.integrity.domain import (
 from repro.integrity.tree import MerkleIntegrityTree
 
 __all__ = [
+    "BucketIntegrityTree",
     "DEFAULT_INTEGRITY_KEY",
     "INTEGRITY_CRASH_POINTS",
     "INTEGRITY_DISCIPLINES",

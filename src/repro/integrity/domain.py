@@ -1,45 +1,60 @@
 """The crash-consistent persistent integrity domain.
 
-:class:`IntegrityDomain` turns the Merkle tree of
-:mod:`repro.integrity.tree` from an advisory bolt-on into first-class
+:class:`IntegrityDomain` turns the integrity trees into first-class
 persistence traffic, following the Freij et al. streamlined-update model
 (PAPERS.md): the integrity-update unit sits **inside** the ADR
 persistence domain, so pending tree updates are completed by residual
 energy at power loss — exactly like a committed WPQ round.
 
+Two kinds of tree cover the controller's persistent layout:
+
+* every ORAM tree region (the data tree, plus each recursive PosMap tree)
+  is its own Merkle tree, a
+  :class:`~repro.integrity.buckets.BucketIntegrityTree` whose digests
+  ride in the bucket lines the access writes anyway, so it adds no timed
+  line;
+* the small **residual region** left over (flat PosMap, version/bounce
+  scratch lines, the intent log) is covered by the line-packed
+  :class:`~repro.integrity.tree.MerkleIntegrityTree`, whose sibling-group
+  lines are the only timed integrity traffic.
+
 Pipeline integration (the :class:`~repro.engine.base.AccessEngine`
 drives every hook):
 
-* every functional line store below the protected bound refreshes the
-  leaf MAC via the memory's ``line_observer`` — leaf updates accumulate
-  *lazily* while phase ``write-back`` (and the drainer rounds inside it)
-  run;
-* at ``phase:persist-commit`` the dirty subtree is batch-propagated and
-  the affected node lines are written out as timed
+* every functional line store is routed to its tree via the memory's
+  ``line_observer``; a store outside both the protected extent and the
+  digest lines raises, so a layout the domain does not cover fails
+  loudly instead of going unprotected;
+* at ``phase:persist-commit`` both trees are batch-propagated and the
+  residual tree's affected group lines are written out as timed
   :class:`~repro.mem.request.RequestKind.INTEGRITY` traffic, bracketed
   by the :data:`INTEGRITY_CRASH_POINTS` checkpoints; the **persisted
-  root line is the commit witness** — a recovered image that does not
+  root line is the commit witness** (``seq || Prf("R" || line-tree root
+  || bucket roots in region order)``) — a recovered image that does not
   recompute to the witness is not a recovered image;
 * on :meth:`crash_flush` (power loss) the in-domain update unit
-  finishes pending propagation and persists the root functionally, the
-  same guarantee ADR gives a committed drainer round;
+  finishes pending propagation and persists the witness functionally,
+  the same guarantee ADR gives a committed drainer round;
 * on recovery, :meth:`begin_recovery` authenticates the surviving image
   (uncached recompute == persisted witness) *before* the persistence
   policy repairs anything, and :meth:`finish_recovery` reseals the
   witness over the repaired image.
 
 Which updates are persisted *when* is the policy's **integrity
-discipline** (:meth:`repro.engine.policy.PersistencePolicy.integrity_discipline`):
+discipline** (:meth:`repro.engine.policy.PersistencePolicy.integrity_discipline`).
+Bucket digests cost no line, so they are recomputed once per written
+bucket under every discipline; the disciplines differ on the residual
+tree only:
 
 ``"none"``
-    Volatile baselines: the tree tracks and audits, nothing persists,
+    Volatile baselines: the trees track and audit, nothing persists,
     recovery verification is vacuous (there is no witness to check).
 ``"eager"``
-    Naive flush-all: every dirty leaf writes the node line of every node
-    on its path, duplicates included — the per-line update stream a
-    non-batched integrity engine would issue.
+    Naive flush-all: every dirty residual leaf writes the group line of
+    every node on its path, duplicates included — the per-line update
+    stream a non-batched integrity engine would issue.
 ``"lazy"``
-    The PS variants: one batched propagation per commit; each node line
+    The PS variants: one batched propagation per commit; each group line
     holding an affected digest is written exactly once, witness last.
 ``"eadr"``
     eADR: no runtime traffic at all — the whole tree rides the
@@ -48,8 +63,10 @@ discipline** (:meth:`repro.engine.policy.PersistencePolicy.integrity_discipline`
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.crypto.prf import Prf
+from repro.integrity.buckets import BucketIntegrityTree
 from repro.integrity.tree import DIGEST_BYTES, MerkleIntegrityTree
 from repro.mem.request import Access, RequestKind
 from repro.util.stats import LazyCounter
@@ -66,7 +83,7 @@ INTEGRITY_CRASH_POINTS = (
 #: The recognised integrity disciplines a persistence policy can declare.
 INTEGRITY_DISCIPLINES = ("none", "eager", "lazy", "eadr")
 
-#: Default PRF key for the integrity tree (distinct from the data key).
+#: Default PRF key for the integrity trees (distinct from the data key).
 DEFAULT_INTEGRITY_KEY = b"integrity-key"
 
 _ROOT_SEQ_BYTES = 8
@@ -75,36 +92,40 @@ _ROOT_SEQ_BYTES = 8
 class IntegrityDomain:
     """Persistent integrity metadata bound to one controller.
 
-    Layout: the tree covers the *protected region* ``[0, protect_bytes)``
-    (the controller's data/posmap/scratch layout).  The digest lines live
-    immediately above it: line 0 is the **root witness**
-    (``seq || root``), then one line per sibling group of ``arity``
-    digests, level-major from the root's level down to the leaves.
-    Digest lines are outside the protected region, so persisting them
-    never re-dirties the tree.
+    Layout: the bucket trees cover the ORAM tree regions and the line
+    tree covers the rest of ``[line_tree.base, protect_bytes)``, the
+    controller's exact persistent extent.  The digest lines live
+    immediately above it: line 0 is the **root witness**, then one line
+    per sibling group of the line tree's ``arity`` digests, level-major
+    from the root's level down to the leaves.  Digest lines are outside
+    the protected extent, so persisting them never re-dirties a tree.
     """
 
-    def __init__(self, controller, tree: MerkleIntegrityTree,
-                 discipline: str = "lazy"):
+    def __init__(self, controller, line_tree: MerkleIntegrityTree,
+                 bucket_trees: Sequence[BucketIntegrityTree],
+                 discipline: str = "lazy", key: bytes = DEFAULT_INTEGRITY_KEY):
         if discipline not in INTEGRITY_DISCIPLINES:
             raise ValueError(
                 f"unknown integrity discipline {discipline!r}; "
                 f"choose from {INTEGRITY_DISCIPLINES}"
             )
         self.c = controller
-        self.tree = tree
+        self.line_tree = line_tree
+        self.bucket_trees = tuple(bucket_trees)
         self.discipline = discipline
-        self.protect_bytes = tree.base + tree.num_leaves * tree.line_bytes
+        self.protect_bytes = line_tree.base + line_tree.num_leaves * line_tree.line_bytes
         self.node_base = self.protect_bytes
         # Node-line offsets: the witness first, then each level's sibling
         # groups, root level down to the leaves.
         self._level_base = {}
         cursor = 1
-        for level in range(tree.height, -1, -1):
+        for level in range(line_tree.height, -1, -1):
             self._level_base[level] = cursor
-            nodes = -(-tree.num_leaves // tree.arity ** level)
-            cursor += -(-nodes // tree.arity)
+            nodes = -(-line_tree.num_leaves // line_tree.arity ** level)
+            cursor += -(-nodes // line_tree.arity)
         self.root_line = self.node_base
+        self.node_end = self.node_base + cursor * line_tree.line_bytes
+        self._witness_prf = Prf(key, digest_size=DIGEST_BYTES).derive("witness")
         self._seq = 0
         self._installed = False
         self._prev_observer = None
@@ -125,13 +146,18 @@ class IntegrityDomain:
         if self._installed:
             return
         memory = self.c.memory
+        # Seed line MACs for everything already written into the extent
+        # (and reject anything the extent does not cover).
+        line_bytes = memory.line_bytes
+        for line in sorted(memory.snapshot_image()):
+            address = line * line_bytes
+            tree = self._route(address)
+            if tree is not None:
+                tree.update_line(address)
         self._prev_observer = memory.line_observer
         memory.line_observer = self._observe
         self.c.integrity = self
         self._installed = True
-        # Seed leaf MACs for everything already written into the region.
-        for address in memory.written_lines(0, self.protect_bytes):
-            self.tree.update_line(address)
 
     def detach(self) -> None:
         """Unregister; idempotent (a second call is a no-op, not a bug)."""
@@ -142,9 +168,29 @@ class IntegrityDomain:
         self.c.integrity = None
         self._installed = False
 
+    def _route(self, address: int):
+        """The tree covering ``address``; None for a digest line.
+
+        Raises on any other address: a store the domain does not cover
+        would otherwise silently escape the witness.
+        """
+        for tree in self.bucket_trees:
+            if tree.base <= address < tree.end:
+                return tree
+        if self.line_tree.base <= address < self.protect_bytes:
+            return self.line_tree
+        if self.node_base <= address < self.node_end:
+            return None
+        raise ValueError(
+            f"store to {address:#x} is outside the integrity-protected extent "
+            f"[{self.line_tree.base:#x}, {self.protect_bytes:#x}) and the "
+            "ORAM tree regions — the layout has an unprotected region"
+        )
+
     def _observe(self, address: int) -> None:
-        if address < self.protect_bytes:
-            self.tree.update_line(address)
+        tree = self._route(address)
+        if tree is not None:
+            tree.update_line(address)
         if self._prev_observer is not None:
             self._prev_observer(address)
 
@@ -157,21 +203,62 @@ class IntegrityDomain:
         """Labels the domain fires (mirrors the policy's declaration)."""
         return self.c.policy.integrity_crash_points()
 
+    # -- roots -------------------------------------------------------------
+
+    def _combine(self, line_root: bytes, bucket_roots: Sequence[bytes]) -> bytes:
+        return self._witness_prf.evaluate(b"R" + line_root + b"".join(bucket_roots))
+
+    def propagate(self) -> List[Tuple[int, int]]:
+        """Propagate every tree; returns the line tree's recomputed nodes
+        (the bucket trees' digests ride in data lines and need no write)."""
+        for tree in self.bucket_trees:
+            tree.propagate()
+        return self.line_tree.propagate()
+
+    @property
+    def root(self) -> bytes:
+        """The combined root the witness carries (after propagation)."""
+        return self._combine(
+            self.line_tree.root, [tree.root for tree in self.bucket_trees]
+        )
+
+    def recompute_root(self) -> bytes:
+        """From-scratch combined root over the current image.
+
+        Walks the written lines of the extent once, routes each to its
+        tree, and recomputes every tree root without consulting a cache.
+        """
+        routed = {tree: [] for tree in (self.line_tree, *self.bucket_trees)}
+        for address in self.c.memory.written_lines(0, self.protect_bytes):
+            routed[self._route(address)].append(address)
+        return self._combine(
+            self.line_tree.recompute_root(routed[self.line_tree]),
+            [tree.recompute_root(routed[tree]) for tree in self.bucket_trees],
+        )
+
+    def audit(self, expected_root: Optional[bytes] = None) -> List[int]:
+        """Byte addresses of every tracked line whose content changed
+        behind the domain's back; ``-1`` is appended when the combined
+        root differs from ``expected_root``."""
+        corrupt = sorted(
+            address
+            for tree in (self.line_tree, *self.bucket_trees)
+            for address in tree.audit()
+        )
+        if expected_root is not None and expected_root != self.root:
+            corrupt.append(-1)  # sentinel: root mismatch
+        return corrupt
+
     # -- node-line addressing ----------------------------------------------
 
     def node_address(self, level: int, index: int) -> int:
-        """Byte address of the persisted line holding one node's digest:
-        the line of its sibling group ``index // arity`` at ``level``."""
-        return self._group_address(level, index // self.tree.arity)
+        """Byte address of the persisted line holding one line-tree node's
+        digest: the line of its sibling group ``index // arity`` at ``level``."""
+        return self._group_address(level, index // self.line_tree.arity)
 
     def _group_address(self, level: int, group: int) -> int:
         line = self._level_base[level] + group
-        return self.node_base + line * self.tree.line_bytes
-
-    def _root_payload(self) -> bytes:
-        return self._seq.to_bytes(_ROOT_SEQ_BYTES, "little") + self.tree.node(
-            self.tree.height, 0
-        )
+        return self.node_base + line * self.line_tree.line_bytes
 
     def load_persisted_root(self) -> Optional[bytes]:
         """The last persisted root witness digest (None if never written)."""
@@ -201,9 +288,10 @@ class IntegrityDomain:
         if self.discipline in ("none", "eadr"):
             return
         c = self.c
-        dirty = self.tree.dirty_leaves
+        tree = self.line_tree
+        dirty = tree.dirty_leaves
         c._checkpoint("integrity:before-propagate")
-        touched = self.tree.propagate()
+        touched = self.propagate()
         c._checkpoint("integrity:after-propagate")
         if self.discipline == "eager":
             # One full ancestor path per dirty leaf, duplicates and all:
@@ -212,17 +300,17 @@ class IntegrityDomain:
             nodes: List[Tuple[int, int]] = []
             for leaf in dirty:
                 nodes.append((0, leaf))
-                nodes.extend(self.tree.ancestors(leaf))
+                nodes.extend(tree.ancestors(leaf))
         else:
             nodes = touched
         # A node's digest lives in the line of its sibling group.
-        arity = self.tree.arity
+        arity = tree.arity
         groups = [(level, index // arity) for level, index in nodes]
         if self.discipline == "lazy":
             groups = list(dict.fromkeys(groups))  # each line once, leaves first
         addresses = [self._group_address(level, group) for level, group in groups]
         datas: List[Optional[bytes]] = [
-            b"".join(self.tree.group(level, group)) for level, group in groups
+            b"".join(tree.group(level, group)) for level, group in groups
         ]
         # The root witness line is written last; its functional content
         # goes through _persist_root so the commit point is one discrete,
@@ -246,7 +334,8 @@ class IntegrityDomain:
         Kept as its own step so the mutation test can delete exactly the
         root persist and prove the conformance matrix notices.
         """
-        self.c.memory.store_line(self.root_line, self._root_payload())
+        payload = self._seq.to_bytes(_ROOT_SEQ_BYTES, "little") + self.root
+        self.c.memory.store_line(self.root_line, payload)
         self._c_root_persists.add()
 
     # -- crash / recovery ----------------------------------------------------
@@ -261,7 +350,7 @@ class IntegrityDomain:
         """
         if not self.persists_root:
             return
-        self.tree.propagate()
+        self.propagate()
         self._seq += 1
         self._persist_root()
         self._c_crash_flushes.add()
@@ -279,7 +368,7 @@ class IntegrityDomain:
         if not self.persists_root:
             return
         persisted = self.load_persisted_root()
-        recomputed = self.tree.recompute_root()
+        recomputed = self.recompute_root()
         if persisted is None:
             self.recovery_violations.append(
                 "integrity: no persisted root witness after crash — the "
@@ -301,27 +390,22 @@ class IntegrityDomain:
         propagating and re-persisting the root re-covers them; the next
         crash verifies against the resealed witness.
         """
-        self.tree.propagate()
+        self.propagate()
         self._seq += 1
         self._persist_root()
 
 
-def _protected_extent(controller) -> int:
+def _exact_extent(controller) -> int:
     """Upper bound (bytes) of the controller's persistent data layout.
 
-    Everything the protocol writes functionally must fall below this
-    bound so the tree covers it: the main layout, the recursive intent
-    log, and the version/bounce scratch lines.  The current image extent
-    and a 1 MiB floor keep pre-existing content and late small
-    allocations covered.
+    Everything the protocol writes functionally falls below this bound:
+    the main layout, the recursive intent log, and the version/bounce
+    scratch lines.  The bound is exact, so the digest lines sit right
+    above the last protected line; a store beyond it raises in
+    :meth:`IntegrityDomain._observe`.
     """
-    memory = controller.memory
-    line_bytes = memory.line_bytes
-    extent = max(
-        (max(memory._image) + 1) * line_bytes if memory._image else line_bytes,
-        getattr(getattr(controller, "layout", None), "total_bytes", 0) or 0,
-        1 << 20,
-    )
+    line_bytes = controller.memory.line_bytes
+    extent = controller.layout.total_bytes
     intent_log = getattr(controller, "intent_log", None)
     if intent_log is not None:
         extent = max(extent, intent_log.base + intent_log.size_bytes)
@@ -354,12 +438,22 @@ def enable_integrity(controller, key: bytes = DEFAULT_INTEGRITY_KEY,
             f"{type(controller).__name__} has no persistence policy — the "
             "integrity domain hooks the engine pipeline and cannot attach"
         )
+    layout = getattr(controller, "layout", None)
+    if layout is None:
+        raise ValueError(
+            f"{type(controller).__name__} has no memory layout — the "
+            "integrity domain sizes its trees from it"
+        )
     if discipline is None:
         discipline = policy.integrity_discipline()
-    tree = MerkleIntegrityTree(
-        controller.memory, base=0, size_bytes=_protected_extent(controller),
+    memory = controller.memory
+    regions = [layout.data_tree, *layout.recursive_trees]
+    bucket_trees = [BucketIntegrityTree(memory, region, key=key) for region in regions]
+    line_base = layout.data_tree.base + layout.data_tree.size_bytes
+    line_tree = MerkleIntegrityTree(
+        memory, base=line_base, size_bytes=_exact_extent(controller) - line_base,
         key=key,
     )
-    domain = IntegrityDomain(controller, tree, discipline)
+    domain = IntegrityDomain(controller, line_tree, bucket_trees, discipline, key=key)
     domain.install()
     return domain

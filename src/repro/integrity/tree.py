@@ -25,7 +25,7 @@ authenticate a recovered image against the persisted root witness
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.crypto.prf import Prf
 from repro.mem.controller import NVMMainMemory
@@ -199,17 +199,22 @@ class MerkleIntegrityTree:
 
     # -- uncached reference -----------------------------------------------
 
-    def recompute_root(self) -> bytes:
+    def recompute_root(self, addresses: Optional[Iterable[int]] = None) -> bytes:
         """From-scratch root over the current image; ignores every cache.
 
         Pure: touches neither the node store nor the dirty set.  Recovery
         authenticates a post-crash image by comparing this against the
         persisted root witness; a tracking gap or torn write shows up as
         a mismatch even when every cached digest is self-consistent.
+        ``addresses`` are the written lines to cover (the domain passes
+        the ones it routed to this tree); by default the region is walked.
         """
+        if addresses is None:
+            addresses = self.memory.written_lines(
+                self.base, self.num_leaves * self.line_bytes
+            )
         level_digests: Dict[int, bytes] = {}
-        span = self.num_leaves * self.line_bytes
-        for address in self.memory.written_lines(self.base, span):
+        for address in addresses:
             leaf = (address - self.base) // self.line_bytes
             level_digests[leaf] = self._leaf_digest(leaf)
         arity = self.arity

@@ -1,4 +1,4 @@
-"""Tests for the integrity subsystem: the Merkle tree and the persistence domain."""
+"""Tests for the integrity subsystem: the Merkle trees and the persistence domain."""
 
 import random
 
@@ -6,10 +6,11 @@ import pytest
 
 from repro.config import PCM_TIMING, small_config
 from repro.core.variants import build_variant, get_spec
-from repro.integrity import MerkleIntegrityTree, enable_integrity
+from repro.integrity import BucketIntegrityTree, MerkleIntegrityTree, enable_integrity
 from repro.integrity.tree import DIGEST_BYTES
 from repro.mem.controller import NVMMainMemory
-from repro.mem.request import RequestKind
+from repro.mem.request import Access, RequestKind
+from repro.oram.layout import TreeRegion
 
 
 @pytest.fixture
@@ -175,24 +176,31 @@ class TestIntegrityDomain:
         domain = enable_integrity(controller)
         controller.write(1, b"protected")
         assert controller.read(1).data.rstrip(b"\x00") == b"protected"
-        assert domain.tree.audit() == []
-        assert domain.tree.updates > 0
+        assert domain.audit() == []
+        assert domain.line_tree.updates > 0
+        assert domain.bucket_trees[0].updates > 0
         domain.detach()
 
     def test_attack_on_image_detected(self):
         controller = self._controller()
         domain = enable_integrity(controller)
         controller.write(1, b"protected")
-        tree = domain.tree
-        root = tree.root
-        # Attacker flips a protected line behind the tree's back.
-        victim = next(
-            line for line in controller.memory._image
-            if line * 64 < domain.protect_bytes
-        )
-        controller.memory._image[victim] = b"evil"
-        corrupt = tree.audit(expected_root=root)
-        assert victim * 64 in corrupt
+        root = domain.root
+        # Attacker flips protected lines behind the trees' back: one in
+        # the data tree, one in the residual region.
+        data_end = domain.line_tree.base
+        victims = [
+            next(line for line in controller.memory._image
+                 if line * 64 < data_end),
+            next(line for line in controller.memory._image
+                 if data_end <= line * 64 < domain.protect_bytes),
+        ]
+        for victim in victims:
+            controller.memory._image[victim] = b"evil"
+        corrupt = domain.audit(expected_root=root)
+        for victim in victims:
+            assert victim * 64 in corrupt
+        assert domain.recompute_root() != root
         domain.detach()
 
     def test_survives_crash_recovery_cycle(self):
@@ -203,7 +211,7 @@ class TestIntegrityDomain:
         assert controller.recover()
         assert domain.recovery_violations == []
         controller.write(2, b"after")
-        assert domain.tree.audit() == []
+        assert domain.audit() == []
         domain.detach()
 
     def test_enable_is_idempotent(self):
@@ -221,9 +229,10 @@ class TestIntegrityDomain:
         assert controller.memory.line_observer is None
         assert controller.integrity is None
         # Writes after a double detach are plain, untracked stores.
-        updates = domain.tree.updates
+        trees = (domain.line_tree, *domain.bucket_trees)
+        updates = [tree.updates for tree in trees]
         controller.write(3, b"untracked")
-        assert domain.tree.updates == updates
+        assert [tree.updates for tree in trees] == updates
 
     def test_policy_less_controller_rejected(self):
         memory = NVMMainMemory(PCM_TIMING)
@@ -236,12 +245,22 @@ class TestIntegrityDomain:
         with pytest.raises(ValueError):
             enable_integrity(bare)
 
+    def test_config_switch_leaves_plain_yardstick_alone(self):
+        """The plain controller has no ORAM layout for the trees to cover."""
+        config = small_config(height=5, seed=2, integrity=True)
+        controller = build_variant("plain", config)
+        assert controller.integrity is None
+        controller.write(1, b"plain")
+        assert controller.read(1).data.rstrip(b"\x00") == b"plain"
+        with pytest.raises(ValueError, match="no memory layout"):
+            enable_integrity(controller)
+
     def test_commit_persists_root_witness(self):
         controller = self._controller()
         domain = enable_integrity(controller)
         controller.write(1, b"payload")
         assert domain.root_sequence > 0
-        assert domain.load_persisted_root() == domain.tree.recompute_root()
+        assert domain.load_persisted_root() == domain.recompute_root()
         assert controller.stats.get("integrity_commits") >= 1
         domain.detach()
 
@@ -258,16 +277,17 @@ class TestIntegrityDomain:
 def _record_commits(domain):
     """Log every lazy commit as ``(touched, addresses, datas, expected)``.
 
-    ``touched`` is what ``propagate()`` returned; ``addresses``/``datas``
-    are the commit's integrity burst; ``expected`` maps each touched
-    node's line address to its sibling group's digests in index order,
-    read off the tree at issue time.
+    ``touched`` is what the domain's ``propagate()`` returned (the line
+    tree's recomputed nodes); ``addresses``/``datas`` are the commit's
+    integrity burst; ``expected`` maps each touched node's line address
+    to its sibling group's digests in index order, read off the line tree
+    at issue time.
     """
     memory = domain.c.memory
-    tree = domain.tree
+    tree = domain.line_tree
     arity = tree.arity
     commits = []
-    propagate = tree.propagate
+    propagate = domain.propagate
     issue_path = memory.issue_path
 
     def recording_propagate():
@@ -288,7 +308,7 @@ def _record_commits(domain):
             commits[-1] = (touched, list(addresses), list(datas), expected)
         return issue_path(addresses, access, arrival, kind, datas)
 
-    tree.propagate = recording_propagate
+    domain.propagate = recording_propagate
     memory.issue_path = recording_issue_path
     return commits
 
@@ -303,7 +323,7 @@ class TestLinePackedCommit:
         for addr in range(12):
             controller.write(addr, bytes([addr]) * 4)
             controller.read((addr * 7) % 12)
-        arity = domain.tree.arity
+        arity = domain.line_tree.arity
         assert len(commits) == 24
         for touched, addresses, _, expected in commits:
             groups = {(level, index // arity) for level, index in touched}
@@ -319,7 +339,7 @@ class TestLinePackedCommit:
         commits = _record_commits(domain)
         for addr in range(6):
             controller.write(addr, b"group")
-        line_bytes = domain.tree.arity * DIGEST_BYTES
+        line_bytes = domain.line_tree.arity * DIGEST_BYTES
         for _, addresses, datas, expected in commits:
             assert datas[-1] is None  # the witness goes through _persist_root
             for address, data in zip(addresses[:-1], datas[:-1]):
@@ -329,9 +349,11 @@ class TestLinePackedCommit:
 
 
 def test_ps_int_integrity_lines_per_access_pinned():
-    """Line packing: a ps-int access at height 10 writes far fewer
-    integrity lines than the binary one-digest-per-line layout, which
-    wrote 167.2 per access on this stream; the arity-4 tree writes 53.7."""
+    """Timed integrity lines per ps-int access at height 10 on this stream:
+    167.2 with the binary one-digest-per-line tree over the whole image,
+    53.7 with the arity-4 line-packed tree, and 11.0 now that each ORAM
+    tree is its own bucket tree and only the residual region (flat
+    PosMap, scratch lines) climbs the line-packed tree."""
     controller = get_spec("ps-int").make(small_config(height=10, seed=3))
     rng = random.Random(99)
     accesses = 80
@@ -342,4 +364,143 @@ def test_ps_int_integrity_lines_per_access_pinned():
         else:
             controller.read(addr)
     per_access = controller.stats.get("integrity_node_writes") / accesses
-    assert per_access < 60
+    assert per_access <= 12
+
+
+class TestBucketTree:
+    """Each ORAM tree region is its own Merkle tree (docs/INTEGRITY.md)."""
+
+    REGION = TreeRegion(base=0, height=4, z=4, line_bytes=64)
+
+    def _tree(self):
+        memory = NVMMainMemory(PCM_TIMING)
+        return BucketIntegrityTree(memory, self.REGION), memory
+
+    def _store(self, tree, memory, address, data):
+        memory.store_line(address, data)
+        tree.update_line(address)
+
+    def test_differential_vs_uncached(self):
+        """Random batches of path write-backs, off-path stores (like
+        recovery's restores) and repeated stores: the cached root equals
+        the from-scratch root after every batch."""
+        tree, memory = self._tree()
+        region = self.REGION
+        rng = random.Random(4321)
+        roots = {tree.root}
+        for batch in range(30):
+            kind = batch % 3
+            if kind == 0:  # a whole path, every slot
+                leaf = rng.randrange(1 << region.height)
+                for level in range(region.height + 1):
+                    bucket = (1 << level) - 1 + (leaf >> (region.height - level))
+                    for address in region.bucket_addresses(bucket):
+                        self._store(tree, memory, address, bytes([batch]) * 8)
+            else:  # scattered single-slot stores, some repeated
+                lines = [rng.randrange(region.num_buckets * region.z)
+                         for _ in range(rng.randrange(1, 6))]
+                for line in lines + lines[:1]:
+                    self._store(tree, memory, line * 64, bytes([rng.randrange(256)]) * 8)
+            root = tree.root
+            assert root == tree.recompute_root()
+            assert tree.audit() == []
+            roots.add(root)
+        assert len(roots) > 20
+
+    def test_path_write_back_closure_is_the_path(self):
+        tree, memory = self._tree()
+        region = self.REGION
+        leaf = 5
+        path = [(1 << level) - 1 + (leaf >> (region.height - level))
+                for level in range(region.height + 1)]
+        for bucket in path:
+            for address in region.bucket_addresses(bucket):
+                self._store(tree, memory, address, b"slot")
+        assert tree.propagate() == path
+
+    def test_detects_tampering_and_replay(self):
+        tree, memory = self._tree()
+        self._store(tree, memory, 64, b"version-1")
+        stale = memory.load_line(64)
+        self._store(tree, memory, 64, b"version-2")
+        root = tree.root
+        memory._image[1] = stale  # replay the old line behind the tree
+        assert tree.audit() == [64]
+        assert tree.recompute_root() != root
+
+    def test_out_of_region(self):
+        tree, _ = self._tree()
+        with pytest.raises(ValueError):
+            tree.update_line(self.REGION.size_bytes)
+
+
+class TestPathAlignedDomain:
+    """ORAM tree regions cost no timed integrity line."""
+
+    @staticmethod
+    def _drive(controller, accesses, seed=3):
+        rng = random.Random(seed)
+        for _ in range(accesses):
+            addr = rng.randrange(32)
+            if rng.randrange(2):
+                controller.write(addr, bytes([addr]) * 4)
+            else:
+                controller.read(addr)
+
+    def test_ps_int_access_closure_is_its_path(self):
+        controller = get_spec("ps-int").make(small_config(height=6, seed=5))
+        domain = controller.integrity
+        buckets = domain.bucket_trees[0]
+        height = controller.tree.height
+        closures = []
+        propagate = buckets.propagate
+
+        def recording_propagate():
+            closure = propagate()
+            if closure:  # reading the root re-propagates a clean tree
+                closures.append(closure)
+            return closure
+
+        buckets.propagate = recording_propagate
+        self._drive(controller, 40)
+        assert len(closures) == 40
+        for closure in closures:
+            leaf = closure[-1] - ((1 << height) - 1)
+            assert 0 <= leaf < 1 << height
+            path = {
+                (address - buckets.base) // buckets.line_bytes // buckets.z
+                for address in controller.tree.path_addresses(leaf)
+            }
+            assert len(closure) == height + 1
+            assert set(closure) == path
+
+    @pytest.mark.parametrize("variant", ["ps-int", "rcr-ps-int"])
+    def test_no_timed_integrity_line_inside_a_tree_region(self, variant):
+        controller = get_spec(variant).make(small_config(height=6, seed=5))
+        domain = controller.integrity
+        memory = controller.memory
+        issued = []
+        issue_path = memory.issue_path
+
+        def recording_issue_path(addresses, access, arrival, kind, datas=None):
+            if kind is RequestKind.INTEGRITY:
+                assert access is Access.WRITE
+                issued.extend(addresses)
+            return issue_path(addresses, access, arrival, kind, datas)
+
+        memory.issue_path = recording_issue_path
+        self._drive(controller, 30)
+        assert len(domain.bucket_trees) == (2 if variant == "rcr-ps-int" else 1)
+        assert issued
+        for address in issued:
+            assert domain.node_base <= address < domain.node_end
+            for tree in domain.bucket_trees:
+                assert not tree.base <= address < tree.end
+
+    def test_unprotected_store_raises(self):
+        controller = get_spec("ps-int").make(small_config(height=5, seed=2))
+        domain = controller.integrity
+        with pytest.raises(ValueError, match="outside the integrity-protected"):
+            controller.memory.store_line(domain.node_end, b"stray")
+        # Digest lines themselves are not protected content, and do not raise.
+        controller.memory.store_line(domain.node_end - 64, b"group")

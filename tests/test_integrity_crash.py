@@ -60,7 +60,41 @@ class TestIntegrityCrashPoints:
         report = crash_and_recover(controller)
         assert report.recovered
         assert domain.recovery_violations == []
-        assert domain.load_persisted_root() == domain.tree.recompute_root()
+        assert domain.load_persisted_root() == domain.recompute_root()
+
+    @pytest.mark.parametrize("variant", ["ps-int", "rcr-ps-int"])
+    def test_mid_path_crash_recovers_verified(self, variant):
+        """Cut power after the first round of a multi-round path write
+        committed (small WPQ geometry): the bucket trees hold a half-written
+        path, and recovery must still match the crash-flushed witness."""
+        from repro.crashsim.conformance import WPQ_CONFIGS
+        from repro.crashsim.injector import CrashInjector
+        from repro.errors import SimulatedCrash
+        from repro.util.rng import DeterministicRNG
+
+        config = small_config(height=6, seed=7, wpq=WPQ_CONFIGS["small"])
+        controller = get_spec(variant).make(config)
+        domain = controller.integrity
+        for address in range(4):
+            controller.write(address, bytes([0x40 + address]))
+        inner = getattr(getattr(controller, "posmap_oram", None), "controller", None)
+        counters = [c.stats for c in (controller, inner) if c is not None]
+
+        def rounds():
+            return sum(s.get("ordered_eviction_rounds") for s in counters)
+
+        before = rounds()
+        injector = CrashInjector(controller, DeterministicRNG(7))
+        injector.arm("step5:round-open", skip_hits=1)
+        with pytest.raises(SimulatedCrash):
+            controller.write(5, b"interrupted")
+        injector.disarm()
+        assert injector.fired_point == "step5:round-open"
+        assert rounds() - before >= 2
+        report = crash_and_recover(controller)
+        assert report.recovered
+        assert domain.recovery_violations == []
+        assert domain.load_persisted_root() == domain.recompute_root()
 
     def test_eadr_int_persists_root_only_at_crash(self):
         controller = get_spec("eadr-int").make(small_config(height=5, seed=7))
@@ -73,7 +107,7 @@ class TestIntegrityCrashPoints:
         report = crash_and_recover(controller)
         assert report.recovered
         assert domain.recovery_violations == []
-        assert domain.load_persisted_root() == domain.tree.recompute_root()
+        assert domain.load_persisted_root() == domain.recompute_root()
 
     def test_volatile_baseline_int_is_tracking_only(self):
         controller = get_spec("baseline-int").make(small_config(height=5, seed=7))
