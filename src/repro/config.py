@@ -165,15 +165,6 @@ class ORAMConfig:
     temp_posmap_capacity: int = 96
     aes_latency_cycles: int = 32
     utilization: float = 0.5
-    # Recursion: 0 = non-recursive (PosMap in trusted region);
-    # >0 = number of recursive PosMap ORAM levels.
-    recursion_levels: int = 0
-    # How many path ids fit in one PosMap ORAM block.
-    posmap_entries_per_block: int = 8
-    # PosMap Lookaside Buffer capacity in posmap blocks (0 = disabled).
-    # Only honoured by the recursive variants; volatile, so the
-    # crash-consistent Rcr-PS-ORAM keeps it off (see repro.oram.plb).
-    plb_blocks: int = 0
 
     def validate(self) -> None:
         if self.height < 1:
@@ -189,14 +180,11 @@ class ORAMConfig:
             )
         if not 0.0 < self.utilization <= 1.0:
             raise ConfigError(f"utilization must be in (0, 1], got {self.utilization}")
-        if self.recursion_levels < 0:
-            raise ConfigError(f"recursion levels must be >= 0, got {self.recursion_levels}")
-        if self.posmap_entries_per_block < 2:
-            raise ConfigError(
-                f"posmap entries per block must be >= 2, got {self.posmap_entries_per_block}"
-            )
-        if self.plb_blocks < 0:
-            raise ConfigError(f"PLB capacity must be >= 0, got {self.plb_blocks}")
+
+    @property
+    def posmap_entries_per_block(self) -> int:
+        """How many 8-byte path ids fit in one recursive PosMap block."""
+        return self.block_bytes // 8
 
     @property
     def num_leaves(self) -> int:
@@ -305,7 +293,6 @@ def small_config(
     z: int = 4,
     channels: int = 1,
     seed: int = 1,
-    recursion_levels: int = 0,
     stash_capacity: Optional[int] = None,
     wpq: Optional[WPQConfig] = None,
     sched_window: int = 1,
@@ -323,7 +310,6 @@ def small_config(
         height=height,
         z=z,
         stash_capacity=stash_capacity,
-        recursion_levels=recursion_levels,
     )
     nvm = dataclasses.replace(PCM_TIMING, capacity_bytes=max(oram.tree_bytes * 4, 1 << 20))
     cfg = SystemConfig(

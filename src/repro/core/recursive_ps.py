@@ -34,7 +34,6 @@ from repro.config import SystemConfig
 from repro.engine.ps import DirtyEntryPSPolicy, RecursiveDirtyEntryPSPolicy
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access, RequestKind
-from repro.oram.controller import PathORAMController
 from repro.oram.recursive import RecursivePathORAM
 
 
@@ -114,11 +113,15 @@ class RcrPSORAMController(RecursivePathORAM):
         memory: Optional[NVMMainMemory] = None,
         key: bytes = b"repro-psoram-key",
     ):
-        # RecursivePathORAM.__init__ builds the layout and the posmap tree;
-        # the attached policy adds the temp-PosMap/drainer machinery for
-        # the data tree.
+        # RecursivePathORAM.__init__ builds the layout and the posmap tree,
+        # which is itself crash-consistent (PS-ORAM flavoured); the data
+        # tree's policy adds the temp-PosMap/drainer machinery.
         super().__init__(
-            config, memory=memory, key=key, policy=RecursiveDirtyEntryPSPolicy()
+            config,
+            memory=memory,
+            key=key,
+            policy=RecursiveDirtyEntryPSPolicy(),
+            posmap_policy=DirtyEntryPSPolicy(),
         )
         inner = self.posmap_oram.controller
         # Skip the inner controller's version line + bounce region.
@@ -133,25 +136,4 @@ class RcrPSORAMController(RecursivePathORAM):
             base=intent_base,
             slots=self.oram_config.temp_posmap_capacity,
             line_bytes=self.oram_config.block_bytes,
-        )
-
-    def _plb_allowed(self) -> bool:
-        # A volatile PLB would lose committed remaps in a crash; the
-        # crash-consistent recursive design refuses it (see repro.oram.plb).
-        return False
-
-    def _make_posmap_controller(
-        self, config, pm_config, pm_region, root_posmap_region, key
-    ):
-        """The posmap tree is itself crash-consistent (PS-ORAM flavoured)."""
-        return PathORAMController(
-            config,
-            memory=self.memory,
-            key=key,
-            oram_config=pm_config,
-            data_region=pm_region,
-            posmap_region=root_posmap_region,
-            request_kind=RequestKind.POSMAP,
-            name="posmap-oram",
-            policy=DirtyEntryPSPolicy(),
         )

@@ -96,11 +96,6 @@ class AccessResult:
     #: scheduler overlaps the next access's fetch with everything after
     #: this point.  Equals ``finish_cycle`` for stash-hit short circuits.
     fetch_finish_cycle: int = -1
-    #: Per-channel ``next_free_cycles()`` (memory-domain) snapshot taken as
-    #: the fetch completed — the scheduler's interleaving signal: a
-    #: disjoint younger access may start as soon as the earliest channel
-    #: freed, even before the full fetch finished on the others.
-    fetch_channel_free: tuple = ()
     #: Per-tree-level ``(arrival, finish)`` memory-cycle spans of the path
     #: fetch, root-first — the fetch half of the segment-level timing
     #: decomposition (docs/SCHEDULER.md).  Empty for stash hits and for
@@ -213,7 +208,6 @@ class AccessEngine:
         self._checkpoint("phase:fetch")
         fetched = self._fetch_blocks(address, old_path)
         fetch_finish = self.now
-        fetch_channel_free = tuple(self.memory.next_free_cycles())
         fetch_level_spans = self._fetch_level_spans
         if fetch_level_spans is not None:
             self._fetch_level_spans = None
@@ -249,7 +243,6 @@ class AccessEngine:
             start_cycle=start,
             finish_cycle=self.now,
             fetch_finish_cycle=fetch_finish,
-            fetch_channel_free=fetch_channel_free,
             fetch_level_spans=fetch_level_spans,
             writeback_level_release=wb_level_release,
         )

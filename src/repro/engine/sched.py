@@ -25,8 +25,8 @@ earliest cycle its hazards allow:
   the younger access's *fetch of that level* is floored to that cycle —
   everything on the disjoint subtree overlaps freely.  Every pair of
   paths shares the root; the top ``TOP_CACHED_LEVELS`` levels are
-  assumed held in the controller's bucket buffer (PLB-style top cache)
-  and are never floored;
+  assumed held in the controller's on-chip bucket buffer and are never
+  floored;
 * **whole-path fallback** — an older access that reported no per-level
   release (stash hits) or an access whose path cannot
   be peeked (non-tree hierarchies): the younger access serializes behind
@@ -87,7 +87,6 @@ class _Inflight:
         "path",
         "fetch_finish",
         "finish",
-        "channel_free",
         "wb_release",
     )
 
@@ -97,14 +96,12 @@ class _Inflight:
         path: int,
         fetch_finish: int,
         finish: int,
-        channel_free: tuple,
         wb_release: tuple,
     ):
         self.address = address
         self.path = path
         self.fetch_finish = fetch_finish
         self.finish = finish
-        self.channel_free = channel_free
         #: Per-level mem cycle at which this access's write-back released
         #: each tree bucket segment (root-first); empty when the policy
         #: reported none (stash hits) — the scheduler
@@ -162,11 +159,8 @@ class WindowScheduler:
         # accesses and explicit drains land here).
         self._floor = controller.now
         tree = getattr(controller, "tree", None)
-        store = getattr(controller, "store", None)
         if tree is not None:
             self._height = tree.height
-        elif store is not None:
-            self._height = store.height
         else:
             # No tree (plain/strawman hierarchies): every pair of
             # "paths" conflicts, i.e. accesses serialize.
@@ -356,7 +350,6 @@ class WindowScheduler:
                 result.old_path,
                 result.fetch_finish_cycle,
                 result.finish_cycle,
-                result.fetch_channel_free,
                 result.writeback_level_release,
             )
         )

@@ -447,7 +447,9 @@ def enable_integrity(controller, key: bytes = DEFAULT_INTEGRITY_KEY,
     if discipline is None:
         discipline = policy.integrity_discipline()
     memory = controller.memory
-    regions = [layout.data_tree, *layout.recursive_trees]
+    regions = [layout.data_tree]
+    if layout.posmap_tree is not None:
+        regions.append(layout.posmap_tree)
     bucket_trees = [BucketIntegrityTree(memory, region, key=key) for region in regions]
     line_base = layout.data_tree.base + layout.data_tree.size_bytes
     line_tree = MerkleIntegrityTree(

@@ -2,15 +2,15 @@
 
 The persistent memory is carved into regions::
 
-    [ data ORAM tree | PosMap region | recursive PosMap tree(s) ]
+    [ data ORAM tree | PosMap region | recursive PosMap tree ]
 
 * The *data ORAM tree* holds ``num_buckets * Z`` block slots; slot ``j`` of
   bucket ``i`` occupies one line at index ``i * Z + j``.
 * The *PosMap region* exists in the non-recursive (trusted-region) setting:
   a flat table of path-id entries, several per line.  PS-ORAM's PosMap WPQ
   drains dirty entries here.
-* Each *recursive PosMap tree* is a smaller ORAM tree with the same slot
-  layout, used when no trusted region exists.
+* The *recursive PosMap tree* (``recursive=True`` only) is a smaller ORAM
+  tree with the same slot layout, used when no trusted region exists.
 
 Timing-wise every slot access is one line transfer (the paper's 64B block),
 regardless of the functional wire size of the encrypted blob — the
@@ -21,7 +21,7 @@ rides along with its line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.config import ORAMConfig
 from repro.errors import ConfigError
@@ -81,7 +81,7 @@ class PosMapRegion:
 class MemoryLayout:
     """Computes non-overlapping region bases for one configuration."""
 
-    def __init__(self, config: ORAMConfig, line_bytes: int = 64):
+    def __init__(self, config: ORAMConfig, line_bytes: int = 64, recursive: bool = False):
         config.validate()
         self.config = config
         self.line_bytes = line_bytes
@@ -101,19 +101,17 @@ class MemoryLayout:
         # persisted version counter (1 line) and the ordered-eviction
         # bounce region (16 lines) — see DirtyEntryPSPolicy.BOUNCE_LINES.
         cursor += self.posmap.size_bytes + 17 * line_bytes
-        self.recursive_trees: List[TreeRegion] = []
-        entries = config.num_logical_blocks
-        for _ in range(config.recursion_levels):
-            # Each level maps the previous level's entries, packed
-            # posmap_entries_per_block to a block, into its own tree at the
-            # same Z and 50% utilization.
-            blocks = max(1, (entries + config.posmap_entries_per_block - 1)
-                         // config.posmap_entries_per_block)
+        # The recursive setting adds one posmap tree: the data tree's
+        # entries, packed posmap_entries_per_block to a block, at the same
+        # Z and utilization.
+        self.posmap_tree: Optional[TreeRegion] = None
+        if recursive:
+            blocks = max(1, -(-config.num_logical_blocks // config.posmap_entries_per_block))
             height = self._height_for_blocks(blocks, config.z, config.utilization)
-            region = TreeRegion(base=cursor, height=height, z=config.z, line_bytes=line_bytes)
-            self.recursive_trees.append(region)
-            cursor += region.size_bytes
-            entries = blocks
+            self.posmap_tree = TreeRegion(
+                base=cursor, height=height, z=config.z, line_bytes=line_bytes
+            )
+            cursor += self.posmap_tree.size_bytes
         self.total_bytes = cursor
 
     @staticmethod
@@ -132,9 +130,10 @@ class MemoryLayout:
             f"posmap:       base={self.posmap.base:#x} "
             f"entries={self.posmap.num_entries} size={self.posmap.size_bytes}",
         ]
-        for i, region in enumerate(self.recursive_trees):
+        if self.posmap_tree is not None:
+            region = self.posmap_tree
             lines.append(
-                f"posmap tree {i}: base={region.base:#x} "
+                f"posmap tree:  base={region.base:#x} "
                 f"height={region.height} size={region.size_bytes}"
             )
         return "\n".join(lines)

@@ -3,18 +3,17 @@
 When no trusted memory region exists, the PosMap cannot live in a flat NVM
 table — updating entry ``a`` in place would reveal which logical block was
 touched.  Instead the PosMap itself is stored as a (smaller) ORAM tree in
-untrusted NVM: ``posmap_entries_per_block`` path ids are packed into each
-posmap block, and looking up / updating one entry is a normal ORAM access
+untrusted NVM: ``block_bytes // 8`` path ids are packed into each posmap
+block, and looking up / updating one entry is a normal ORAM access
 on the *posmap tree*.  The posmap tree's own position map (much smaller) is
 kept on-chip.
 
-We model one level of recursion.  With the paper's parameters (L = 23,
-Z = 4, 8 entries/block) the posmap tree has height 20, so a posmap access
-adds ``4 * 21 = 84`` slot reads + writes on top of the data path's 96 —
-matching the ~90% read-traffic increase Figure 6(a) reports for the
-recursive schemes.  Deeper recursion shrinks the on-chip residue at the
-cost of more traffic; it changes constants, not protocol structure
-(DESIGN.md records this substitution).
+Like the paper's recursive systems (Section 4.4, Fig. 5(b)) we build
+exactly one posmap tree and no PosMap Lookaside Buffer.  With the paper's
+parameters (L = 23, Z = 4, 8 entries/block) the posmap tree has height
+20, so a posmap access adds ``4 * 21 = 84`` slot reads + writes on top of
+the data path's 96 — matching the ~90% read-traffic increase Figure 6(a)
+reports for the recursive schemes.
 
 :class:`RecursivePathORAM` is the paper's **Rcr-Baseline**: every access
 performs the posmap-tree access (so PosMap updates are written back to NVM
@@ -29,13 +28,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
-from repro.config import ORAMConfig, SystemConfig
-from repro.errors import ConfigError
+from repro.config import SystemConfig
+from repro.engine.policy import PersistencePolicy
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import RequestKind
 from repro.oram.controller import PathORAMController
 from repro.oram.layout import MemoryLayout, PosMapRegion
-from repro.oram.plb import PosMapLookasideBuffer
 
 
 ENTRY_BYTES = 8
@@ -55,34 +53,21 @@ def unpack_entry(payload: bytes, slot: int) -> int:
     return int.from_bytes(payload[slot * ENTRY_BYTES : (slot + 1) * ENTRY_BYTES], "little")
 
 
-def make_posmap_oram_config(base: ORAMConfig, height: int) -> ORAMConfig:
-    """Derive the mini-ORAM config for a posmap tree of the given height."""
-    stash = max(base.stash_capacity, 2 * base.z * (height + 1))
-    return dataclasses.replace(
-        base, height=height, recursion_levels=0, stash_capacity=stash
-    )
-
-
 class PosMapORAM:
     """The posmap tree: a mini Path ORAM storing packed path-id entries.
 
     Wraps a controller (baseline or PS-ORAM flavoured, injected by the
-    caller) and exposes entry-level lookup/update.  Uninitialized entries
-    decode as the deterministic initial mapping of the *data* ORAM, courtesy
-    of an injected ``initial_path`` function — so no initialization pass is
-    needed.
+    caller) and exposes entry-level lookup-and-update.  Uninitialized
+    entries decode as the deterministic initial mapping of the *data* ORAM,
+    courtesy of an injected ``initial_path`` function — so no
+    initialization pass is needed.
     """
 
     SENTINEL = (1 << 64) - 1  # "entry never written" marker inside a block
 
-    def __init__(self, controller: PathORAMController, entries_per_block: int, initial_path):
-        if entries_per_block * ENTRY_BYTES > controller.oram_config.block_bytes:
-            raise ValueError(
-                f"{entries_per_block} entries of {ENTRY_BYTES}B do not fit a "
-                f"{controller.oram_config.block_bytes}B block"
-            )
+    def __init__(self, controller: PathORAMController, initial_path):
         self.controller = controller
-        self.entries_per_block = entries_per_block
+        self.entries_per_block = controller.oram_config.posmap_entries_per_block
         self._initial_path = initial_path
 
     def _locate(self, address: int) -> Tuple[int, int]:
@@ -107,16 +92,6 @@ class PosMapORAM:
         )
         return self._decode(result.data, slot, address)
 
-    def lookup(self, address: int) -> int:
-        """One timed posmap-tree access that only reads the entry."""
-        block_idx, slot = self._locate(address)
-        result = self.controller.access(block_idx, is_write=False)
-        return self._decode(result.data, slot, address)
-
-    def update(self, address: int, new_path: int) -> None:
-        """One timed posmap-tree access that only writes the entry."""
-        self.lookup_update(address, new_path)
-
     @property
     def now(self) -> int:
         return self.controller.now
@@ -126,40 +101,18 @@ class PosMapORAM:
         self.controller.now = value
 
 
-class _ChainedPosMapController(PathORAMController):
-    """A posmap-tree controller whose *own* PosMap lives one level deeper.
-
-    Used for the inner levels of a multi-level recursion: level-``i``'s
-    position lookups route through level-``i+1``'s tree (``next_posmap``),
-    exactly as the data tree routes through level 1.  The deepest level has
-    ``next_posmap is None`` — its PosMap is the on-chip root.
-    """
-
-    next_posmap: Optional["PosMapORAM"] = None
-
-    def _remap_update(self, address: int, new_path: int, old_path: int) -> None:
-        self.posmap.set(address, new_path)
-        if self.next_posmap is not None:
-            self.next_posmap.now = self.now
-            self.next_posmap.lookup_update(address, new_path)
-            self.now = self.next_posmap.now
-
-    def _crash_dependents(self) -> None:
-        if self.next_posmap is not None:
-            self.next_posmap.controller.crash()
-
-
 class RecursivePathORAM(PathORAMController):
     """Rcr-Baseline: Path ORAM with a recursive PosMap in untrusted NVM.
 
-    ``recursion_levels`` chains posmap trees Freecursive-style: level 1
-    stores the data tree's entries, level 2 stores level 1's, and so on;
-    only the deepest level's (small) PosMap stays on-chip.  The inherited
-    ``self.posmap`` dict remains the *architectural* view the controller
-    trusts for staleness checks; the posmap trees provide the timed,
-    persistent storage.  On a crash the architectural view is lost with
-    everything else on chip; Rcr-Baseline cannot rebuild a consistent
-    state because the posmap-tree stashes and root posmap were volatile.
+    One posmap tree stores the data tree's entries; only its own (small)
+    PosMap stays on-chip.  ``posmap_policy`` is the posmap tree's
+    persistence policy (volatile by default; Rcr-PS-ORAM passes a PS-ORAM
+    one).  The inherited ``self.posmap`` dict remains the *architectural*
+    view the controller trusts for staleness checks; the posmap tree
+    provides the timed, persistent storage.  On a crash the architectural
+    view is lost with everything else on chip; Rcr-Baseline cannot rebuild
+    a consistent state because the posmap-tree stash and root posmap were
+    volatile.
     """
 
     def __init__(
@@ -167,13 +120,11 @@ class RecursivePathORAM(PathORAMController):
         config: SystemConfig,
         memory: Optional[NVMMainMemory] = None,
         key: bytes = b"repro-psoram-key",
+        posmap_policy: Optional[PersistencePolicy] = None,
         **kwargs,
     ):
-        if config.oram.recursion_levels < 1:
-            config = config.replace(
-                oram=dataclasses.replace(config.oram, recursion_levels=1)
-            )
-        layout = MemoryLayout(config.oram, line_bytes=config.oram.block_bytes)
+        line = config.oram.block_bytes
+        layout = MemoryLayout(config.oram, line_bytes=line, recursive=True)
         super().__init__(
             config,
             memory=memory,
@@ -184,82 +135,22 @@ class RecursivePathORAM(PathORAMController):
             **kwargs,
         )
         self.layout = layout
-        self.posmap_oram = self._build_posmap_chain(config, key)
-        self.plb = (
-            PosMapLookasideBuffer(config.oram.plb_blocks)
-            if config.oram.plb_blocks > 0 and self._plb_allowed()
-            else None
+        pm_region = layout.posmap_tree
+        pm_config = dataclasses.replace(
+            config.oram,
+            height=pm_region.height,
+            stash_capacity=max(
+                config.oram.stash_capacity, 2 * config.oram.z * (pm_region.height + 1)
+            ),
         )
-
-    def _build_posmap_chain(self, config: SystemConfig, key: bytes) -> "PosMapORAM":
-        """Construct the posmap trees, deepest level first, and chain them."""
-        line = config.oram.block_bytes
-        levels = []
-        for depth, pm_region in enumerate(self.layout.recursive_trees):
-            pm_config = make_posmap_oram_config(config.oram, pm_region.height)
-            # Flat drain region after each tree (used by the PS variants'
-            # WPQ machinery; inert for the baseline).
-            root_posmap_region = PosMapRegion(
-                base=pm_region.base + pm_region.size_bytes,
-                num_entries=pm_config.num_logical_blocks,
-                line_bytes=line,
-            )
-            if depth == 0:
-                controller = self._make_posmap_controller(
-                    config, pm_config, pm_region, root_posmap_region, key
-                )
-            else:
-                controller = _ChainedPosMapController(
-                    config,
-                    memory=self.memory,
-                    key=key,
-                    oram_config=pm_config,
-                    data_region=pm_region,
-                    posmap_region=root_posmap_region,
-                    request_kind=RequestKind.POSMAP,
-                    name=f"posmap-oram-{depth}",
-                )
-            levels.append(controller)
-        # Chain: level i's own posmap lookups go through level i+1's tree.
-        for depth in range(len(levels) - 1):
-            shallower = levels[depth]
-            deeper = levels[depth + 1]
-            if not isinstance(shallower, _ChainedPosMapController):
-                raise ConfigError(
-                    "recursion_levels > 1 requires a chain-capable posmap "
-                    f"controller at level {depth}; "
-                    f"{type(shallower).__name__} is not (the crash-"
-                    "consistent recursive design supports one level)"
-                )
-            shallower.next_posmap = PosMapORAM(
-                deeper,
-                self.config.oram.posmap_entries_per_block,
-                shallower.posmap.initial_path,
-            )
-        return PosMapORAM(
-            levels[0],
-            config.oram.posmap_entries_per_block,
-            self.posmap.initial_path,
+        # Flat drain region after the tree (used by the PS policy's WPQ
+        # machinery; inert for the baseline).
+        root_posmap_region = PosMapRegion(
+            base=pm_region.base + pm_region.size_bytes,
+            num_entries=pm_config.num_logical_blocks,
+            line_bytes=line,
         )
-
-    def _plb_allowed(self) -> bool:
-        """Whether this variant may use the (volatile) PLB.
-
-        Rcr-Baseline may; crash-consistent subclasses override to refuse —
-        a dirty PLB block lost in a crash would drop committed remaps.
-        """
-        return True
-
-    def _make_posmap_controller(
-        self, config, pm_config, pm_region, root_posmap_region, key
-    ) -> PathORAMController:
-        """Build the level-1 posmap-tree controller (hook for Rcr-PS).
-
-        The baseline uses the chain-capable class so deeper recursion
-        levels can be attached; with one level ``next_posmap`` stays None
-        and it behaves exactly like a plain controller.
-        """
-        return _ChainedPosMapController(
+        controller = PathORAMController(
             config,
             memory=self.memory,
             key=key,
@@ -268,54 +159,30 @@ class RecursivePathORAM(PathORAMController):
             posmap_region=root_posmap_region,
             request_kind=RequestKind.POSMAP,
             name="posmap-oram",
+            policy=posmap_policy,
         )
+        self.posmap_oram = PosMapORAM(controller, self.posmap.initial_path)
 
     # -- step 2 override ---------------------------------------------------
 
     def _remap_update(self, address: int, new_path: int, old_path: int) -> None:
         """Timed recursive PosMap lookup + update.
 
-        The posmap-tree access (or PLB hit) and the architectural update
-        happen together; the mini controller's clock is slaved to ours
-        around the call.
+        The posmap-tree access and the architectural update happen
+        together; the mini controller's clock is slaved to ours around the
+        call.
         """
         self.posmap.set(address, new_path)
         self.posmap_oram.now = self.now
-        stored_old = self._posmap_lookup_update(address, new_path)
+        stored_old = self.posmap_oram.lookup_update(address, new_path)
         self.now = self.posmap_oram.now
         # The architectural view and the tree-stored view must agree; they
         # can only diverge after a crash, which recovery reconciles.
         if stored_old != old_path:
             self.stats.counter("posmap_divergence").add()
 
-    def _posmap_lookup_update(self, address: int, new_path: int) -> int:
-        """Read + update one PosMap entry, through the PLB when enabled."""
-        if self.plb is None:
-            return self.posmap_oram.lookup_update(address, new_path)
-        pm = self.posmap_oram
-        block_idx = address // pm.entries_per_block
-        slot = address % pm.entries_per_block
-        payload = self.plb.lookup(block_idx)
-        if payload is None:
-            # One posmap-tree read access fetches the block; the update
-            # then lives in the PLB until eviction writes it back.
-            result = pm.controller.access(block_idx, is_write=False)
-            payload = result.data
-            victim = self.plb.install(block_idx, payload)
-            if victim is not None:
-                victim_idx, victim_payload = victim
-                pm.controller.access(
-                    victim_idx, is_write=True, data=victim_payload
-                )
-                self.stats.counter("plb_writebacks").add()
-        old = pm._decode(payload, slot, address)
-        self.plb.update(block_idx, pack_entry(payload, slot, new_path + 1))
-        return old
-
     # -- crash semantics -------------------------------------------------------
 
     def _crash_dependents(self) -> None:
         """The posmap tree's volatile state is lost along with the data ORAM's."""
         self.posmap_oram.controller.crash()
-        if self.plb is not None:
-            self.plb.clear()

@@ -73,9 +73,6 @@ class _OffsetMemory:
             access, arrival_cycle, kind, datas,
         )
 
-    def next_free_cycles(self):
-        return self.shared.next_free_cycles()
-
     def store_line(self, address: int, data: bytes) -> None:
         self.shared.store_line(address + self.offset, data)
 

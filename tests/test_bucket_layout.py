@@ -33,19 +33,19 @@ class TestBucket:
 
 
 class TestMemoryLayout:
-    def _config(self, height=6, recursion=0):
-        return ORAMConfig(height=height, z=4, stash_capacity=100,
-                          recursion_levels=recursion)
+    def _config(self, height=6):
+        return ORAMConfig(height=height, z=4, stash_capacity=100)
 
     def test_regions_do_not_overlap(self):
-        layout = MemoryLayout(self._config(recursion=2))
-        regions = [
+        layout = MemoryLayout(self._config(), recursive=True)
+        regions = sorted([
             (layout.data_tree.base, layout.data_tree.size_bytes),
             (layout.posmap.base, layout.posmap.size_bytes),
-        ] + [(r.base, r.size_bytes) for r in layout.recursive_trees]
-        regions.sort()
+            (layout.posmap_tree.base, layout.posmap_tree.size_bytes),
+        ])
         for (base_a, size_a), (base_b, _) in zip(regions, regions[1:]):
             assert base_a + size_a <= base_b
+        assert layout.total_bytes == layout.posmap_tree.base + layout.posmap_tree.size_bytes
 
     def test_slot_addresses_unique_and_line_aligned(self):
         layout = MemoryLayout(self._config(height=4))
@@ -76,21 +76,44 @@ class TestMemoryLayout:
             region.entry_address(region.num_entries)
 
     def test_recursive_trees_shrink(self):
-        layout = MemoryLayout(self._config(height=10, recursion=2))
-        heights = [r.height for r in layout.recursive_trees]
-        assert heights == sorted(heights, reverse=True)
-        assert heights[0] < 10
+        layout = MemoryLayout(self._config(height=10), recursive=True)
+        assert layout.posmap_tree.height < layout.data_tree.height == 10
 
     def test_recursive_tree_holds_all_posmap_blocks(self):
-        config = self._config(height=10, recursion=1)
-        layout = MemoryLayout(config)
+        config = self._config(height=10)
+        layout = MemoryLayout(config, recursive=True)
         posmap_blocks = -(-config.num_logical_blocks // config.posmap_entries_per_block)
-        tree = layout.recursive_trees[0]
+        tree = layout.posmap_tree
         usable = int(tree.z * tree.num_buckets * config.utilization)
         assert usable >= posmap_blocks
+        # ...and it is the smallest tree that does: one level fewer would not.
+        smaller = int(tree.z * ((1 << tree.height) - 1) * config.utilization)
+        assert smaller < posmap_blocks
+
+    def test_recursive_carves_exactly_one_posmap_tree(self):
+        config = self._config(height=10)
+        flat = MemoryLayout(config)
+        recursive = MemoryLayout(config, recursive=True)
+        # The posmap tree is appended after the flat layout's regions, so
+        # the data tree and PosMap region sit where they do without it.
+        assert recursive.data_tree == flat.data_tree
+        assert recursive.posmap == flat.posmap
+        assert recursive.posmap_tree.base == flat.total_bytes
+        assert recursive.total_bytes == flat.total_bytes + recursive.posmap_tree.size_bytes
+
+    def test_non_recursive_carves_no_posmap_tree(self):
+        layout = MemoryLayout(self._config())
+        assert layout.posmap_tree is None
+        # The scratch lines after the PosMap region end the layout.
+        assert layout.total_bytes == layout.posmap.base + layout.posmap.size_bytes + 17 * 64
+
+    def test_posmap_entries_per_block_derived_from_block_size(self):
+        assert self._config().posmap_entries_per_block == 8
+        assert ORAMConfig(height=6, stash_capacity=100, block_bytes=128).posmap_entries_per_block == 16
 
     def test_describe_mentions_all_regions(self):
-        text = MemoryLayout(self._config(recursion=1)).describe()
+        text = MemoryLayout(self._config(), recursive=True).describe()
         assert "data tree" in text
         assert "posmap" in text
-        assert "posmap tree 0" in text
+        assert "posmap tree" in text
+        assert "posmap tree" not in MemoryLayout(self._config()).describe()

@@ -49,6 +49,13 @@ EXPECTED = {
         "1e50af16acea576a7872f656cb6defa7ba67ff336c016df35cb247eca8e19036",
         1034942,
     ),
+    # rcr-baseline captured at aefebe0 with the same drive, before the
+    # posmap tree stopped being a one-level chain controller.
+    "rcr-baseline": (
+        "5060e12f0ebaf912e858b75367a6369d2fdd3912b0b2e0d2c6c4fc7cb75d28df",
+        "3069fd10ea97cc3a112d70720b8f3fe5919182d934f08fee413bb5ba8db32c79",
+        956906,
+    ),
     # ps-hybrid and eadr-oram goldens captured at acba882 (pre-engine
     # refactor) with the same drive; eadr-oram includes a mid-drive
     # crash+recover (CRASH_AT) so the digest pins the drain/restore path.
@@ -72,6 +79,7 @@ CONTROLLERS = {
     # The recursive design pays an ORAM access per PosMap level; a shorter
     # drive keeps the fixture fast without losing coverage.
     "rcr-ps": ("rcr-ps", 120, 100),
+    "rcr-baseline": ("rcr-baseline", 120, 100),
     "ps-hybrid": ("ps-hybrid", 300, 200),
     "eadr-oram": ("eadr-oram", 300, 200),
 }

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.config import small_config
+from repro.core.variants import get_spec
+from repro.engine.policy import VolatilePolicy
+from repro.engine.ps import DirtyEntryPSPolicy
 from repro.mem.request import RequestKind
 from repro.oram.recursive import (
     RecursivePathORAM,
@@ -50,7 +53,7 @@ class TestRecursivePathORAM:
                 assert rcr.read(addr).data == model.get(addr, bytes(64))
 
     def test_posmap_tree_smaller_than_data_tree(self, rcr):
-        assert rcr.layout.recursive_trees[0].height < rcr.tree.height
+        assert rcr.layout.posmap_tree.height < rcr.tree.height
 
     def test_posmap_traffic_tagged(self, rcr):
         rcr.write(5, b"x")
@@ -97,76 +100,12 @@ class TestRecursivePathORAM:
         assert rcr.posmap_oram.controller.stash.occupancy == 0
 
 
-class TestMultiLevelRecursion:
-    @pytest.fixture
-    def rcr2(self):
-        import dataclasses
-
-        config = small_config(height=9, seed=4)
-        config = config.replace(
-            oram=dataclasses.replace(
-                config.oram, recursion_levels=2, posmap_entries_per_block=4
-            )
-        )
-        return RecursivePathORAM(config)
-
-    def test_two_trees_built_and_shrinking(self, rcr2):
-        heights = [r.height for r in rcr2.layout.recursive_trees]
-        assert len(heights) == 2
-        assert heights[1] < heights[0] < rcr2.tree.height
-
-    def test_chain_wired(self, rcr2):
-        level1 = rcr2.posmap_oram.controller
-        assert level1.next_posmap is not None
-        assert level1.next_posmap.controller.next_posmap is None
-
-    def test_functional_correctness(self, rcr2):
-        rng = DeterministicRNG(6)
-        model = {}
-        for i in range(150):
-            addr = rng.randrange(80)
-            if rng.random() < 0.5:
-                value = bytes([i % 256])
-                rcr2.write(addr, value)
-                model[addr] = value + bytes(63)
-            else:
-                assert rcr2.read(addr).data == model.get(addr, bytes(64))
-        assert rcr2.stats.get("posmap_divergence") == 0
-
-    def test_each_level_adds_traffic(self, rcr2):
-        import dataclasses
-
-        config = small_config(height=9, seed=4)
-        one_level = RecursivePathORAM(
-            config.replace(oram=dataclasses.replace(
-                config.oram, recursion_levels=1, posmap_entries_per_block=4
-            ))
-        )
-        rng_a, rng_b = DeterministicRNG(7), DeterministicRNG(7)
-        for i in range(50):
-            rcr2.write(rng_a.randrange(60), b"v")
-            one_level.write(rng_b.randrange(60), b"v")
-        assert (
-            rcr2.traffic.reads_of(RequestKind.POSMAP)
-            > one_level.traffic.reads_of(RequestKind.POSMAP)
-        )
-
-    def test_crash_cascades_through_chain(self, rcr2):
-        rcr2.write(1, b"x")
-        rcr2.crash()
-        level1 = rcr2.posmap_oram.controller
-        assert level1.stash.occupancy == 0
-        assert level1.next_posmap.controller.stash.occupancy == 0
-
-    def test_rcr_ps_refuses_multi_level(self):
-        import dataclasses
-
-        from repro.core.recursive_ps import RcrPSORAMController
-        from repro.errors import ConfigError
-
-        config = small_config(height=9, seed=4)
-        config = config.replace(
-            oram=dataclasses.replace(config.oram, recursion_levels=2)
-        )
-        with pytest.raises(ConfigError):
-            RcrPSORAMController(config)
+@pytest.mark.parametrize("variant, policy", [
+    ("rcr-baseline", VolatilePolicy),
+    ("rcr-ps", DirtyEntryPSPolicy),
+])
+def test_posmap_tree_policy_per_variant(variant, policy):
+    controller = get_spec(variant).make(small_config(height=6))
+    posmap_controller = controller.posmap_oram.controller
+    assert type(posmap_controller.policy) is policy
+    assert posmap_controller.tree.region == controller.layout.posmap_tree
