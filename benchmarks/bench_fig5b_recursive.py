@@ -43,7 +43,9 @@ def test_fig5b_recursive_performance(benchmark):
     # Shapes: recursion costs a large constant; PS adds single digits on top.
     assert norm["rcr-baseline"] > 1.4
     assert norm["rcr-ps"] > norm["rcr-baseline"]
-    assert ps_within - 1.0 < 0.12
+    # With the intent record posted at WPQ acceptance the PS tax is 3.65%;
+    # an access that stalls on the record's NVM write again pays 5.68%.
+    assert ps_within - 1.0 < 0.05
 
 
 def main(argv=None) -> int:

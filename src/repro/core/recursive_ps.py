@@ -19,8 +19,10 @@ Combines the PS-ORAM mechanisms with a recursive PosMap in untrusted NVM:
 The intent log is our mechanization of the paper's Claim-3 "small PosMap
 ORAM path write" for deferred metadata: it costs one NVM line write per
 access (write-only overhead, zero extra reads), where the paper reports
-+15.5% writes for its variant of the bookkeeping.  EXPERIMENTS.md records
-measured-vs-paper for this row.
++15.5% writes for its variant of the bookkeeping.  The record is durable
+once the WPQ accepts it (ADR), so the write is posted: the posmap-tree
+update that follows does not wait for it to reach the NVM.  EXPERIMENTS.md
+records measured-vs-paper for this row.
 
 The remap/recovery protocol bodies live in
 :class:`repro.engine.ps.RecursiveDirtyEntryPSPolicy`.
@@ -62,8 +64,12 @@ class IntentLog:
     def size_bytes(self) -> int:
         return self.slots * self.line_bytes
 
-    def append(self, address: int, old_path: int, new_path: int, now_mem: int) -> int:
-        """Persist one intent (timed line write); returns completion cycle."""
+    def append(self, address: int, old_path: int, new_path: int, now_mem: int) -> None:
+        """Persist one intent: a timed line write issued at ``now_mem``.
+
+        The record is durable once the WPQ accepts it (ADR), so the write
+        is posted: nothing waits for its completion.
+        """
         self._seq += 1
         record = (
             self._seq.to_bytes(8, "little")
@@ -73,11 +79,7 @@ class IntentLog:
         )
         line = self.base + self._cursor * self.line_bytes
         self._cursor = (self._cursor + 1) % self.slots
-        request = self.memory.issue(
-            line, Access.WRITE, now_mem, RequestKind.PERSIST, data=record
-        )
-        complete = request.complete_cycle
-        return complete if complete is not None else now_mem
+        self.memory.issue(line, Access.WRITE, now_mem, RequestKind.PERSIST, data=record)
 
     def records(self) -> List[Tuple[int, int, int, int]]:
         """All persisted records as (seq, address, old_path, new_path)."""

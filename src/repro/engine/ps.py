@@ -578,10 +578,9 @@ class RecursiveDirtyEntryPSPolicy(DirtyEntryPSPolicy):
         new_path = c.rng.randrange(c.posmap.num_leaves)
         # 1. Persist the intent (one line write) *before* the posmap tree
         #    learns the new path — recovery can then always reconcile.
-        finish_mem = c.intent_log.append(
-            address, old_path, new_path, c.clock.core_to_mem(c.now)
-        )
-        c.now = c.clock.mem_to_core(finish_mem)
+        #    The write is durable once the WPQ accepts it (ADR), so the
+        #    access does not wait for it to reach the NVM.
+        c.intent_log.append(address, old_path, new_path, c.clock.core_to_mem(c.now))
         c._checkpoint("step2:after-intent")
         # 2. Timed posmap-tree read-modify-write, like Rcr-Baseline.
         c.posmap.set(address, new_path)

@@ -27,8 +27,10 @@ drives every hook):
   loudly instead of going unprotected;
 * at ``phase:persist-commit`` both trees are batch-propagated and the
   residual tree's affected group lines are written out as timed
-  :class:`~repro.mem.request.RequestKind.INTEGRITY` traffic, bracketed
-  by the :data:`INTEGRITY_CRASH_POINTS` checkpoints; the **persisted
+  :class:`~repro.mem.request.RequestKind.INTEGRITY` traffic, posted like
+  a drainer round (durable once the WPQ accepts them, so the access does
+  not wait for them), bracketed by the :data:`INTEGRITY_CRASH_POINTS`
+  checkpoints; the **persisted
   root line is the commit witness** (``seq || Prf("R" || line-tree root
   || bucket roots in region order)``) — a recovered image that does not
   recompute to the witness is not a recovered image;
@@ -317,11 +319,13 @@ class IntegrityDomain:
         # testable step (the write below is timing/traffic only).
         addresses.append(self.root_line)
         datas.append(None)
-        mem_start = c.clock.core_to_mem(c.now)
-        finish = c.memory.issue_path(
-            addresses, Access.WRITE, mem_start, RequestKind.INTEGRITY, datas
+        # Posted like a drainer round: the lines are durable once the WPQ
+        # accepts them (the update unit sits inside the ADR domain), so
+        # the access does not wait for them to reach the NVM.
+        c.memory.issue_path(
+            addresses, Access.WRITE, c.clock.core_to_mem(c.now),
+            RequestKind.INTEGRITY, datas,
         )
-        c.now = c.clock.mem_to_core(finish)
         self._seq += 1
         self._persist_root()
         self._c_commits.add()
@@ -395,14 +399,15 @@ class IntegrityDomain:
         self._persist_root()
 
 
-def _exact_extent(controller) -> int:
+def exact_extent(controller) -> int:
     """Upper bound (bytes) of the controller's persistent data layout.
 
     Everything the protocol writes functionally falls below this bound:
     the main layout, the recursive intent log, and the version/bounce
     scratch lines.  The bound is exact, so the digest lines sit right
     above the last protected line; a store beyond it raises in
-    :meth:`IntegrityDomain._observe`.
+    :meth:`IntegrityDomain._observe`.  :class:`repro.sim.multiprog.CoRunner`
+    spaces co-running controllers by the same bound.
     """
     line_bytes = controller.memory.line_bytes
     extent = controller.layout.total_bytes
@@ -453,7 +458,7 @@ def enable_integrity(controller, key: bytes = DEFAULT_INTEGRITY_KEY,
     bucket_trees = [BucketIntegrityTree(memory, region, key=key) for region in regions]
     line_base = layout.data_tree.base + layout.data_tree.size_bytes
     line_tree = MerkleIntegrityTree(
-        memory, base=line_base, size_bytes=_exact_extent(controller) - line_base,
+        memory, base=line_base, size_bytes=exact_extent(controller) - line_base,
         key=key,
     )
     domain = IntegrityDomain(controller, line_tree, bucket_trees, discipline, key=key)

@@ -7,9 +7,12 @@ stash and PosMap) time-share one :class:`NVMMainMemory`, so their path
 accesses contend on real channels and banks.
 
 Address-space isolation is by construction: each co-runner's regions are
-laid out at a distinct base offset (their layouts are identical, so the
-offset is the layout size rounded to a line).  Timing interacts through
-the shared memory model only — which is the effect under study.
+laid out at a distinct base offset.  Their layouts are identical, so the
+offset is one built controller's exact persistent extent (which, for the
+recursive variants, reaches past the flat layout into the posmap tree's
+own scratch lines and the intent log), rounded to a line.  Timing
+interacts through the shared memory model only — which is the effect
+under study.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.config import SystemConfig
 from repro.core.variants import build_variant
+from repro.integrity.domain import exact_extent
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access, MemoryRequest, RequestKind
 from repro.util.stats import StatSet
@@ -115,18 +119,19 @@ class CoRunner:
             banks_per_channel=config.banks_per_channel,
             line_bytes=config.oram.block_bytes,
         )
-        # Each runner's address space starts above the previous one's.
-        from repro.oram.layout import MemoryLayout
-
-        span = MemoryLayout(config.oram, config.oram.block_bytes).total_bytes
-        span = ((span // config.oram.block_bytes) + 64) * config.oram.block_bytes
+        # Each runner's address space starts above the previous one's:
+        # runner 0 is built first, and its exact extent sets the spacing.
         self.controllers = []
+        span = 0
         for index in range(programs):
             view = _OffsetMemory(self.shared_memory, index * span)
             controller = build_variant(
                 variant, config, memory=view, key=key + bytes([index])
             )
             self.controllers.append(controller)
+            if index == 0:
+                line = config.oram.block_bytes
+                span = (exact_extent(controller) // line + 64) * line
 
     def run_interleaved(
         self,

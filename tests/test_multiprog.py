@@ -67,6 +67,19 @@ class TestCoRunner:
         assert a.read(1).data.rstrip(b"\x00") == b"alpha"
         assert b.read(1).data.rstrip(b"\x00") == b"beta"
 
+    def test_recursive_runners_keep_their_data(self):
+        # rcr-ps places its posmap tree's scratch lines and the intent log
+        # past the flat layout; runners spaced by the flat layout overlap.
+        runner = CoRunner("rcr-ps", small_config(height=6, seed=9), programs=3)
+
+        def write_own(controller, program_index, op_index):
+            controller.write(op_index, bytes([program_index, op_index]))
+
+        runner.run_interleaved(40, write_own)
+        for index, controller in enumerate(runner.controllers):
+            for address in range(40):
+                assert controller.read(address).data[:2] == bytes([index, address])
+
     def test_rejects_zero_programs(self):
         with pytest.raises(ValueError):
             CoRunner("ps", small_config(height=6), programs=0)
