@@ -14,7 +14,11 @@ no Python work per access, so wall-clock accesses/sec is essentially
 window-independent; what the window does change is the *modeled* cycle
 count, which the JSON records per variant (``modeled_cycles_per_access``)
 so CI can assert that the windowed schedule is never slower than the
-serial one on identical traffic.
+serial one on identical traffic.  The JSON also records the NVM lines
+read and written per access: a window deeper than 1 serves the top two
+tree levels from the on-chip bucket buffer, so it reads 2·Z lines less
+per path fetch of each tree and writes exactly what the serial run
+writes.
 
 Usage::
 
@@ -96,6 +100,9 @@ def bench_variant(
     if drain is not None:
         drain()
     cycles_before = controller.now
+    traffic = controller.memory.traffic
+    reads_before = traffic.total_reads
+    writes_before = traffic.total_writes
     start = time.perf_counter()
     for _ in range(measured):
         one()
@@ -112,6 +119,8 @@ def bench_variant(
         "accesses_per_sec": round(per_sec, 1),
         "modeled_cycles": modeled_cycles,
         "modeled_cycles_per_access": round(modeled_cycles / measured, 1),
+        "nvm_reads_per_access": round((traffic.total_reads - reads_before) / measured, 4),
+        "nvm_writes_per_access": round((traffic.total_writes - writes_before) / measured, 4),
         "pre_opt_accesses_per_sec": pre_opt,
         "pr2_accesses_per_sec": pr2,
         "speedup_vs_pre_opt": (

@@ -31,8 +31,9 @@ class VariantSpec:
         callers (serve shards, conformance cells, apps) hold a spec and
         call ``make`` instead of re-implementing controller assembly.
         ``kwargs`` are forwarded to the factory (``memory=``, ``key=``).
+        ``config.integrity`` attaches the integrity domain.
         """
-        return self.factory(config, **kwargs)
+        return _apply_config_integrity(self.factory(config, **kwargs), config)
 
 
 REGISTRY: Dict[str, VariantSpec] = {}
@@ -80,7 +81,7 @@ def _apply_config_integrity(controller, config):
 
 def build_variant(name: str, config, **kwargs):
     """Instantiate the named variant's controller for ``config``."""
-    return _apply_config_integrity(get_spec(name).make(config, **kwargs), config)
+    return get_spec(name).make(config, **kwargs)
 
 
 def build_scheduled(name: str, config, window: Optional[int] = None, **kwargs):
@@ -95,7 +96,7 @@ def build_scheduled(name: str, config, window: Optional[int] = None, **kwargs):
     """
     from repro.engine.sched import wrap_controller  # lazy: avoid cycle
 
-    controller = _apply_config_integrity(get_spec(name).make(config, **kwargs), config)
+    controller = get_spec(name).make(config, **kwargs)
     return wrap_controller(controller, config.sched_window if window is None else window)
 
 

@@ -18,15 +18,19 @@ earliest cycle its hazards allow:
 * **same-address hazard** — a younger access to the address of an older
   in-flight access serializes behind that access's full completion;
 * **bucket-segment hazard** — two paths that share buckets *below* the
-  controller-cached top levels contend only for those shared bucket
+  on-chip buffered top levels contend only for those shared bucket
   segments.  The older access reports the memory cycle each tree level's
   write-back round released its bucket
   (:attr:`repro.engine.base.AccessResult.writeback_level_release`), and
   the younger access's *fetch of that level* is floored to that cycle —
   everything on the disjoint subtree overlaps freely.  Every pair of
-  paths shares the root; the top ``TOP_CACHED_LEVELS`` levels are
-  assumed held in the controller's on-chip bucket buffer and are never
-  floored;
+  paths shares the root, so a window deeper than 1 turns on the
+  controller's on-chip write-through bucket buffer
+  (:meth:`repro.oram.tree.ORAMTree.hold_top`) for the top levels of
+  every tree it owns, and reads the buffered level count from the tree.
+  Those levels are never floored: a buffered fetch instead completes no
+  earlier than the same controller's previous eviction refreshed the
+  buffer (the buffer's read-after-write rule);
 * **whole-path fallback** — an older access that reported no per-level
   release (stash hits) or an access whose path cannot
   be peeked (non-tree hierarchies): the younger access serializes behind
@@ -54,13 +58,15 @@ fetch.
 
 Execution stays *functionally serial*: each access runs to completion
 through the unmodified pipeline before the next begins, so stash,
-PosMap, and NVM image are byte-identical to window 1 — only the cycle
-each access is launched at (and, under segment floors, the arrival of
-its per-level fetch groups) changes.  The interval calendars make the
+PosMap, NVM image and NVM write traffic are byte-identical to window 1
+— only the cycle each access is launched at (and, under segment floors,
+the arrival of its per-level fetch groups) changes, and the buffered top
+levels are no longer read from NVM.  The interval calendars make the
 early launch sound: a request arriving while a resource is busy still
-waits its turn.  Window 1 returns the bare controller; serial and
-windowed runs share the one memory model, so the modeled speedup of a
-window over serial is the scheduler's alone.
+waits its turn.  Window 1 returns the bare controller with no buffer;
+serial and windowed runs share the one memory model, so the modeled
+speedup of a window over serial has two named sources: the cross-access
+overlap and the tree-top buffer's saved reads.
 
 Crash semantics are preserved by the same property.  Every crash point
 fires inside one access's serial execution, when all older accesses
@@ -118,12 +124,6 @@ class WindowScheduler:
     every timing digest.
     """
 
-    #: Tree levels assumed resident in the controller's bucket buffer;
-    #: paths that diverge within these levels do not conflict.  Every
-    #: pair of paths shares the root, so without a top cache the
-    #: path-overlap hazard would serialize all traffic.
-    TOP_CACHED_LEVELS = 2
-
     _OWN_ATTRS = frozenset(
         {
             "controller",
@@ -134,6 +134,7 @@ class WindowScheduler:
             "_ready_spec",
             "_floor",
             "_height",
+            "_top",
             "_c_overlapped",
             "_c_hazard_addr",
             "_c_hazard_path",
@@ -161,10 +162,17 @@ class WindowScheduler:
         tree = getattr(controller, "tree", None)
         if tree is not None:
             self._height = tree.height
+            # Paths that diverge within the on-chip buffered levels do not
+            # conflict; the buffer is what keeps the root, which every
+            # pair of paths shares, from serializing all traffic.
+            if window > 1:
+                controller.hold_tree_top()
+            self._top = tree.buffered_levels
         else:
             # No tree (plain/strawman hierarchies): every pair of
             # "paths" conflicts, i.e. accesses serialize.
             self._height = 0
+            self._top = 0
         stats = controller.stats
         self._c_overlapped = stats.counter("sched_overlapped")
         self._c_hazard_addr = stats.counter("sched_hazard_same_address")
@@ -200,11 +208,11 @@ class WindowScheduler:
     # -- hazard model -------------------------------------------------------
 
     def _paths_conflict(self, a: int, b: int) -> bool:
-        """Whether two paths share a bucket below the cached top levels."""
+        """Whether two paths share a bucket below the buffered top levels."""
         if a == b:
             return True
         shared_levels = self._height - (a ^ b).bit_length()
-        return shared_levels >= self.TOP_CACHED_LEVELS
+        return shared_levels >= self._top
 
     def _shared_levels(self, a: int, b: int) -> int:
         """Deepest tree level where paths ``a`` and ``b`` share a bucket."""
@@ -290,7 +298,7 @@ class WindowScheduler:
                     if level_floors is None:
                         level_floors = [0] * (self._height + 1)
                     release = rec.wb_release
-                    for level in range(self.TOP_CACHED_LEVELS, shared + 1):
+                    for level in range(self._top, shared + 1):
                         if release[level] > level_floors[level]:
                             level_floors[level] = release[level]
                     self._c_hazard_segment.add()

@@ -39,7 +39,9 @@ class _HybridTree(ORAMTree):
 
     Functional content always lives in the NVM image (write-through keeps
     the replica byte-identical), so only the *timing* of top-level reads is
-    redirected to the DRAM model.
+    redirected to the DRAM model.  Behind a window deeper than 1 the
+    on-chip bucket buffer serves the top :attr:`buffered_levels` before
+    the DRAM replica does.
     """
 
     def __init__(self, region, memory, codec, dram: NVMMainMemory,
@@ -52,14 +54,20 @@ class _HybridTree(ORAMTree):
         blocks = []
         finish = start_cycle
         spans = []
+        top = self.buffered_levels
         for level in range(self.height + 1):
+            b_idx = bucket_index(path_id, level, self.height)
+            if level < top:
+                # On-chip bucket buffer: decode from the image, no timed read.
+                blocks.extend(self.load_slot(b_idx, slot) for slot in range(self.z))
+                spans.append((start_cycle, start_cycle))
+                continue
             # Segment-hazard floor (window scheduler): this level's bucket
             # may not be fetched before the older write-back released it.
             arrival = start_cycle
             if level_floors is not None and level_floors[level] > arrival:
                 arrival = level_floors[level]
             level_finish = arrival
-            b_idx = bucket_index(path_id, level, self.height)
             for slot in range(self.z):
                 address = self.region.slot_address(b_idx, slot)
                 target = self.dram if self.treetop.is_dram(address) else self.memory
@@ -71,6 +79,8 @@ class _HybridTree(ORAMTree):
             spans.append((arrival, level_finish))
             if level_finish > finish:
                 finish = level_finish
+        if top and self.buffer_refreshed > finish:
+            finish = self.buffer_refreshed
         self.last_read_level_spans = tuple(spans)
         return blocks, finish
 

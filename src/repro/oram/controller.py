@@ -115,6 +115,14 @@ class PathORAMController(AccessEngine):
         self.policy = policy if policy is not None else VolatilePolicy()
         self.policy.attach(self)
 
+    def hold_tree_top(self) -> int:
+        """Serve every owned tree's top levels from the on-chip buffer.
+
+        Called by a window scheduler deeper than 1; returns the number of
+        buffered levels of the data tree.
+        """
+        return self.tree.hold_top()
+
     # ------------------------------------------------------------------
     # engine hooks: counters
     # ------------------------------------------------------------------
@@ -231,7 +239,14 @@ class PathORAMController(AccessEngine):
     # ------------------------------------------------------------------
 
     def _finish_eviction(self, placed: List[StashEntry]) -> None:
-        """Remove evicted entries from the stash and update stats."""
+        """Remove evicted entries from the stash and update stats.
+
+        With the tree top buffered on chip, this is also the cycle the
+        eviction refreshed the buffer: no later fetch completes earlier.
+        """
+        tree = self.tree
+        if tree.buffered_levels:
+            tree.buffer_refreshed = self.clock.core_to_mem_ceil(self.now)
         for entry in placed:
             self.stash.remove(entry)
         self._c_evicted.add(len(placed))

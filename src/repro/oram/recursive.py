@@ -163,6 +163,10 @@ class RecursivePathORAM(PathORAMController):
         )
         self.posmap_oram = PosMapORAM(controller, self.posmap.initial_path)
 
+    def hold_tree_top(self) -> int:
+        self.posmap_oram.controller.hold_tree_top()
+        return super().hold_tree_top()
+
     # -- step 2 override ---------------------------------------------------
 
     def _remap_update(self, address: int, new_path: int, old_path: int) -> None:

@@ -6,6 +6,15 @@ decrypts the blobs; writing re-encrypts with fresh IVs and issues Z timed
 line writes.  Unwritten slots decode as dummy blocks, so the 4GB paper tree
 needs no initialization pass.
 
+Behind a window scheduler deeper than 1 the top :data:`BUFFER_LEVELS`
+levels are served from the controller's on-chip write-through bucket
+buffer (:meth:`ORAMTree.hold_top`): a path read issues timed NVM reads
+only for the deeper levels, still decodes every slot from the image, and
+completes no earlier than the cycle the owning controller's latest
+eviction refreshed the buffer.  Writes are unchanged — every eviction
+still writes the full path to NVM, so the image and crash semantics do
+not depend on the buffer.
+
 All timed methods take and return a time in *memory-controller cycles*; the
 caller (the ORAM controller) owns clock-domain conversion.
 """
@@ -20,6 +29,10 @@ from repro.mem.request import Access, RequestKind
 from repro.oram.block import Block, BlockCodec
 from repro.oram.bucket import Bucket
 from repro.oram.layout import TreeRegion
+
+#: Tree levels the on-chip write-through bucket buffer holds: the root,
+#: which every path crosses, and its two children — 3 buckets of Z lines.
+BUFFER_LEVELS = 2
 
 
 @lru_cache(maxsize=8192)
@@ -62,6 +75,13 @@ class ORAMTree:
         #: recent :meth:`read_path` call, root-first — the fetch half of
         #: the window scheduler's segment-level timing decomposition.
         self.last_read_level_spans: Tuple[Tuple[int, int], ...] = ()
+        #: Top levels served from the on-chip bucket buffer; 0 (the
+        #: serial pipeline) reads every level from NVM.
+        self.buffered_levels = 0
+        #: Memory cycle at which the owning controller's latest eviction
+        #: refreshed the buffer.  A buffered read completes no earlier:
+        #: the buffer's read-after-write rule.
+        self.buffer_refreshed = 0
 
     @property
     def height(self) -> int:
@@ -79,6 +99,16 @@ class ORAMTree:
     def path_addresses(self, path_id: int) -> Tuple[int, ...]:
         """Cached line addresses of every slot on a path (root-first)."""
         return _path_slot_addresses(self.region, path_id)
+
+    def hold_top(self) -> int:
+        """Serve the top levels from the on-chip bucket buffer.
+
+        Returns the number of buffered levels.  The buffer is
+        write-through, so it holds nothing the NVM image lacks and needs
+        no fill or flush.
+        """
+        self.buffered_levels = min(BUFFER_LEVELS, self.height + 1)
+        return self.buffered_levels
 
     # -- functional (untimed) access -------------------------------------------
 
@@ -111,7 +141,9 @@ class ORAMTree:
         """Read and decrypt every slot on a path.
 
         Returns ``(blocks, finish_cycle)`` with blocks ordered root-first.
-        One timed line read is issued per slot.
+        One timed line read is issued per slot below the buffered top
+        levels; a buffered read finishes no earlier than
+        :attr:`buffer_refreshed`.
 
         ``level_floors`` (memory cycles, root-first, one per level) is the
         window scheduler's segment-hazard discipline: the read of level
@@ -125,6 +157,7 @@ class ORAMTree:
         memory = self.memory
         addresses = _path_slot_addresses(self.region, path_id)
         height = self.region.height
+        top = self.buffered_levels
         arrivals: Optional[List[int]] = None
         if level_floors is not None:
             if len(level_floors) != height + 1:
@@ -132,19 +165,26 @@ class ORAMTree:
                     f"level_floors has {len(level_floors)} levels, "
                     f"expected {height + 1}"
                 )
-            if any(floor > start_cycle for floor in level_floors):
+            if any(floor > start_cycle for floor in level_floors[top:]):
                 arrivals = [
                     floor if floor > start_cycle else start_cycle
                     for floor in level_floors
                 ]
+        z = self.region.z
         if arrivals is None:
-            finish = memory.issue_path(addresses, Access.READ, start_cycle, self.kind)
+            finish = start_cycle
+            if top <= height:
+                finish = memory.issue_path(
+                    addresses[top * z :] if top else addresses,
+                    Access.READ,
+                    start_cycle,
+                    self.kind,
+                )
             self.last_read_level_spans = ((start_cycle, finish),) * (height + 1)
         else:
-            z = self.region.z
             finish = start_cycle
-            spans: List[Tuple[int, int]] = []
-            level = 0
+            spans: List[Tuple[int, int]] = [(start_cycle, start_cycle)] * top
+            level = top
             while level <= height:
                 group_arrival = arrivals[level]
                 stop = level + 1
@@ -163,6 +203,8 @@ class ORAMTree:
                     finish = group_finish
                 level = stop
             self.last_read_level_spans = tuple(spans)
+        if top and self.buffer_refreshed > finish:
+            finish = self.buffer_refreshed
         load_line = memory.load_line
         wires = [load_line(address) for address in addresses]
         codec = self.codec

@@ -26,6 +26,10 @@ class ClockDomain:
         """Memory cycle corresponding to a core-cycle timestamp (floor)."""
         return int(core_cycles / self.ratio)
 
+    def core_to_mem_ceil(self, core_cycles: int) -> int:
+        """First memory cycle at or after a core-cycle timestamp."""
+        return int(math.ceil(core_cycles / self.ratio))
+
     def mem_to_core(self, mem_cycles: int) -> int:
         """Core cycle corresponding to a memory-cycle timestamp (ceil)."""
         return int(math.ceil(mem_cycles * self.ratio))

@@ -245,6 +245,22 @@ class TestIntegrityDomain:
         with pytest.raises(ValueError):
             enable_integrity(bare)
 
+    def test_config_switch_attaches_on_every_build_path(self):
+        """``config.integrity`` is honoured by the spec itself, so every
+        assembly path gets the domain, not just ``build_variant``."""
+        from repro.apps.kvstore import ObliviousKVStore
+        from repro.engine.registry import build_scheduled
+
+        config = small_config(height=6, seed=2, integrity=True)
+        built = {
+            "make": get_spec("ps").make(config),
+            "build_variant": build_variant("ps", config),
+            "build_scheduled": build_scheduled("ps", config, window=4).controller,
+            "kvstore": ObliviousKVStore.create("ps", config, directory_buckets=8)._oram,
+        }
+        missing = [path for path, controller in built.items() if controller.integrity is None]
+        assert missing == []
+
     def test_config_switch_leaves_plain_yardstick_alone(self):
         """The plain controller has no ORAM layout for the trees to cover."""
         config = small_config(height=5, seed=2, integrity=True)

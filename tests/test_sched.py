@@ -160,11 +160,11 @@ class TestHazardOrdering:
         pair = self._colliding_pair(config, controller)
         first = sched.read(pair[0])
         second = sched.read(pair[1])
-        # Same leaf: every level below the cached top is shared, so the
+        # Same leaf: every level below the buffered top is shared, so the
         # younger fetch of each such level must wait for the older
         # write-back round that released it — but the access itself may
         # start earlier than the older access's full completion.
-        top = sched.TOP_CACHED_LEVELS
+        top = controller.tree.buffered_levels
         assert second.fetch_level_spans, "segment mode must report fetch spans"
         assert first.writeback_level_release, "ps must report per-level release"
         for level in range(top, config.oram.height + 1):
@@ -238,7 +238,7 @@ class TestSegmentDifferential:
         space = config.oram.total_slots // 2
         results = [sched.read(rng.randrange(space)) for _ in range(80)]
         sched.drain()
-        top = sched.TOP_CACHED_LEVELS
+        top = controller.tree.buffered_levels
         height = config.oram.height
         checked = 0
         for i, younger in enumerate(results):
