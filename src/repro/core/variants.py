@@ -21,11 +21,10 @@ name               system
 ``rcr-ps``         recursive PS-ORAM (crash-consistent)
 ``eadr-oram``      extended-ADR: crash flush drains the stash (Table 2)
 ``ps-hybrid``      PS-ORAM with a write-through DRAM tree-top
-``*-int``          integrity-enabled rows (baseline / naive-ps / ps / rcr-ps /
-                   eadr with the persistent Merkle integrity domain attached
-                   — docs/INTEGRITY.md)
 =================  ============================================================
 
+The persistent Merkle integrity domain (docs/INTEGRITY.md) is not a row:
+``SystemConfig.integrity`` attaches it to any variant with an ORAM layout.
 ``python -m repro --list-variants`` prints this matrix.
 """
 
@@ -65,10 +64,6 @@ def _assemble(hierarchy: Callable, make_policy: Callable) -> Callable:
     return factory
 
 
-_ps = _assemble(PathORAMController, DirtyEntryPSPolicy)
-_naive_ps = _assemble(PathORAMController, NaiveFlushAllPolicy)
-_eadr = _assemble(PathORAMController, EADRPolicy)
-
 _SPECS = (
     VariantSpec(
         "plain", "plain", "volatile", "none",
@@ -93,12 +88,12 @@ _SPECS = (
     VariantSpec(
         "naive-ps", "path", "naive-flush-all", "flat",
         "PS-ORAM persisting all Z*(L+1) PosMap entries per access",
-        _naive_ps,
+        _assemble(PathORAMController, NaiveFlushAllPolicy),
     ),
     VariantSpec(
         "ps", "path", "dirty-entry-ps", "flat",
         "PS-ORAM with dirty-entry persistence — the paper's design",
-        _ps,
+        _assemble(PathORAMController, DirtyEntryPSPolicy),
     ),
     VariantSpec(
         "rcr-baseline", "path", "volatile", "recursive",
@@ -113,7 +108,7 @@ _SPECS = (
     VariantSpec(
         "eadr-oram", "path", "eadr", "flat",
         "extended-ADR ORAM: the crash flush drains the stash into the tree",
-        _eadr,
+        _assemble(PathORAMController, EADRPolicy),
     ),
     VariantSpec(
         "ps-hybrid", "hybrid", "dirty-entry-ps", "flat",
@@ -122,54 +117,7 @@ _SPECS = (
     ),
 )
 
-
-def _with_integrity(base_factory: Callable) -> Callable:
-    """Wrap a variant factory so the built controller carries the
-    integrity domain (discipline chosen by its persistence policy)."""
-
-    def factory(config, memory=None, key=b"repro-psoram-key"):
-        from repro.integrity.domain import enable_integrity
-
-        controller = base_factory(config, memory=memory, key=key)
-        enable_integrity(controller)
-        return controller
-
-    return factory
-
-
-#: Integrity-enabled rows: same assemblies with the crash-consistent
-#: integrity domain attached (docs/INTEGRITY.md).  Registered like any
-#: other variant, so crash injection, the digest machinery and the
-#: conformance matrix pick them up with no special-casing.
-_INTEGRITY_SPECS = (
-    VariantSpec(
-        "baseline-int", "path", "volatile", "flat",
-        "Path ORAM + volatile integrity tree (tracking/audit only)",
-        _with_integrity(PathORAMController),
-    ),
-    VariantSpec(
-        "naive-ps-int", "path", "naive-flush-all", "flat",
-        "Naive-PS-ORAM + eager per-leaf integrity path persistence",
-        _with_integrity(_naive_ps),
-    ),
-    VariantSpec(
-        "ps-int", "path", "dirty-entry-ps", "flat",
-        "PS-ORAM + lazy-batched persistent integrity tree",
-        _with_integrity(_ps),
-    ),
-    VariantSpec(
-        "rcr-ps-int", "path", "dirty-entry-ps", "recursive",
-        "recursive PS-ORAM + lazy-batched persistent integrity tree",
-        _with_integrity(RcrPSORAMController),
-    ),
-    VariantSpec(
-        "eadr-int", "path", "eadr", "flat",
-        "eADR ORAM + integrity root persisted by the residual-energy flush",
-        _with_integrity(_eadr),
-    ),
-)
-
-for _spec in _SPECS + _INTEGRITY_SPECS:
+for _spec in _SPECS:
     registry.register(_spec)
 
 #: Variants evaluated in Figure 5(a) (non-recursive systems).

@@ -1,10 +1,10 @@
 """Single-cell crash-conformance runs: oracle + differential, per variant.
 
-A **cell** is one (variant, crash point, WPQ config) combination of the
-campaign matrix (:mod:`repro.crashsim.matrix`).  :func:`run_cell` drives
-a deterministic randomized workload against a fresh system, injects a
-crash at the cell's point each round, power-cycles, and checks recovery
-two independent ways:
+A **cell** is one (variant, integrity, crash point, WPQ config)
+combination of the campaign matrix (:mod:`repro.crashsim.matrix`).
+:func:`run_cell` drives a deterministic randomized workload against a
+fresh system, injects a crash at the cell's point each round,
+power-cycles, and checks recovery two independent ways:
 
 1. the acknowledged/in-flight **oracle**
    (:class:`~repro.crashsim.checker.ConsistencyChecker`) — durability of
@@ -23,10 +23,11 @@ The conformance contract is per variant class:
   that is conformant (it gets a fresh system each round); a volatile
   variant claiming successful recovery is a violation.
 
-Every cell is deterministic given ``(variant, point, wpq, rounds, seed,
-height)``: the workload and injection RNGs are keyed substreams of the
-cell seed, so violations reproduce bit-identically and the recorded op
-trace replays through :mod:`repro.crashsim.minimize`.
+Every cell is deterministic given ``(variant, integrity, point, wpq,
+rounds, seed, height, window)``: the workload and injection RNGs are
+keyed substreams of the cell seed, so violations reproduce
+bit-identically and the recorded op trace replays through
+:mod:`repro.crashsim.minimize`.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.config import WPQConfig, small_config
 from repro.core.recovery import crash_and_recover
-from repro.core.variants import get_spec
 from repro.crashsim.checker import ConsistencyChecker
 from repro.crashsim.injector import CrashInjector
 from repro.crashsim.reference import ReferenceController, diff_logical_state
+from repro.engine.registry import build_scheduled
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
 
@@ -68,6 +69,8 @@ class CellResult:
     rounds: int
     seed: int
     height: int
+    window: int = 1
+    integrity: bool = False
     supports: bool = False
     operations: int = 0
     crashes_fired: int = 0
@@ -92,6 +95,8 @@ class CellResult:
             "rounds": self.rounds,
             "seed": self.seed,
             "height": self.height,
+            "window": self.window,
+            "integrity": self.integrity,
             "supports": self.supports,
             "operations": self.operations,
             "crashes_fired": self.crashes_fired,
@@ -109,19 +114,16 @@ class CellResult:
 
 
 def _build_system(variant: str, height: int, wpq: str, config_seed: int,
-                  window: int = 1):
+                  window: int = 1, integrity: bool = False):
     """Build one cell's system; ``window > 1`` puts the controller behind
     the memory-level-parallel access window (docs/SCHEDULER.md).  The
     scheduler drains to a barrier on every crash, so the conformance
-    contract is unchanged — this exercises exactly that property."""
+    contract is unchanged — this exercises exactly that property.
+    ``integrity`` attaches the integrity domain (docs/INTEGRITY.md)."""
     config = small_config(height=height, seed=config_seed,
-                          wpq=WPQ_CONFIGS[wpq], sched_window=window)
-    controller = get_spec(variant).make(config)
-    if window > 1:
-        from repro.engine.sched import wrap_controller
-
-        controller = wrap_controller(controller, window)
-    return config, controller
+                          wpq=WPQ_CONFIGS[wpq], sched_window=window,
+                          integrity=integrity)
+    return config, build_scheduled(variant, config)
 
 
 def _workload_span(config) -> int:
@@ -137,12 +139,14 @@ def run_cell(
     height: int = 6,
     ops_between_crashes: int = 8,
     window: int = 1,
+    integrity: bool = False,
 ) -> CellResult:
     """Run one conformance cell; see the module docstring for the contract.
 
     ``point=None`` arms a random point each round (fuzzing mode);
     a fixed ``point`` pins every round's crash to that label (matrix
-    mode).
+    mode).  ``integrity`` runs the variant with the integrity domain
+    attached, like ``repro.serve``'s switch of the same name.
     """
     if wpq not in WPQ_CONFIGS:
         raise ValueError(f"unknown WPQ config {wpq!r}; "
@@ -151,9 +155,11 @@ def run_cell(
     ops_rng = cell_rng.substream("ops")
     inject_rng = cell_rng.substream("inject")
 
-    config, controller = _build_system(variant, height, wpq, seed, window)
+    config, controller = _build_system(variant, height, wpq, seed, window,
+                                       integrity)
     result = CellResult(variant=variant, point=point, wpq=wpq, rounds=rounds,
-                        seed=seed, height=height,
+                        seed=seed, height=height, window=window,
+                        integrity=integrity,
                         supports=controller.supports_crash_consistency())
     span = _workload_span(config)
     checker = ConsistencyChecker(controller)
@@ -265,7 +271,8 @@ def run_cell(
                     f"{prefix}: volatile variant claims successful recovery")
                 break
             # Honest failure is conformant; the system restarts empty.
-            config, controller = _build_system(variant, height, wpq, seed, window)
+            config, controller = _build_system(variant, height, wpq, seed,
+                                               window, integrity)
             checker = ConsistencyChecker(controller)
             reference = ReferenceController(span, config.oram.block_bytes)
             injector = CrashInjector(controller, inject_rng)

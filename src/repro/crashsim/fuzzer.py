@@ -14,6 +14,7 @@ crashes a recovered system at a different point each round.  CLI::
 
     python -m repro.crashsim --variant ps --rounds 50
     python -m repro.crashsim --variant rcr-ps --rounds 20 --seed 9
+    python -m repro.crashsim --variant ps --integrity --rounds 20
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--height", type=int, default=6)
     parser.add_argument("--small-wpq", action="store_true",
                         help="4-entry WPQs (ordered multi-round evictions)")
+    parser.add_argument("--integrity", action="store_true",
+                        help="attach the integrity domain (docs/INTEGRITY.md)")
     args = parser.parse_args(argv)
 
     result = run_cell(
@@ -47,8 +50,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         point=None,  # random checkpoint each round
         wpq="small" if args.small_wpq else "default",
         rounds=args.rounds, seed=args.seed, height=args.height,
+        integrity=args.integrity,
     )
-    print(f"variant:            {result.variant}")
+    print(f"variant:            {result.variant}"
+          f"{' + integrity' if result.integrity else ''}")
     print(f"rounds:             {result.rounds}")
     print(f"operations:         {result.operations}")
     print(f"mid-access crashes: {result.crashes_fired}")

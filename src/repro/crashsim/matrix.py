@@ -1,10 +1,11 @@
 """Campaign-matrix driver: every variant × every crash point × WPQ config.
 
 The conformance matrix turns :func:`~repro.crashsim.conformance.run_cell`
-into a systematic sweep: one **cell** per registered variant, per label
-that variant's controller can fire (plus a ``quiescent`` crash-between-
-accesses cell), per WPQ geometry.  Cells are independent and
-deterministic, so they run through the shared :func:`repro.exec.run_sweep`
+into a systematic sweep: one **cell** per registered variant, per
+integrity setting (off, and on for every variant with an ORAM layout —
+the ``<variant>+int`` rows), per label that system can fire (plus a
+``quiescent`` crash-between-accesses cell), per WPQ geometry.  Cells are
+independent and deterministic, so they run through the shared :func:`repro.exec.run_sweep`
 process-pool orchestrator with the content-addressed result cache and the
 JSONL run journal — the same machinery the performance sweeps use.
 
@@ -51,11 +52,19 @@ class MatrixPoint:
     seed: int  #: per-cell seed (already derived from the campaign seed)
     height: int
     window: int = 1  #: scheduler window depth (1 = serial pipeline)
+    integrity: bool = False  #: integrity domain attached (docs/INTEGRITY.md)
+
+    @property
+    def system(self) -> str:
+        """The variant, marked ``+int`` when the integrity domain is on."""
+        return system_name(self.variant, self.integrity)
 
     @property
     def workload(self) -> str:
-        """Journal/display slot the sweep machinery expects."""
-        return f"{self.point}/{self.wpq}"
+        """Journal/display slot the sweep machinery expects; marked
+        ``+int`` so an integrity-on cell's run-journal events differ from
+        its integrity-off twin's."""
+        return f"{self.point}/{self.wpq}" + ("+int" if self.integrity else "")
 
     @property
     def label(self) -> str:
@@ -69,6 +78,7 @@ class MatrixPoint:
                 "code": code_version(),
                 "family": "crashsim-matrix",
                 "height": self.height,
+                "integrity": self.integrity,
                 "point": self.point,
                 "rounds": self.rounds,
                 "seed": self.seed,
@@ -81,18 +91,20 @@ class MatrixPoint:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def cell_seed(campaign_seed: int, variant: str, point: str, wpq: str) -> int:
-    """Deterministic per-cell seed: distinct cells get distinct workloads."""
+def system_name(variant: str, integrity: bool) -> str:
+    return f"{variant}+int" if integrity else variant
+
+
+def cell_seed(campaign_seed: int, system: str, point: str, wpq: str) -> int:
+    """Deterministic per-cell seed: distinct cells get distinct workloads.
+
+    ``system`` is :func:`system_name`, so a variant's integrity-on cells
+    draw other workloads than its integrity-off ones.
+    """
     digest = hashlib.blake2b(
-        f"{campaign_seed}|{variant}|{point}|{wpq}".encode(), digest_size=6
+        f"{campaign_seed}|{system}|{point}|{wpq}".encode(), digest_size=6
     ).digest()
     return int.from_bytes(digest, "little")
-
-
-def variant_crash_points(variant: str, height: int = 6) -> List[str]:
-    """Every label the variant's controller can fire (probe instance)."""
-    controller = get_spec(variant).make(small_config(height=height, seed=0))
-    return list(controller.crash_points())
 
 
 def plan_matrix(
@@ -106,10 +118,11 @@ def plan_matrix(
 ) -> List[MatrixPoint]:
     """Enumerate the full campaign matrix.
 
-    Defaults to every registered variant, every crash point that
-    variant's controller exposes plus the quiescent cell, under both WPQ
-    geometries.  ``points`` restricts the labels (the quiescent cell is
-    only planned when explicitly listed or unrestricted).
+    Defaults to every registered variant with integrity off and on (on
+    only where the variant has an ORAM layout), every crash point that
+    system exposes plus the quiescent cell, under both WPQ geometries.
+    ``points`` restricts the labels (the quiescent cell is only planned
+    when explicitly listed or unrestricted).
     """
     names = list(variants) if variants else [s.name for s in variant_specs()]
     geometries = list(wpqs) if wpqs else list(WPQ_CONFIGS)
@@ -119,16 +132,23 @@ def plan_matrix(
                              f"choose from {sorted(WPQ_CONFIGS)}")
     plan: List[MatrixPoint] = []
     for name in names:
-        labels = variant_crash_points(name, height) + [QUIESCENT]
-        if points is not None:
-            labels = [label for label in labels if label in points]
-        for wpq in geometries:
-            for label in labels:
-                plan.append(MatrixPoint(
-                    variant=name, point=label, wpq=wpq, rounds=rounds,
-                    seed=cell_seed(seed, name, label, wpq), height=height,
-                    window=window,
-                ))
+        for integrity in (False, True):
+            # A probe instance tells which labels the system can fire.
+            probe = get_spec(name).make(
+                small_config(height=height, seed=0, integrity=integrity))
+            if integrity and probe.integrity is None:
+                continue  # no ORAM layout for the domain to cover
+            labels = [*probe.crash_points(), QUIESCENT]
+            if points is not None:
+                labels = [label for label in labels if label in points]
+            system = system_name(name, integrity)
+            for wpq in geometries:
+                for label in labels:
+                    plan.append(MatrixPoint(
+                        variant=name, point=label, wpq=wpq, rounds=rounds,
+                        seed=cell_seed(seed, system, label, wpq),
+                        height=height, window=window, integrity=integrity,
+                    ))
     return plan
 
 
@@ -137,7 +157,7 @@ def execute_matrix_cell(point: MatrixPoint) -> CellResult:
     return run_cell(
         point.variant, point=point.point, wpq=point.wpq,
         rounds=point.rounds, seed=point.seed, height=point.height,
-        window=point.window,
+        window=point.window, integrity=point.integrity,
     )
 
 
@@ -170,10 +190,10 @@ def matrix_cache(root: Optional[Path] = None) -> ResultCache:
 
 
 def summarize_matrix(outcomes: Sequence[PointOutcome]) -> str:
-    """Per-variant summary table plus per-cell detail for failures."""
-    per_variant: Dict[str, Dict[str, int]] = {}
+    """Per-system summary table plus per-cell detail for failures."""
+    per_system: Dict[str, Dict[str, int]] = {}
     for outcome in outcomes:
-        row = per_variant.setdefault(outcome.point.variant, {
+        row = per_system.setdefault(outcome.point.system, {
             "cells": 0, "fired": 0, "quiescent": 0, "violations": 0,
             "errors": 0, "cached": 0,
         })
@@ -188,12 +208,12 @@ def summarize_matrix(outcomes: Sequence[PointOutcome]) -> str:
         row["quiescent"] += cell.quiescent_crashes
         row["violations"] += len(cell.violations)
 
-    width = max(len(name) for name in per_variant) if per_variant else 7
+    width = max(len(name) for name in per_system) if per_system else 7
     header = (f"{'variant':<{width}}  cells  fired  quiescent  "
               f"violations  errors  cached")
     lines = [header, "-" * len(header)]
-    for name in sorted(per_variant):
-        row = per_variant[name]
+    for name in sorted(per_system):
+        row = per_system[name]
         lines.append(
             f"{name:<{width}}  {row['cells']:>5}  {row['fired']:>5}  "
             f"{row['quiescent']:>9}  {row['violations']:>10}  "
@@ -216,7 +236,7 @@ def summarize_matrix(outcomes: Sequence[PointOutcome]) -> str:
 
 
 def _reproducer_filename(point: MatrixPoint) -> str:
-    slug = re.sub(r"[^A-Za-z0-9_.-]+", "-", f"{point.variant}__{point.point}__{point.wpq}")
+    slug = re.sub(r"[^A-Za-z0-9_.+-]+", "-", f"{point.system}__{point.point}__{point.wpq}")
     return f"{slug}.json"
 
 
@@ -240,7 +260,8 @@ def emit_reproducers(
             )
         if not cell.trace:
             continue  # cached pre-trace result or volatile reset path
-        spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed)
+        spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed,
+                         cell.window, cell.integrity)
         try:
             minimized = minimize_trace(spec, cell.trace)
         except ValueError:
@@ -270,7 +291,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.crashsim matrix",
         description="Differential crash-conformance matrix over every "
-                    "variant, crash point and WPQ geometry.",
+                    "variant, integrity setting, crash point and WPQ "
+                    "geometry.",
     )
     known = [s.name for s in variant_specs()]
     parser.add_argument("--rounds", type=int, default=3,
@@ -316,6 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(f"matrix: {len(plan)} cells "
           f"({len(set(p.variant for p in plan))} variants, "
+          f"{len(set(p.system for p in plan))} systems, "
           f"rounds={args.rounds}, jobs={args.jobs}, window={args.window})")
     if journal is not None:
         journal.emit("matrix_started", cells=len(plan), rounds=args.rounds,

@@ -9,10 +9,10 @@ standalone JSON reproducers::
     python -m repro.crashsim repro crash_repros/ps__step4-after-backup.json
 
 A reproducer is self-contained: the spec names the variant, WPQ
-geometry, tree height and config seed; the events are the exact logical
-ops plus the armed crash(es).  No RNG is involved in replay — the trace
-*is* the workload — so a minimized file keeps failing bit-identically on
-any machine.
+geometry, tree height, config seed, scheduler window and integrity
+switch; the events are the exact logical ops plus the armed crash(es).
+No RNG is involved in replay — the trace *is* the workload — so a
+minimized file keeps failing bit-identically on any machine.
 
 Event schema (one dict per event):
 
@@ -41,10 +41,18 @@ from repro.errors import SimulatedCrash
 Event = Dict[str, Any]
 
 
-def make_spec(variant: str, wpq: str, height: int, config_seed: int) -> Dict[str, Any]:
+def make_spec(variant: str, wpq: str, height: int, config_seed: int,
+              window: int = 1, integrity: bool = False) -> Dict[str, Any]:
     """The system half of a reproducer: everything but the ops."""
     return {"variant": variant, "wpq": wpq, "height": height,
-            "config_seed": config_seed}
+            "config_seed": config_seed, "window": window,
+            "integrity": integrity}
+
+
+def build_spec_system(spec: Dict[str, Any]):
+    """``(config, controller)`` for a reproducer spec, as its cell built them."""
+    return _build_system(spec["variant"], spec["height"], spec["wpq"],
+                         spec["config_seed"], spec["window"], spec["integrity"])
 
 
 def replay(spec: Dict[str, Any], events: Sequence[Event]) -> List[str]:
@@ -56,8 +64,7 @@ def replay(spec: Dict[str, Any], events: Sequence[Event]) -> List[str]:
     the original cell run stopped at its first inconsistent round.  A
     clean replay returns ``[]``.
     """
-    config, controller = _build_system(
-        spec["variant"], spec["height"], spec["wpq"], spec["config_seed"])
+    config, controller = build_spec_system(spec)
     span = _workload_span(config)
     supports = controller.supports_crash_consistency()
     checker = ConsistencyChecker(controller)
@@ -79,9 +86,7 @@ def replay(spec: Dict[str, Any], events: Sequence[Event]) -> List[str]:
                 return violations
             if not supports:
                 # Honest volatile failure: restart empty, like the cell.
-                config, controller = _build_system(
-                    spec["variant"], spec["height"], spec["wpq"],
-                    spec["config_seed"])
+                config, controller = build_spec_system(spec)
                 checker = ConsistencyChecker(controller)
                 reference = ReferenceController(span, config.oram.block_bytes)
                 injector = CrashInjector(controller)
@@ -167,7 +172,10 @@ def write_reproducer(path, spec: Dict[str, Any], events: Sequence[Event],
 
 def load_reproducer(path) -> Tuple[Dict[str, Any], List[Event], List[str]]:
     payload = json.loads(Path(path).read_text())
-    return payload["spec"], payload["events"], payload.get("violations", [])
+    # Reproducers written before specs recorded the window and the
+    # integrity switch were all built serially with no domain.
+    spec = {"window": 1, "integrity": False, **payload["spec"]}
+    return spec, payload["events"], payload.get("violations", [])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -181,7 +189,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     spec, events, recorded = load_reproducer(args.reproducer)
     print(f"variant: {spec['variant']}  wpq: {spec['wpq']}  "
-          f"height: {spec['height']}  events: {len(events)}")
+          f"height: {spec['height']}  window: {spec['window']}  "
+          f"integrity: {'on' if spec['integrity'] else 'off'}  "
+          f"events: {len(events)}")
     violations = replay(spec, events)
     if violations:
         print("REPRODUCED — violations:")

@@ -31,9 +31,19 @@ class VariantSpec:
         callers (serve shards, conformance cells, apps) hold a spec and
         call ``make`` instead of re-implementing controller assembly.
         ``kwargs`` are forwarded to the factory (``memory=``, ``key=``).
-        ``config.integrity`` attaches the integrity domain.
+
+        ``config.integrity`` attaches the integrity domain — the only
+        switch for it.  A controller without an ORAM memory layout (the
+        plain non-ORAM yardstick) has no trees for the domain to cover and
+        is left untouched, so an integrity sweep can still include it as
+        the no-integrity baseline.
         """
-        return _apply_config_integrity(self.factory(config, **kwargs), config)
+        controller = self.factory(config, **kwargs)
+        if config.integrity and getattr(controller, "layout", None) is not None:
+            from repro.integrity.domain import enable_integrity  # lazy: avoid cycle
+
+            enable_integrity(controller)
+        return controller
 
 
 REGISTRY: Dict[str, VariantSpec] = {}
@@ -60,23 +70,6 @@ def get_spec(name: str) -> VariantSpec:
         raise KeyError(
             f"unknown variant {name!r}; known: {', '.join(sorted(REGISTRY))}"
         ) from None
-
-
-def _apply_config_integrity(controller, config):
-    """Honour ``config.integrity``: attach the integrity domain.
-
-    ``enable_integrity`` is idempotent, so variants whose factories
-    already attach a domain (the ``-int`` registry rows) compose with the
-    switch instead of double-wrapping.  Controllers without an ORAM memory
-    layout (the plain non-ORAM yardstick) have no trees for the domain to
-    cover and are left untouched, so an ``--integrity`` sweep can still
-    include them as the no-integrity baseline.
-    """
-    if getattr(config, "integrity", False) and getattr(controller, "layout", None) is not None:
-        from repro.integrity.domain import enable_integrity  # lazy: avoid cycle
-
-        enable_integrity(controller)
-    return controller
 
 
 def build_variant(name: str, config, **kwargs):

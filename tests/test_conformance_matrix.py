@@ -9,6 +9,7 @@ from repro.core.variants import build_variant, variant_specs
 from repro.crashsim.conformance import QUIESCENT, CellResult, run_cell
 from repro.crashsim.matrix import (
     MatrixPoint,
+    _reproducer_filename,
     cell_seed,
     matrix_cache,
     plan_matrix,
@@ -16,6 +17,7 @@ from repro.crashsim.matrix import (
 )
 from repro.crashsim.reference import ReferenceController, diff_logical_state
 from repro.exec.journal import RunJournal, read_events
+from repro.integrity.domain import INTEGRITY_CRASH_POINTS
 
 
 class TestRunCell:
@@ -105,13 +107,44 @@ class TestPlanMatrix:
         plan = plan_matrix(rounds=2, seed=1)
         names = {spec.name for spec in variant_specs()}
         assert {p.variant for p in plan} == names
+        # The integrity axis: off for every variant, on for every variant
+        # with an ORAM layout (all but the plain yardstick).
+        assert {p.variant for p in plan if p.integrity} == names - {"plain"}
         for spec in variant_specs():
-            controller = build_variant(spec.name, small_config(height=6))
-            expected = set(controller.crash_points()) | {QUIESCENT}
-            planned = {p.point for p in plan if p.variant == spec.name}
-            assert planned == expected, spec.name
+            for integrity in (False, True):
+                if integrity and spec.name == "plain":
+                    continue
+                controller = build_variant(
+                    spec.name, small_config(height=6, integrity=integrity))
+                expected = set(controller.crash_points()) | {QUIESCENT}
+                planned = {p.point for p in plan
+                           if p.variant == spec.name and p.integrity == integrity}
+                assert planned == expected, (spec.name, integrity)
+                # The domain's persist-commit window is planned exactly
+                # where a discipline persists digests at runtime.
+                discipline = controller.policy.integrity_discipline() if integrity else None
+                has_points = set(INTEGRITY_CRASH_POINTS) <= planned
+                assert has_points == (discipline in ("eager", "lazy")), (spec.name, integrity)
+        # naive-ps is the eager discipline; the dirty-entry PS rows are lazy.
+        assert {p.variant for p in plan if p.point in INTEGRITY_CRASH_POINTS} \
+            == {"naive-ps", "ps", "ps-hybrid", "rcr-ps"}
+        assert all(p.integrity for p in plan if p.point in INTEGRITY_CRASH_POINTS)
         # Both WPQ geometries, every cell.
         assert {p.wpq for p in plan} == {"default", "small"}
+
+    def test_integrity_cells_never_collide_with_their_variant(self):
+        plan = plan_matrix(variants=["ps"], wpqs=["default"], rounds=2, seed=1)
+        off = {p.point: p for p in plan if not p.integrity}
+        on = {p.point: p for p in plan if p.integrity}
+        assert set(off) <= set(on)
+        for label, point in off.items():
+            twin = on[label]
+            assert twin.key() != point.key()
+            assert twin.seed != point.seed
+            assert twin.label == f"ps/{label}/default+int" != point.label
+            # The run journal names a cell by (variant, workload).
+            assert (twin.variant, twin.workload) != (point.variant, point.workload)
+            assert _reproducer_filename(twin) != _reproducer_filename(point)
 
     def test_cell_seeds_are_distinct_and_stable(self):
         a = cell_seed(1, "ps", "phase:fetch", "default")
@@ -154,5 +187,6 @@ class TestRunMatrix:
         assert key == MatrixPoint(**base).key()
         for field, value in [("point", "phase:remap"), ("wpq", "small"),
                              ("rounds", 3), ("seed", 2), ("height", 7),
-                             ("variant", "rcr-ps")]:
+                             ("variant", "rcr-ps"), ("window", 4),
+                             ("integrity", True)]:
             assert MatrixPoint(**{**base, field: value}).key() != key

@@ -38,6 +38,10 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["--variant", "no-such-variant"])
 
+    def test_integrity_flag_attaches_the_domain(self, capsys):
+        assert main(["--variant", "ps-hybrid", "--integrity", "--rounds", "2"]) == 0
+        assert "ps-hybrid + integrity" in capsys.readouterr().out
+
     def test_accepts_every_registered_variant(self, capsys):
         # The choices used to be a hardcoded five-name subset; the CLI now
         # derives them from the registry, so volatile designs are fuzzable

@@ -20,6 +20,7 @@ import pytest
 from repro.config import small_config
 from repro.core.variants import get_spec
 from repro.util.rng import DeterministicRNG
+from tests.cases import case
 
 #: (image sha256, stats sha256, final cycle) per variant, captured at
 #: commit f36398e with drive(seed=1234) below.  The stats digests and
@@ -34,29 +35,29 @@ from repro.util.rng import DeterministicRNG
 #: for it to reach the NVM (1,034,942 -> 1,004,030 cycles).  The rcr-ps
 #: image digest and every traffic counter were unchanged by that recapture.
 EXPECTED = {
-    "baseline": (
+    ("baseline", False): (
         "5433fda7a1a3674366ad9de115ad99ad159d533daea83af030bfe20356b16e11",
         "21a1423ba73cc48cb8b7bc45aff501df1746f52a1285a9d5bbbf52f1bddabba6",
         1299375,
     ),
-    "ps": (
+    ("ps", False): (
         "8946069c78052e801e5c9a21def0bd0f20aa8e6365361be912a2ae303eb815ee",
         "c455cdb808c13f258c3ffa37f577b3ba7c092490e82c56e70f502829b23fdae4",
         1405438,
     ),
-    "naive-ps": (
+    ("naive-ps", False): (
         "8946069c78052e801e5c9a21def0bd0f20aa8e6365361be912a2ae303eb815ee",
         "1669d2d10c56f6668b4d3faa9de8ee435e229c6af40206842015385d7e756f3c",
         2102430,
     ),
-    "rcr-ps": (
+    ("rcr-ps", False): (
         "35cb338d383c96ab486707e5224562bfe127b36a73d5913901370dbaa3e3e4a9",
         "ec10d37b5995bc2dacfc64a1dbdebd43345e695231c898697d0b6cc03387ba18",
         1004030,
     ),
     # rcr-baseline captured at aefebe0 with the same drive, before the
     # posmap tree stopped being a one-level chain controller.
-    "rcr-baseline": (
+    ("rcr-baseline", False): (
         "5060e12f0ebaf912e858b75367a6369d2fdd3912b0b2e0d2c6c4fc7cb75d28df",
         "3069fd10ea97cc3a112d70720b8f3fe5919182d934f08fee413bb5ba8db32c79",
         956906,
@@ -64,29 +65,37 @@ EXPECTED = {
     # ps-hybrid and eadr-oram goldens captured at acba882 (pre-engine
     # refactor) with the same drive; eadr-oram includes a mid-drive
     # crash+recover (CRASH_AT) so the digest pins the drain/restore path.
-    "ps-hybrid": (
+    ("ps-hybrid", False): (
         "8946069c78052e801e5c9a21def0bd0f20aa8e6365361be912a2ae303eb815ee",
         "399f78f023b088e90c79e52bce423241f7e847da3eff1245adbe31130a2312ac",
         1124398,
     ),
-    "eadr-oram": (
+    ("eadr-oram", False): (
         "71dbd6842cb921adf65700ba2e44b5946f27a34f19c28a966e5b8454506064ec",
         "7df9a1856d38b8a50bd15de7e0203533387559b402215b64706b08843e4af4c3",
         1299375,
     ),
+    # ps and rcr-ps with the integrity domain attached (config.integrity),
+    # captured at ed3de36 with the same drive, through the integrity rows
+    # the registry still had then; config.integrity built the same runs.
+    ("ps", True): (
+        "a478b74685725e4d65c8fbbdeae582f03331b327e2098e8032641f2197814e42",
+        "3cdd208993df44c2c21bafa70da929f3c82b2997d6d530aea6d17263217504d2",
+        1599750,
+    ),
+    ("rcr-ps", True): (
+        "a81e66e3ac28b983c3f802d548e89b03dcae4aa1e00a1bc71b4c76abf09a76a9",
+        "046aad3dbc0d17728fd64164eca10df6201ee96fc83ccfa49b3dee2dcb8f55f3",
+        1186678,
+    ),
 }
 
-#: Fixture key -> (registry variant, accesses, address space).
-CONTROLLERS = {
-    "baseline": ("baseline", 300, 200),
-    "ps": ("ps", 300, 200),
-    "naive-ps": ("naive-ps", 300, 200),
-    # The recursive design pays an ORAM access per PosMap level; a shorter
-    # drive keeps the fixture fast without losing coverage.
-    "rcr-ps": ("rcr-ps", 120, 100),
-    "rcr-baseline": ("rcr-baseline", 120, 100),
-    "ps-hybrid": ("ps-hybrid", 300, 200),
-    "eadr-oram": ("eadr-oram", 300, 200),
+#: (accesses, address space) per variant, default 300 / 200.  The
+#: recursive design pays an ORAM access per PosMap level; a shorter drive
+#: keeps the fixture fast without losing coverage.
+DRIVES = {
+    "rcr-ps": (120, 100),
+    "rcr-baseline": (120, 100),
 }
 
 #: Mid-drive crash+recover points, exercised so the digest also pins the
@@ -126,12 +135,12 @@ def stats_digest(controller):
     return hashlib.sha256(json.dumps(snap, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("variant", sorted(EXPECTED))
-def test_seeded_run_is_bit_identical(variant):
-    name, n, space = CONTROLLERS[variant]
-    controller = get_spec(name).make(small_config(height=6))
+@pytest.mark.parametrize("variant,integrity", [case(*key) for key in sorted(EXPECTED)])
+def test_seeded_run_is_bit_identical(variant, integrity):
+    n, space = DRIVES.get(variant, (300, 200))
+    controller = get_spec(variant).make(small_config(height=6, integrity=integrity))
     drive(controller, n, space, crash_at=CRASH_AT.get(variant))
-    expected_image, expected_stats, expected_now = EXPECTED[variant]
+    expected_image, expected_stats, expected_now = EXPECTED[variant, integrity]
     assert image_digest(controller.memory) == expected_image
     assert stats_digest(controller) == expected_stats
     assert controller.now == expected_now

@@ -11,6 +11,7 @@ from repro.integrity.tree import DIGEST_BYTES
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access, RequestKind
 from repro.oram.layout import TreeRegion
+from tests.cases import case
 
 
 @pytest.fixture
@@ -365,12 +366,13 @@ class TestLinePackedCommit:
 
 
 def test_ps_int_integrity_lines_per_access_pinned():
-    """Timed integrity lines per ps-int access at height 10 on this stream:
+    """Timed integrity lines per ps access with integrity on, at height 10
+    on this stream:
     167.2 with the binary one-digest-per-line tree over the whole image,
     53.7 with the arity-4 line-packed tree, and 11.0 now that each ORAM
     tree is its own bucket tree and only the residual region (flat
     PosMap, scratch lines) climbs the line-packed tree."""
-    controller = get_spec("ps-int").make(small_config(height=10, seed=3))
+    controller = get_spec("ps").make(small_config(height=10, seed=3, integrity=True))
     rng = random.Random(99)
     accesses = 80
     for _ in range(accesses):
@@ -464,7 +466,7 @@ class TestPathAlignedDomain:
                 controller.read(addr)
 
     def test_ps_int_access_closure_is_its_path(self):
-        controller = get_spec("ps-int").make(small_config(height=6, seed=5))
+        controller = get_spec("ps").make(small_config(height=6, seed=5, integrity=True))
         domain = controller.integrity
         buckets = domain.bucket_trees[0]
         height = controller.tree.height
@@ -490,9 +492,9 @@ class TestPathAlignedDomain:
             assert len(closure) == height + 1
             assert set(closure) == path
 
-    @pytest.mark.parametrize("variant", ["ps-int", "rcr-ps-int"])
-    def test_no_timed_integrity_line_inside_a_tree_region(self, variant):
-        controller = get_spec(variant).make(small_config(height=6, seed=5))
+    @pytest.mark.parametrize("variant,integrity", [case("ps", True), case("rcr-ps", True)])
+    def test_no_timed_integrity_line_inside_a_tree_region(self, variant, integrity):
+        controller = get_spec(variant).make(small_config(height=6, seed=5, integrity=integrity))
         domain = controller.integrity
         memory = controller.memory
         issued = []
@@ -506,7 +508,7 @@ class TestPathAlignedDomain:
 
         memory.issue_path = recording_issue_path
         self._drive(controller, 30)
-        assert len(domain.bucket_trees) == (2 if variant == "rcr-ps-int" else 1)
+        assert len(domain.bucket_trees) == (2 if variant == "rcr-ps" else 1)
         assert issued
         for address in issued:
             assert domain.node_base <= address < domain.node_end
@@ -514,7 +516,7 @@ class TestPathAlignedDomain:
                 assert not tree.base <= address < tree.end
 
     def test_unprotected_store_raises(self):
-        controller = get_spec("ps-int").make(small_config(height=5, seed=2))
+        controller = get_spec("ps").make(small_config(height=5, seed=2, integrity=True))
         domain = controller.integrity
         with pytest.raises(ValueError, match="outside the integrity-protected"):
             controller.memory.store_line(domain.node_end, b"stray")

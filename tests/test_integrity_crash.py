@@ -14,23 +14,29 @@ from repro.core.recovery import crash_and_recover
 from repro.core.variants import get_spec
 from repro.crashsim.conformance import run_cell
 from repro.integrity.domain import INTEGRITY_CRASH_POINTS, IntegrityDomain
+from tests.cases import case
 
-#: Integrity-enabled variants with runtime digest persistence (the eadr
-#: discipline has no persist-commit window, so no integrity points).
-PERSISTING_VARIANTS = ("ps-int", "naive-ps-int", "rcr-ps-int")
+#: Variants whose integrity domain persists digests at runtime (the eadr
+#: discipline has no persist-commit window, so no integrity points), with
+#: the domain on.
+PERSISTING_CASES = [case(name, True) for name in ("ps", "naive-ps", "rcr-ps")]
+
+
+def _build(variant, integrity, **config):
+    return get_spec(variant).make(small_config(integrity=integrity, **config))
 
 
 class TestIntegrityCrashPoints:
     @pytest.mark.parametrize("point", INTEGRITY_CRASH_POINTS)
     def test_ps_int_conformant_at_point(self, point):
-        result = run_cell("ps-int", point=point, rounds=2, seed=11)
+        result = run_cell("ps", point=point, rounds=2, seed=11, integrity=True)
         assert result.supports
         assert result.crashes_fired == 2
         assert result.consistent, result.violations
 
-    @pytest.mark.parametrize("variant", PERSISTING_VARIANTS)
-    def test_variant_declares_integrity_points(self, variant):
-        controller = get_spec(variant).make(small_config(height=5, seed=3))
+    @pytest.mark.parametrize("variant,integrity", PERSISTING_CASES)
+    def test_variant_declares_integrity_points(self, variant, integrity):
+        controller = _build(variant, integrity, height=5, seed=3)
         points = controller.crash_points()
         for label in INTEGRITY_CRASH_POINTS:
             assert label in points
@@ -40,11 +46,11 @@ class TestIntegrityCrashPoints:
         for label in INTEGRITY_CRASH_POINTS:
             assert meta[label] == "integrity"
 
-    @pytest.mark.parametrize("variant", PERSISTING_VARIANTS)
-    def test_mid_propagation_crash_recovers_verified(self, variant):
+    @pytest.mark.parametrize("variant,integrity", PERSISTING_CASES)
+    def test_mid_propagation_crash_recovers_verified(self, variant, integrity):
         """Cut power between propagation and persist: recovery must still
         produce an image matching the (crash-flushed) witness."""
-        controller = get_spec(variant).make(small_config(height=5, seed=7))
+        controller = _build(variant, integrity, height=5, seed=7)
         domain = controller.integrity
         for address in range(4):
             controller.write(address, bytes([0x40 + address]))
@@ -62,8 +68,8 @@ class TestIntegrityCrashPoints:
         assert domain.recovery_violations == []
         assert domain.load_persisted_root() == domain.recompute_root()
 
-    @pytest.mark.parametrize("variant", ["ps-int", "rcr-ps-int"])
-    def test_mid_path_crash_recovers_verified(self, variant):
+    @pytest.mark.parametrize("variant,integrity", [case("ps", True), case("rcr-ps", True)])
+    def test_mid_path_crash_recovers_verified(self, variant, integrity):
         """Cut power after the first round of a multi-round path write
         committed (small WPQ geometry): the bucket trees hold a half-written
         path, and recovery must still match the crash-flushed witness."""
@@ -72,8 +78,7 @@ class TestIntegrityCrashPoints:
         from repro.errors import SimulatedCrash
         from repro.util.rng import DeterministicRNG
 
-        config = small_config(height=6, seed=7, wpq=WPQ_CONFIGS["small"])
-        controller = get_spec(variant).make(config)
+        controller = _build(variant, integrity, height=6, seed=7, wpq=WPQ_CONFIGS["small"])
         domain = controller.integrity
         for address in range(4):
             controller.write(address, bytes([0x40 + address]))
@@ -97,7 +102,7 @@ class TestIntegrityCrashPoints:
         assert domain.load_persisted_root() == domain.recompute_root()
 
     def test_eadr_int_persists_root_only_at_crash(self):
-        controller = get_spec("eadr-int").make(small_config(height=5, seed=7))
+        controller = _build("eadr-oram", True, height=5, seed=7)
         domain = controller.integrity
         assert domain.discipline == "eadr"
         controller.write(1, b"resident")
@@ -110,7 +115,7 @@ class TestIntegrityCrashPoints:
         assert domain.load_persisted_root() == domain.recompute_root()
 
     def test_volatile_baseline_int_is_tracking_only(self):
-        controller = get_spec("baseline-int").make(small_config(height=5, seed=7))
+        controller = _build("baseline", True, height=5, seed=7)
         domain = controller.integrity
         assert domain.discipline == "none"
         controller.write(1, b"ephemeral")
@@ -123,14 +128,24 @@ class TestRootPersistMutation:
 
     def test_matrix_catches_missing_root_persist(self, monkeypatch):
         monkeypatch.setattr(IntegrityDomain, "_persist_root", lambda self: None)
-        result = run_cell("ps-int", point="integrity:after-persist",
-                          rounds=2, seed=11)
+        result = run_cell("ps", point="integrity:after-persist",
+                          rounds=2, seed=11, integrity=True)
         assert not result.consistent
         assert any("witness" in v for v in result.violations)
 
+    def test_matrix_axis_catches_missing_root_persist(self, monkeypatch):
+        from repro.crashsim.matrix import plan_matrix, run_matrix
+
+        monkeypatch.setattr(IntegrityDomain, "_persist_root", lambda self: None)
+        plan = plan_matrix(variants=["ps"], wpqs=["default"], rounds=2, seed=1,
+                           points=["integrity:after-persist"])
+        assert [point.label for point in plan] == ["ps/integrity:after-persist/default+int"]
+        [outcome] = run_matrix(plan)
+        assert any("witness" in v for v in outcome.result.violations)
+
     def test_matrix_passes_with_root_persist_intact(self):
-        result = run_cell("ps-int", point="integrity:after-persist",
-                          rounds=2, seed=11)
+        result = run_cell("ps", point="integrity:after-persist",
+                          rounds=2, seed=11, integrity=True)
         assert result.consistent, result.violations
 
 

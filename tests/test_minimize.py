@@ -13,6 +13,7 @@ from repro.core.variants import build_variant
 from repro.crashsim.conformance import run_cell
 from repro.crashsim.matrix import MatrixPoint, emit_reproducers
 from repro.crashsim.minimize import (
+    build_spec_system,
     load_reproducer,
     main as repro_main,
     make_spec,
@@ -22,6 +23,7 @@ from repro.crashsim.minimize import (
 )
 from repro.engine import registry
 from repro.engine.registry import VariantSpec
+from repro.engine.sched import WindowScheduler
 from repro.exec.pool import PointOutcome
 
 BUGGY = "buggy-ps-test"
@@ -48,9 +50,9 @@ def buggy_variant():
         registry.REGISTRY.pop(BUGGY, None)
 
 
-def _failing_cell(variant, rounds=4, seed=3):
+def _failing_cell(variant, rounds=4, seed=3, **system):
     cell = run_cell(variant, point="step5:after-flush", rounds=rounds,
-                    seed=seed)
+                    seed=seed, **system)
     assert not cell.consistent, "broken policy should violate the oracle"
     assert cell.trace, "violating cells must carry their trace"
     return cell
@@ -101,6 +103,20 @@ class TestMinimizer:
         write_reproducer(path, spec, trace, ["recorded violation"])
         assert repro_main([str(path)]) == 1
 
+    def test_spec_without_window_or_integrity_replays(self, buggy_variant,
+                                                      tmp_path, capsys):
+        """A reproducer whose spec predates the ``window`` and ``integrity``
+        keys replays as the serial, integrity-off system it was built on."""
+        cell = _failing_cell(buggy_variant)
+        spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed)
+        del spec["window"], spec["integrity"]
+        path = tmp_path / "old.json"
+        write_reproducer(path, spec, cell.trace, cell.violations)
+        loaded, events, _ = load_reproducer(path)
+        assert loaded["window"] == 1 and loaded["integrity"] is False
+        assert repro_main([str(path)]) == 0
+        assert "REPRODUCED" in capsys.readouterr().out
+
     def test_emit_reproducers_writes_files(self, buggy_variant, tmp_path):
         cell = _failing_cell(buggy_variant)
         point = MatrixPoint(variant=cell.variant, point=cell.point,
@@ -111,4 +127,22 @@ class TestMinimizer:
         assert len(written) == 1
         spec, events, violations = load_reproducer(written[0])
         assert spec["variant"] == cell.variant
+        assert replay(spec, events), "emitted reproducer must reproduce"
+
+    def test_reproducer_keeps_window_and_integrity(self, buggy_variant, tmp_path):
+        """A windowed, integrity-on cell's reproducer replays on the same
+        system: the window and the integrity switch survive the round trip."""
+        cell = _failing_cell(buggy_variant, window=4, integrity=True)
+        point = MatrixPoint(variant=cell.variant, point=cell.point,
+                            wpq=cell.wpq, rounds=cell.rounds,
+                            seed=cell.seed, height=cell.height,
+                            window=cell.window, integrity=cell.integrity)
+        [path] = emit_reproducers([PointOutcome(point, result=cell)],
+                                  tmp_path / "repros")
+        spec, events, _ = load_reproducer(path)
+        assert spec["window"] == 4
+        assert spec["integrity"] is True
+        _, system = build_spec_system(spec)
+        assert isinstance(system, WindowScheduler)
+        assert system.controller.integrity is not None
         assert replay(spec, events), "emitted reproducer must reproduce"

@@ -9,9 +9,10 @@ The next access from another block through that path keeps the newer
 copy, drops it as stale, and the block is gone.
 
 This module runs that construction on every flat-PosMap PS row of the
-registry.  The rows that lose the block today are strict xfails: fixing
-``DirtyEntryPSPolicy.evict``'s commit order has to flip all of them.
-The recursive rows are not covered: their remap never graduates a label.
+registry, with the integrity domain off and on.  The six cases that lose
+the block today are strict xfails: fixing ``DirtyEntryPSPolicy.evict``'s
+commit order has to flip all of them.  The recursive rows are not
+covered: their remap never graduates a label.
 """
 
 import random
@@ -20,6 +21,7 @@ import pytest
 
 from repro.config import small_config
 from repro.core.variants import build_variant, variant_specs
+from tests.cases import case
 
 #: Persistence policies that park fresh labels in the temporary PosMap.
 PS_POLICIES = ("dirty-entry-ps", "naive-flush-all")
@@ -30,8 +32,9 @@ FLAT_PS_ROWS = [
     if spec.posmap == "flat" and spec.policy in PS_POLICIES
 ]
 
-#: Rows that lose the block.
-LOSING_ROWS = ("naive-ps", "naive-ps-int", "ps", "ps-hybrid", "ps-int")
+#: (row, integrity) cases that lose the block: all of them.
+LOSING_CASES = [(name, integrity) for name in ("naive-ps", "ps", "ps-hybrid")
+                for integrity in (False, True)]
 
 _LOSS = pytest.mark.xfail(
     strict=True, raises=AssertionError,
@@ -43,15 +46,16 @@ ADDRESSES = 600
 
 
 def test_every_losing_row_is_a_flat_ps_row():
-    assert set(LOSING_ROWS) <= set(FLAT_PS_ROWS)
+    assert {name for name, _ in LOSING_CASES} <= set(FLAT_PS_ROWS)
 
 
-@pytest.mark.parametrize("variant", [
-    pytest.param(name, marks=_LOSS) if name in LOSING_ROWS else name
+@pytest.mark.parametrize("variant,integrity", [
+    case(name, integrity, marks=_LOSS if (name, integrity) in LOSING_CASES else ())
     for name in FLAT_PS_ROWS
+    for integrity in (False, True)
 ])
-def test_graduated_write_keeps_its_data(variant):
-    controller = build_variant(variant, small_config(height=8, seed=1))
+def test_graduated_write_keeps_its_data(variant, integrity):
+    controller = build_variant(variant, small_config(height=8, seed=1, integrity=integrity))
     rng = random.Random(1)
     shadow = {}
 

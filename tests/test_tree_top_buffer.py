@@ -7,7 +7,8 @@ write-through bucket buffer.  Two properties keep that timing causal:
 * the **read-after-write oracle** — no NVM read of a line completes
   before the latest earlier write of that line (in call order) does,
   checked through ``NVMMainMemory.request_observer`` on every registry
-  variant that has a tree, at windows 1, 4 and 16;
+  variant that has a tree, with the integrity domain off and on, at
+  windows 1, 4 and 16;
 * the **buffer's own rule** — a path fetch completes no earlier than the
   cycle the same controller's previous eviction refreshed the buffer.
 
@@ -23,12 +24,12 @@ from repro.config import small_config
 from repro.engine.registry import build_scheduled, variant_specs
 from repro.mem.request import Access
 from repro.util.rng import DeterministicRNG
+from tests.cases import case, layout_cases
 
 HEIGHT = 8
 ACCESSES = 300
 SEED = 3
 
-TREE_VARIANTS = [spec.name for spec in variant_specs() if spec.hierarchy != "plain"]
 RECURSIVE_VARIANTS = [
     spec.name for spec in variant_specs() if spec.posmap == "recursive"
 ]
@@ -55,8 +56,9 @@ def _tree_level(tree, address):
 class _Run:
     """One seeded mixed trace with every timed line request observed."""
 
-    def __init__(self, variant, window, instrument=None):
-        config = small_config(height=HEIGHT, channels=2, seed=SEED, sched_window=window)
+    def __init__(self, variant, window, instrument=None, integrity=False):
+        config = small_config(height=HEIGHT, channels=2, seed=SEED, sched_window=window,
+                              integrity=integrity)
         self.controller = build_scheduled(variant, config)
         bare = getattr(self.controller, "controller", self.controller)
         self.bare = bare
@@ -110,9 +112,9 @@ class _Run:
 
 class TestReadAfterWriteOracle:
     @pytest.mark.parametrize("window", [1, 4, 16])
-    @pytest.mark.parametrize("variant", TREE_VARIANTS)
-    def test_no_read_completes_before_its_write(self, variant, window):
-        run = _Run(variant, window)
+    @pytest.mark.parametrize("variant,integrity", layout_cases())
+    def test_no_read_completes_before_its_write(self, variant, integrity, window):
+        run = _Run(variant, window, integrity=integrity)
         if window > 1:
             # The posmap tree's deeper levels are not yet floored; pinned
             # by the strict xfail below.
@@ -131,7 +133,8 @@ class TestReadAfterWriteOracle:
     def test_posmap_tree_reads_wait_for_their_writes(self):
         early = Counter()
         for variant in RECURSIVE_VARIANTS:
-            early.update(_Run(variant, 4).early)
+            for integrity in (False, True):
+                early.update(_Run(variant, 4, integrity=integrity).early)
         assert early == Counter()
 
 
@@ -143,10 +146,12 @@ class TestTreeTopBuffer:
         buffered = {where: n for where, n in run.read_levels.items() if where[1] < 2}
         assert buffered == {}
 
-    @pytest.mark.parametrize("variant", ["baseline", "ps", "ps-hybrid", "rcr-ps-int"])
-    def test_writes_and_image_equal_serial(self, variant):
-        serial = _Run(variant, 1).bare
-        windowed = _Run(variant, 4).bare
+    @pytest.mark.parametrize("variant,integrity", [
+        case("baseline"), case("ps"), case("ps-hybrid"), case("rcr-ps", True),
+    ])
+    def test_writes_and_image_equal_serial(self, variant, integrity):
+        serial = _Run(variant, 1, integrity=integrity).bare
+        windowed = _Run(variant, 4, integrity=integrity).bare
 
         def writes(bare):
             snapshot = bare.memory.traffic.snapshot()

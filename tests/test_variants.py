@@ -12,6 +12,7 @@ from repro.core.variants import (
 )
 from repro.mem.request import RequestKind
 from repro.util.rng import DeterministicRNG
+from tests.cases import registry_cases
 
 VARIANT_NAMES = [spec.name for spec in variant_specs()]
 
@@ -31,12 +32,16 @@ class TestFactory:
         assert set(NON_RECURSIVE_VARIANTS) <= set(VARIANT_NAMES)
         assert set(RECURSIVE_VARIANTS) <= set(VARIANT_NAMES)
 
-    @pytest.mark.parametrize("name", VARIANT_NAMES)
-    def test_builds_never_share_policy_state(self, name):
+    @pytest.mark.parametrize("name,integrity", registry_cases())
+    def test_builds_never_share_policy_state(self, name, integrity):
         # A policy owns per-controller state, so each build of a spec
         # must construct its own policy, WPQs and temporary PosMap.
         spec = get_spec(name)
-        first, second = (spec.make(small_config(height=6)) for _ in range(2))
+        config = small_config(height=6, integrity=integrity)
+        first, second = (spec.make(config) for _ in range(2))
+        if integrity:
+            assert first.integrity is not None
+            assert first.integrity is not second.integrity
         assert first.policy is not second.policy
         assert first.policy.c is first and second.policy.c is second
         if hasattr(first, "drainer"):
@@ -48,9 +53,9 @@ class TestFactory:
 class TestFunctionalEquivalence:
     """All ORAM variants implement identical program-visible semantics."""
 
-    @pytest.mark.parametrize("name", VARIANT_NAMES)
-    def test_roundtrip(self, name):
-        controller = build_variant(name, small_config(height=6))
+    @pytest.mark.parametrize("name,integrity", registry_cases())
+    def test_roundtrip(self, name, integrity):
+        controller = build_variant(name, small_config(height=6, integrity=integrity))
         controller.write(3, b"payload")
         assert controller.read(3).data.rstrip(b"\x00") == b"payload"
 

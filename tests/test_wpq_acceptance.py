@@ -14,10 +14,12 @@ from repro.config import small_config
 from repro.engine.registry import build_scheduled
 from repro.mem.request import Access
 from repro.util.rng import DeterministicRNG
+from tests.cases import case
 
 
-def _build(variant):
-    return build_scheduled(variant, small_config(height=6, seed=5), window=4)
+def _build(variant, integrity=False):
+    config = small_config(height=6, seed=5, integrity=integrity)
+    return build_scheduled(variant, config, window=4)
 
 
 def _drive(controller, accesses=120, space=60, seed=5):
@@ -33,13 +35,13 @@ def _drive(controller, accesses=120, space=60, seed=5):
     return results
 
 
-def _clock_pairs(variant, before, after):
+def _clock_pairs(variant, before, after, integrity=False):
     """(clock at ``before``, clock at ``after``) for every access firing both.
 
     The clock read is the bare controller's ``now``, not the window's
     completion horizon.
     """
-    controller = _build(variant)
+    controller = _build(variant, integrity)
     bare = controller.controller
     pending = []
     pairs = []
@@ -61,21 +63,22 @@ def test_intent_record_does_not_advance_the_clock():
     assert all(before == after for before, after in pairs)
 
 
-@pytest.mark.parametrize("variant", ["ps-int", "rcr-ps-int"])
-def test_integrity_commit_does_not_advance_the_clock(variant):
-    pairs = _clock_pairs(variant, "integrity:after-propagate", "integrity:after-persist")
+@pytest.mark.parametrize("variant,integrity", [case("ps", True), case("rcr-ps", True)])
+def test_integrity_commit_does_not_advance_the_clock(variant, integrity):
+    pairs = _clock_pairs(variant, "integrity:after-propagate", "integrity:after-persist",
+                         integrity)
     assert len(pairs) > 50
     assert all(before == after for before, after in pairs)
 
 
-def _observed_run(variant):
+def _observed_run(variant, integrity=False):
     """Drive a run under a request observer.
 
     Returns the results, the (address, access) of every timed line, and
     the byte ranges [lo, hi) of the posted lines: the intent log and the
     integrity digest lines, whichever the variant has.
     """
-    controller = _build(variant)
+    controller = _build(variant, integrity)
     events = []
     controller.memory.request_observer = (
         lambda address, request: events.append((address, request.access))
@@ -90,9 +93,11 @@ def _observed_run(variant):
     return results, events, ranges
 
 
-@pytest.mark.parametrize("variant", ["rcr-ps", "ps-int", "rcr-ps-int"])
-def test_posted_lines_are_never_read(variant):
-    _, events, ranges = _observed_run(variant)
+@pytest.mark.parametrize("variant,integrity", [
+    case("rcr-ps"), case("ps", True), case("rcr-ps", True),
+])
+def test_posted_lines_are_never_read(variant, integrity):
+    _, events, ranges = _observed_run(variant, integrity)
 
     def posted(address):
         return any(lo <= address < hi for lo, hi in ranges)
