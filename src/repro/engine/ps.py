@@ -344,9 +344,9 @@ class DirtyEntryPSPolicy(PersistencePolicy):
             blocks.extend(dummy for _ in range(z - len(level_blocks)))
         # One batched codec pass over the whole path (same IV order as the
         # former per-slot encode loop, so the wires are byte-identical).
-        wires = c.codec.encode_path(blocks)
-        round_ = c._round
         addresses = c.tree.path_addresses(path_id)
+        wires = c.codec.encode_path(blocks, addresses)
+        round_ = c._round
         writes: List[SlotWrite] = []
         for cursor, block in enumerate(blocks):
             entry = entry_by_block.get(id(block))
@@ -629,10 +629,11 @@ class RecursiveDirtyEntryPSPolicy(DirtyEntryPSPolicy):
         best_blocks = {}
         for bucket_idx in range(pm_tree.region.num_buckets):
             for slot in range(pm_tree.z):
-                wire = c.memory.load_line(pm_tree.region.slot_address(bucket_idx, slot))
+                line = pm_tree.region.slot_address(bucket_idx, slot)
+                wire = c.memory.load_line(line)
                 if wire is None:
                     continue
-                block = pm_tree.codec.decode(wire)
+                block = pm_tree.codec.decode(wire, line)
                 if block.is_dummy:
                     continue
                 expected = inner.posmap.get(block.address)
@@ -687,18 +688,17 @@ class RecursiveDirtyEntryPSPolicy(DirtyEntryPSPolicy):
         best: Optional[Block] = None
         for bucket_idx in path_bucket_indices(path_id, c.tree.height):
             for slot in range(c.tree.z):
-                wire = c.memory.load_line(
-                    c.tree.region.slot_address(bucket_idx, slot)
-                )
+                line = c.tree.region.slot_address(bucket_idx, slot)
+                wire = c.memory.load_line(line)
                 if wire is None:
                     continue
-                block = c.tree.codec.decode_header(wire)
+                block = c.tree.codec.decode_header(wire, line)
                 if block.is_dummy or block.address != address:
                     continue
                 if block.path_id != path_id:
                     continue
                 if best is None or block.version > best.version:
-                    full = c.tree.codec.decode(wire)
+                    full = c.tree.codec.decode(wire, line)
                     best = full
         return best
 

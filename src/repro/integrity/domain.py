@@ -148,6 +148,15 @@ class IntegrityDomain:
         if self._installed:
             return
         memory = self.c.memory
+        if memory.address_translator is not None:
+            # The memory hands line_observer the translated (physical)
+            # address, the trees reload it through the translator a second
+            # time, and recompute_root walks physical image keys: every
+            # line a translator moves would read as tampered.
+            raise ValueError(
+                "memory has an address translator (wear leveling); the "
+                "integrity domain cannot attach below one"
+            )
         # Seed line MACs for everything already written into the extent
         # (and reject anything the extent does not cover).
         line_bytes = memory.line_bytes

@@ -99,6 +99,13 @@ class StartGapRemapper:
             raise ValueError("region base must be line-aligned")
         if memory.address_translator is not None or memory.request_observer is not None:
             raise ValueError("memory already has a translator or request observer")
+        if memory.line_observer is not None:
+            # The integrity domain observes physical addresses but reloads
+            # them through the translator; see IntegrityDomain.install.
+            raise ValueError(
+                "memory has a line observer (an integrity domain); wear "
+                "leveling below it would make every moved line read as tampered"
+            )
         self.memory = memory
         self.base = base
         self.num_lines = num_lines

@@ -22,8 +22,8 @@ substitution.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.crypto.engine import CryptoEngine
 
@@ -127,25 +127,21 @@ class BlockCodec:
         self._mac_bytes = engine.cipher.MAC_BYTES
         self._header_end = 2 * _IV_BYTES + _HEADER_BYTES + self._mac_bytes
         self._wire_bytes = self._header_end + block_bytes + self._mac_bytes
-        # Write-through plaintext memo: every wire this codec produced,
-        # keyed by its (unique, monotonic) IV1.  A decode whose wire is
-        # byte-equal to the remembered ciphertext returns the remembered
-        # plaintext fields without redoing the keystream/MAC walk — the
-        # bytes are identical by construction (decode inverts encode), and
-        # a tampered wire misses the memo and takes the verifying slow
-        # path.  Bounded FIFO so long-running services stay flat: the
-        # deque holds the keys oldest-first, so eviction is O(1) (finding
-        # the oldest key by iterating the dict rescans every entry deleted
-        # since its last resize) and costs one pointer per entry, where an
-        # OrderedDict's linked nodes cost several.
+        # Write-through plaintext memo, keyed by NVM line address: the
+        # wire this codec last encoded for each line, with its plaintext
+        # fields.  Encoding for a line replaces its entry, so the memo
+        # holds at most one entry per line ever written and never a wire
+        # a later encode overwrote: it needs no capacity or eviction.  A
+        # decode hits only when it names the line and the wire it decodes
+        # is the remembered one (identity first, then equality); the
+        # plaintext is then identical by construction (decode inverts
+        # encode).  Anything else — no line, a tampered wire, a wire stored
+        # behind the codec's back, a write a crash discarded — takes the
+        # MAC-verifying slow path.  The shared dummy template, most of a
+        # sparse tree's slots, is remembered as its bare wire.
         self._plain_memo: dict = {}
-        self._memo_order: deque = deque()
-        self._memo_capacity = self.PLAIN_MEMO_CAPACITY
-
-    #: Entries kept in the decode memo (FIFO eviction).  At the default
-    #: 64B blocks one entry is ~250 bytes, so the cap is a few MB; it
-    #: comfortably covers every line of the test/bench-scale trees.
-    PLAIN_MEMO_CAPACITY = 65536
+        self._dummy_block = Block.dummy_template(block_bytes)
+        self._dummy_fields = (None, DUMMY_ADDRESS, 0, self._dummy_block.data, 0)
 
     @property
     def wire_bytes(self) -> int:
@@ -157,8 +153,12 @@ class BlockCodec:
         self._iv_counter += 1
         return iv
 
-    def encode(self, block: Block) -> bytes:
-        """Encrypt a block into its wire format with fresh IVs."""
+    def encode(self, block: Block, line: Optional[int] = None) -> bytes:
+        """Encrypt a block into its wire format with fresh IVs.
+
+        ``line`` is the NVM line address the wire is stored at; given, the
+        wire becomes that line's decode-memo entry.
+        """
         if len(block.data) != self.block_bytes:
             raise ValueError(
                 f"payload is {len(block.data)} bytes, expected {self.block_bytes}"
@@ -184,19 +184,24 @@ class BlockCodec:
             + enc_header
             + enc_data
         )
-        self._memo_put(iv1, wire, block)
+        if line is not None:
+            self._memo_put(line, wire, block)
         return wire
 
-    def encode_path(self, blocks) -> list:
+    def encode_path(self, blocks, lines: Optional[Sequence[int]] = None) -> list:
         """Encrypt a whole path's blocks in one batched codec pass.
 
         Byte-identical to ``[self.encode(b) for b in blocks]`` — the IV
         counter advances in the same (iv1, iv2) per-block order and the
         wire layout is untouched — but the header and payload keystreams
         for the entire path come from two :meth:`Prf.keystream_many`
-        walks instead of ``2 * len(blocks)`` individual calls.
+        walks instead of ``2 * len(blocks)`` individual calls.  ``lines``
+        (one NVM line address per block) makes each wire its line's
+        decode-memo entry.
         """
         n = len(blocks)
+        if lines is not None and len(lines) != n:
+            raise ValueError(f"{len(lines)} lines for {n} blocks")
         if n == 0:
             return []
         block_bytes = self.block_bytes
@@ -224,37 +229,52 @@ class BlockCodec:
         engine = self._engine
         enc_headers = engine.encrypt_batch(headers, iv1s)
         enc_payloads = engine.encrypt_batch(payloads, iv2s)
-        wires = []
-        append = wires.append
-        memo_put = self._memo_put
-        for i in range(n):
-            wire = (
-                iv1s[i].to_bytes(_IV_BYTES, "little")
-                + iv2s[i].to_bytes(_IV_BYTES, "little")
-                + enc_headers[i]
-                + enc_payloads[i]
-            )
-            memo_put(iv1s[i], wire, blocks[i])
-            append(wire)
+        wires = [
+            iv1s[i].to_bytes(_IV_BYTES, "little")
+            + iv2s[i].to_bytes(_IV_BYTES, "little")
+            + enc_headers[i]
+            + enc_payloads[i]
+            for i in range(n)
+        ]
+        if lines is not None:
+            memo_put = self._memo_put
+            for line, wire, block in zip(lines, wires, blocks):
+                memo_put(line, wire, block)
         return wires
 
-    def _memo_put(self, iv1: int, wire: bytes, block: "Block") -> None:
-        memo = self._plain_memo
-        if len(memo) >= self._memo_capacity:
-            del memo[self._memo_order.popleft()]
-        memo[iv1] = (wire, block.address, block.path_id, block.data, block.version)
-        self._memo_order.append(iv1)
+    def _memo_put(self, line: int, wire: bytes, block: Block) -> None:
+        self._plain_memo[line] = (
+            wire if block is self._dummy_block
+            else (wire, block.address, block.path_id, block.data, block.version)
+        )
 
-    def decode(self, wire: bytes) -> Block:
-        """Decrypt a wire-format block."""
+    def _memo_fields(self, wire: bytes, line: Optional[int]):
+        """``(wire, address, path_id, data, version)`` remembered for
+        ``line`` if its memo entry holds exactly ``wire``; else None."""
+        if line is None:
+            return None
+        entry = self._plain_memo.get(line)
+        if entry is None:
+            return None
+        if entry.__class__ is bytes:
+            if entry is wire or entry == wire:
+                return self._dummy_fields
+            return None
+        remembered = entry[0]
+        if remembered is wire or remembered == wire:
+            return entry
+        return None
+
+    def decode(self, wire: bytes, line: Optional[int] = None) -> Block:
+        """Decrypt a wire-format block read from NVM line ``line``."""
         if len(wire) != self.wire_bytes:
             raise ValueError(f"wire block is {len(wire)} bytes, expected {self.wire_bytes}")
-        iv1 = int.from_bytes(wire[:_IV_BYTES], "little")
-        hit = self._plain_memo.get(iv1)
-        if hit is not None and hit[0] == wire:
+        fields = self._memo_fields(wire, line)
+        if fields is not None:
             self._engine.count_decrypt(2, self.wire_bytes - 2 * _IV_BYTES)
-            return _raw_block(hit[1], hit[2], hit[3], hit[4])
+            return _raw_block(fields[1], fields[2], fields[3], fields[4])
         header_end = self._header_end
+        iv1 = int.from_bytes(wire[:_IV_BYTES], "little")
         iv2 = int.from_bytes(wire[_IV_BYTES : 2 * _IV_BYTES], "little")
         engine = self._engine
         header = engine.decrypt(wire[2 * _IV_BYTES : header_end], iv1)
@@ -266,30 +286,31 @@ class BlockCodec:
             int.from_bytes(header[16:24], "little", signed=False),
         )
 
-    def decode_path(self, wires) -> list:
+    def decode_path(self, wires, lines: Optional[Sequence[int]] = None) -> list:
         """Decrypt a whole path's blocks in one batched codec pass.
 
-        Result-identical to ``[self.decode(w) for w in wires]`` (including
-        the :class:`~repro.crypto.ctr.IntegrityError` on a tampered wire):
-        memo hits short-circuit, and all misses share two batched
-        keystream walks (headers, then payloads).
+        Result-identical to ``[self.decode(w, l) for w, l in zip(wires,
+        lines)]`` (including the :class:`~repro.crypto.ctr.IntegrityError`
+        on a tampered wire): memo hits short-circuit, and all misses share
+        two batched keystream walks (headers, then payloads).
         """
         n = len(wires)
         if n == 0:
             return []
+        if lines is None:
+            lines = [None] * n
         wire_bytes = self._wire_bytes
-        memo = self._plain_memo
+        memo_fields = self._memo_fields
         blocks = [None] * n
         miss_idx = []
-        hits = 0
         for i, wire in enumerate(wires):
-            hit = memo.get(int.from_bytes(wire[:_IV_BYTES], "little"))
-            if hit is not None and hit[0] == wire:
-                blocks[i] = _raw_block(hit[1], hit[2], hit[3], hit[4])
-                hits += 1
+            fields = memo_fields(wire, lines[i])
+            if fields is not None:
+                blocks[i] = _raw_block(fields[1], fields[2], fields[3], fields[4])
             else:
                 miss_idx.append(i)
         engine = self._engine
+        hits = n - len(miss_idx)
         if hits:
             engine.count_decrypt(2 * hits, hits * (wire_bytes - 2 * _IV_BYTES))
         if miss_idx:
@@ -320,18 +341,18 @@ class BlockCodec:
                 )
         return blocks
 
-    def decode_header(self, wire: bytes) -> Block:
+    def decode_header(self, wire: bytes, line: Optional[int] = None) -> Block:
         """Decrypt only the header (payload left zeroed).
 
         Models the controller peeking at headers to find the block of
         interest before the full payload decrypt; also used by recovery.
         """
         header_end = self._header_end
-        iv1 = int.from_bytes(wire[:_IV_BYTES], "little")
-        hit = self._plain_memo.get(iv1)
-        if hit is not None and hit[0] == wire:
+        fields = self._memo_fields(wire, line)
+        if fields is not None:
             self._engine.count_decrypt(1, header_end - 2 * _IV_BYTES)
-            return _raw_block(hit[1], hit[2], bytes(self.block_bytes), hit[4])
+            return _raw_block(fields[1], fields[2], bytes(self.block_bytes), fields[4])
+        iv1 = int.from_bytes(wire[:_IV_BYTES], "little")
         header = self._engine.decrypt(wire[2 * _IV_BYTES : header_end], iv1)
         return _raw_block(
             int.from_bytes(header[0:8], "little", signed=True),

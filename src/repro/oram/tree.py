@@ -35,7 +35,7 @@ from repro.oram.layout import TreeRegion
 BUFFER_LEVELS = 2
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=64)
 def _path_slot_addresses(region: TreeRegion, path_id: int) -> Tuple[int, ...]:
     """Line addresses of every slot on a path, root-first, slot-major.
 
@@ -43,7 +43,10 @@ def _path_slot_addresses(region: TreeRegion, path_id: int) -> Tuple[int, ...]:
     effectively ``(base, height, z, line_bytes, path_id)``.  Every timed
     path access needs these ``Z * (L + 1)`` addresses; computing them once
     per (region, path) removes the per-slot index math and range checks
-    from the hot loop.
+    from the hot loop.  The cache holds what one window of accesses
+    reuses (each access reads and writes the same path of each tree); at
+    the paper's L = 23 paths almost never repeat beyond that, and a
+    larger cache only keeps dead tuples of ``Z * (L + 1)`` addresses.
     """
     height = region.height
     z = region.z
@@ -118,12 +121,12 @@ class ORAMTree:
         wire = self.memory.load_line(address)
         if wire is None:
             return Block.dummy(self.codec.block_bytes)
-        return self.codec.decode(wire)
+        return self.codec.decode(wire, address)
 
     def store_slot(self, bucket_idx: int, slot: int, block: Block) -> int:
         """Encode and functionally store a block; returns the line address."""
         address = self.region.slot_address(bucket_idx, slot)
-        self.memory.store_line(address, self.codec.encode(block))
+        self.memory.store_line(address, self.codec.encode(block, address))
         return address
 
     def load_bucket(self, bucket_idx: int) -> Bucket:
@@ -209,9 +212,12 @@ class ORAMTree:
         wires = [load_line(address) for address in addresses]
         codec = self.codec
         if None not in wires:
-            return codec.decode_path(wires), finish
+            return codec.decode_path(wires, addresses), finish
         dummy = Block.dummy_template(codec.block_bytes)
-        decoded = iter(codec.decode_path([wire for wire in wires if wire is not None]))
+        written = [i for i, wire in enumerate(wires) if wire is not None]
+        decoded = iter(codec.decode_path(
+            [wires[i] for i in written], [addresses[i] for i in written]
+        ))
         return [dummy if wire is None else next(decoded) for wire in wires], finish
 
     def read_path_headers(self, path_id: int) -> List[Block]:
@@ -220,7 +226,8 @@ class ORAMTree:
         decode_header = self.codec.decode_header
         dummy = Block.dummy_template(self.codec.block_bytes)
         return [
-            dummy if (wire := load_line(address)) is None else decode_header(wire)
+            dummy if (wire := load_line(address)) is None
+            else decode_header(wire, address)
             for address in _path_slot_addresses(self.region, path_id)
         ]
 
@@ -250,9 +257,10 @@ class ORAMTree:
                 raise ValueError(f"level {level} assigned {len(placed)} > Z={z} blocks")
             blocks.extend(placed)
             blocks.extend(dummy for _ in range(z - len(placed)))
-        wires = self.codec.encode_path(blocks)
+        addresses = _path_slot_addresses(self.region, path_id)
+        wires = self.codec.encode_path(blocks, addresses)
         return self.memory.issue_path(
-            _path_slot_addresses(self.region, path_id),
+            addresses,
             Access.WRITE,
             start_cycle,
             self.kind,

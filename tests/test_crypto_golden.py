@@ -177,7 +177,8 @@ class TestPathCodecGolden:
             Block(address=i, path_id=7 - i, data=i.to_bytes(1, "little") * 64, version=i)
             for i in range(6)
         ] + [Block.dummy(64)] * 2
-        wires = codec.encode_path(blocks)
+        lines = [64 * i for i in range(len(blocks))]
+        wires = codec.encode_path(blocks, lines)
         # Fresh codec: no memo hits, every block goes through the batched
         # decrypt walk.
         fresh = BlockCodec(CryptoEngine(b"golden-codec-key"), block_bytes=64)
@@ -186,9 +187,9 @@ class TestPathCodecGolden:
             assert (copy.address, copy.path_id, copy.version, copy.data) == (
                 original.address, original.path_id, original.version, original.data
             )
-        # Same codec instance: the plaintext memo short-circuits, with
-        # identical results.
-        memoed = codec.decode_path(wires)
+        # Same codec instance, same lines: the plaintext memo
+        # short-circuits, with identical results.
+        memoed = codec.decode_path(wires, lines)
         for original, copy in zip(blocks, memoed):
             assert (copy.address, copy.path_id, copy.version, copy.data) == (
                 original.address, original.path_id, original.version, original.data

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import PCM_TIMING, small_config
 from repro.core.variants import build_variant
+from repro.integrity.domain import enable_integrity
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access
 from repro.mem.wearlevel import StartGapRemapper, attach_wear_leveling
@@ -150,3 +151,25 @@ class TestWearSpreading:
             return controller.memory.traffic.max_line_writes()
 
         assert hottest(level=True) < 0.7 * hottest(level=False)
+
+
+class TestIntegrityCombination:
+    """Start-Gap below an integrity domain would raise false tamper alarms
+    (the domain observes physical addresses and reloads them through the
+    translator), so the combination fails loudly in both attach orders."""
+
+    def test_integrity_after_wear_leveling_raises(self):
+        controller = build_variant("ps", small_config(height=6, seed=4))
+        attach_wear_leveling(controller, gap_period=8)
+        with pytest.raises(ValueError, match="address translator"):
+            enable_integrity(controller)
+        assert controller.integrity is None
+        assert controller.memory.line_observer is None
+
+    def test_wear_leveling_after_integrity_raises(self):
+        controller = build_variant("ps", small_config(height=6, seed=4, integrity=True))
+        assert controller.integrity is not None
+        with pytest.raises(ValueError, match="line observer"):
+            attach_wear_leveling(controller, gap_period=8)
+        assert controller.memory.address_translator is None
+        assert controller.memory.request_observer is None
