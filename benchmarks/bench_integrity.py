@@ -9,19 +9,21 @@ under three integrity modes:
   shared lines re-written once per leaf (what a per-line integrity
   engine would issue);
 * ``lazy``  — the Freij-style batched discipline the PS variants declare:
-  one propagation per commit, each affected node line written exactly
-  once (docs/INTEGRITY.md).
+  one propagation per commit, then the root witness alone; recovery
+  rebuilds the interior digests from the image, so no node line is
+  written (docs/INTEGRITY.md).
 
 Both integrity modes protect the ORAM tree with its own bucket Merkle
 tree, whose digests ride in the path lines and cost no timed line, and
 the small residual region (flat PosMap, scratch lines) with the
 line-packed arity-4 tree.  The modes differ on the residual tree only,
-so the *modeled* cycles/access gap between them is purely the duplicate
-node-line traffic eager batching removes — a deterministic number the
+so the *modeled* cycles/access gap between them is purely the node-line
+traffic the lazy discipline does not write — a deterministic number the
 JSON pins (lazy must beat eager; the bench exits non-zero otherwise).
-Lazy writes about 11 integrity lines per access here, against 53.7 with
-one line-packed tree over the whole image.  Wall-clock accesses/sec is
-also recorded for the Python-overhead view.
+Lazy writes exactly one integrity line per access here (the witness),
+against 10.92 when it also persisted the residual tree's group lines and
+53.7 with one line-packed tree over the whole image.  Wall-clock
+accesses/sec is also recorded for the Python-overhead view.
 
 Runs at window 1 (serial pipeline) and window 4 (memory-level-parallel
 scheduler) per mode, mirroring the hot-path bench's configurations.

@@ -43,7 +43,11 @@ Event = Dict[str, Any]
 
 def make_spec(variant: str, wpq: str, height: int, config_seed: int,
               window: int = 1, integrity: bool = False) -> Dict[str, Any]:
-    """The system half of a reproducer: everything but the ops."""
+    """The system half of a reproducer: everything but the ops.
+
+    The defaults are what a spec written before specs recorded the window
+    and the integrity switch was built with: serial, no domain.
+    """
     return {"variant": variant, "wpq": wpq, "height": height,
             "config_seed": config_seed, "window": window,
             "integrity": integrity}
@@ -51,6 +55,7 @@ def make_spec(variant: str, wpq: str, height: int, config_seed: int,
 
 def build_spec_system(spec: Dict[str, Any]):
     """``(config, controller)`` for a reproducer spec, as its cell built them."""
+    spec = make_spec(**spec)
     return _build_system(spec["variant"], spec["height"], spec["wpq"],
                          spec["config_seed"], spec["window"], spec["integrity"])
 
@@ -172,10 +177,7 @@ def write_reproducer(path, spec: Dict[str, Any], events: Sequence[Event],
 
 def load_reproducer(path) -> Tuple[Dict[str, Any], List[Event], List[str]]:
     payload = json.loads(Path(path).read_text())
-    # Reproducers written before specs recorded the window and the
-    # integrity switch were all built serially with no domain.
-    spec = {"window": 1, "integrity": False, **payload["spec"]}
-    return spec, payload["events"], payload.get("violations", [])
+    return make_spec(**payload["spec"]), payload["events"], payload.get("violations", [])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

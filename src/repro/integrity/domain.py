@@ -15,8 +15,10 @@ Two kinds of tree cover the controller's persistent layout:
   line;
 * the small **residual region** left over (flat PosMap, version/bounce
   scratch lines, the intent log) is covered by the line-packed
-  :class:`~repro.integrity.tree.MerkleIntegrityTree`, whose sibling-group
-  lines are the only timed integrity traffic.
+  :class:`~repro.integrity.tree.MerkleIntegrityTree`, whose interior
+  digests stay on chip: recovery rebuilds them from the image, so only
+  the root witness is timed integrity traffic (leaf persistence with a
+  rebuild).
 
 Pipeline integration (the :class:`~repro.engine.base.AccessEngine`
 drives every hook):
@@ -26,10 +28,10 @@ drives every hook):
   digest lines raises, so a layout the domain does not cover fails
   loudly instead of going unprotected;
 * at ``phase:persist-commit`` both trees are batch-propagated and the
-  residual tree's affected group lines are written out as timed
+  witness is written out as timed
   :class:`~repro.mem.request.RequestKind.INTEGRITY` traffic, posted like
-  a drainer round (durable once the WPQ accepts them, so the access does
-  not wait for them), bracketed by the :data:`INTEGRITY_CRASH_POINTS`
+  a drainer round (durable once the WPQ accepts it, so the access does
+  not wait for it), bracketed by the :data:`INTEGRITY_CRASH_POINTS`
   checkpoints; the **persisted
   root line is the commit witness** (``seq || Prf("R" || line-tree root
   || bucket roots in region order)``) — a recovered image that does not
@@ -56,8 +58,8 @@ tree only:
     every node on its path, duplicates included — the per-line update
     stream a non-batched integrity engine would issue.
 ``"lazy"``
-    The PS variants: one batched propagation per commit; each group line
-    holding an affected digest is written exactly once, witness last.
+    The PS variants: one batched propagation per commit, then the witness
+    alone — no group line, since recovery recomputes from the image.
 ``"eadr"``
     eADR: no runtime traffic at all — the whole tree rides the
     residual-energy flush, so only the crash-time root persist remains.
@@ -99,8 +101,9 @@ class IntegrityDomain:
     controller's exact persistent extent.  The digest lines live
     immediately above it: line 0 is the **root witness**, then one line
     per sibling group of the line tree's ``arity`` digests, level-major
-    from the root's level down to the leaves.  Digest lines are outside
-    the protected extent, so persisting them never re-dirties a tree.
+    from the root's level down to the leaves (only the eager discipline
+    writes group lines).  Digest lines are outside the protected extent,
+    so persisting them never re-dirties a tree.
     """
 
     def __init__(self, controller, line_tree: MerkleIntegrityTree,
@@ -219,12 +222,10 @@ class IntegrityDomain:
     def _combine(self, line_root: bytes, bucket_roots: Sequence[bytes]) -> bytes:
         return self._witness_prf.evaluate(b"R" + line_root + b"".join(bucket_roots))
 
-    def propagate(self) -> List[Tuple[int, int]]:
-        """Propagate every tree; returns the line tree's recomputed nodes
-        (the bucket trees' digests ride in data lines and need no write)."""
-        for tree in self.bucket_trees:
+    def propagate(self) -> None:
+        """Bring every tree's cached digests up to date."""
+        for tree in (*self.bucket_trees, self.line_tree):
             tree.propagate()
-        return self.line_tree.propagate()
 
     @property
     def root(self) -> bytes:
@@ -302,23 +303,18 @@ class IntegrityDomain:
         tree = self.line_tree
         dirty = tree.dirty_leaves
         c._checkpoint("integrity:before-propagate")
-        touched = self.propagate()
+        self.propagate()
         c._checkpoint("integrity:after-propagate")
+        # Lazy persists the witness alone: recovery recomputes every root
+        # from the image and reads only the witness, and no access reads a
+        # group line, so persisted interior digests would be write-only.
+        # Eager still writes one full ancestor path per dirty leaf,
+        # duplicates and all — the strict-persistence strawman.
+        groups: List[Tuple[int, int]] = []
         if self.discipline == "eager":
-            # One full ancestor path per dirty leaf, duplicates and all:
-            # shared node lines are re-written once per leaf, which is the
-            # whole overhead lazy batching removes.
-            nodes: List[Tuple[int, int]] = []
             for leaf in dirty:
-                nodes.append((0, leaf))
-                nodes.extend(tree.ancestors(leaf))
-        else:
-            nodes = touched
-        # A node's digest lives in the line of its sibling group.
-        arity = tree.arity
-        groups = [(level, index // arity) for level, index in nodes]
-        if self.discipline == "lazy":
-            groups = list(dict.fromkeys(groups))  # each line once, leaves first
+                for level, index in ((0, leaf), *tree.ancestors(leaf)):
+                    groups.append((level, index // tree.arity))
         addresses = [self._group_address(level, group) for level, group in groups]
         datas: List[Optional[bytes]] = [
             b"".join(tree.group(level, group)) for level, group in groups

@@ -148,11 +148,6 @@ class BlockCodec:
         """Stored size of one encrypted block."""
         return self._wire_bytes
 
-    def _next_iv(self) -> int:
-        iv = self._iv_counter
-        self._iv_counter += 1
-        return iv
-
     def encode(self, block: Block, line: Optional[int] = None) -> bytes:
         """Encrypt a block into its wire format with fresh IVs.
 

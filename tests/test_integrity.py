@@ -292,13 +292,13 @@ class TestIntegrityDomain:
 
 
 def _record_commits(domain):
-    """Log every lazy commit as ``(touched, addresses, datas, expected)``.
+    """Log every commit as ``(dirty, addresses, datas, expected)``.
 
-    ``touched`` is what the domain's ``propagate()`` returned (the line
-    tree's recomputed nodes); ``addresses``/``datas`` are the commit's
-    integrity burst; ``expected`` maps each touched node's line address
-    to its sibling group's digests in index order, read off the line tree
-    at issue time.
+    ``dirty`` is the line tree's dirty leaves just before the commit's
+    propagation; ``addresses``/``datas`` are the commit's integrity burst;
+    ``expected`` maps the line address of every node on each dirty leaf's
+    path to its sibling group's digests in index order, read off the line
+    tree at issue time.
     """
     memory = domain.c.memory
     tree = domain.line_tree
@@ -308,21 +308,21 @@ def _record_commits(domain):
     issue_path = memory.issue_path
 
     def recording_propagate():
-        touched = propagate()
-        commits.append((touched,))
-        return touched
+        commits.append((tree.dirty_leaves,))
+        propagate()
 
     def recording_issue_path(addresses, access, arrival, kind, datas=None):
         if kind is RequestKind.INTEGRITY:
-            touched = commits[-1][0]
+            dirty = commits[-1][0]
             expected = {
                 domain.node_address(level, index): b"".join(
                     tree.node(level, (index // arity) * arity + j)
                     for j in range(arity)
                 )
-                for level, index in touched
+                for leaf in dirty
+                for level, index in ((0, leaf), *tree.ancestors(leaf))
             }
-            commits[-1] = (touched, list(addresses), list(datas), expected)
+            commits[-1] = (dirty, list(addresses), list(datas), expected)
         return issue_path(addresses, access, arrival, kind, datas)
 
     domain.propagate = recording_propagate
@@ -330,48 +330,60 @@ def _record_commits(domain):
     return commits
 
 
-class TestLinePackedCommit:
-    """A lazy commit writes each sibling-group line once, the witness last."""
+def _drive_commits(discipline, accesses=12):
+    controller = build_variant("ps", small_config(height=6, seed=5))
+    domain = enable_integrity(controller, discipline=discipline)
+    commits = _record_commits(domain)
+    for addr in range(accesses):
+        controller.write(addr, bytes([addr]) * 4)
+        controller.read((addr * 7) % accesses)
+    domain.detach()
+    assert len(commits) == 2 * accesses
+    assert any(dirty for dirty, *_ in commits), "no commit dirtied the line tree"
+    return domain, commits
 
-    def test_lazy_commit_writes_each_group_line_once(self):
-        controller = build_variant("ps", small_config(height=6, seed=5))
-        domain = enable_integrity(controller)
-        commits = _record_commits(domain)
-        for addr in range(12):
-            controller.write(addr, bytes([addr]) * 4)
-            controller.read((addr * 7) % 12)
-        arity = domain.line_tree.arity
-        assert len(commits) == 24
-        for touched, addresses, _, expected in commits:
-            groups = {(level, index // arity) for level, index in touched}
-            assert len(addresses) == 1 + len(groups)
-            assert len(set(addresses)) == len(addresses)
+
+class TestLinePackedCommit:
+    """A lazy commit writes the witness alone; an eager one also writes
+    each dirty leaf's group-line path, the witness last."""
+
+    def test_lazy_commit_writes_only_the_witness(self):
+        domain, commits = _drive_commits("lazy")
+        for _, addresses, datas, _ in commits:
+            assert addresses == [domain.root_line]
+            assert datas == [None]  # the witness goes through _persist_root
+
+    def test_eager_commit_writes_each_dirty_leafs_group_path(self):
+        domain, commits = _drive_commits("eager")
+        tree = domain.line_tree
+        for dirty, addresses, _, _ in commits:
+            assert addresses[:-1] == [
+                domain.node_address(level, index)
+                for leaf in dirty
+                for level, index in ((0, leaf), *tree.ancestors(leaf))
+            ]
             assert addresses[-1] == domain.root_line
-            assert set(addresses[:-1]) == set(expected)
-        domain.detach()
 
     def test_node_line_content_is_its_group_in_index_order(self):
-        controller = build_variant("ps", small_config(height=6, seed=5))
-        domain = enable_integrity(controller)
-        commits = _record_commits(domain)
-        for addr in range(6):
-            controller.write(addr, b"group")
+        domain, commits = _drive_commits("eager")
         line_bytes = domain.line_tree.arity * DIGEST_BYTES
         for _, addresses, datas, expected in commits:
             assert datas[-1] is None  # the witness goes through _persist_root
             for address, data in zip(addresses[:-1], datas[:-1]):
                 assert len(data) == line_bytes
                 assert data == expected[address]
-        domain.detach()
 
 
 def test_ps_int_integrity_lines_per_access_pinned():
     """Timed integrity lines per ps access with integrity on, at height 10
     on this stream:
     167.2 with the binary one-digest-per-line tree over the whole image,
-    53.7 with the arity-4 line-packed tree, and 11.0 now that each ORAM
-    tree is its own bucket tree and only the residual region (flat
-    PosMap, scratch lines) climbs the line-packed tree."""
+    53.7 with the arity-4 line-packed tree, 11.0 once each ORAM tree was
+    its own bucket tree and only the residual region (flat PosMap, scratch
+    lines) climbed the line-packed tree, and exactly 1 — the witness —
+    now that a lazy commit stops persisting group lines that nothing
+    reads: recovery rebuilds the residual tree's interior digests from
+    the image."""
     controller = get_spec("ps").make(small_config(height=10, seed=3, integrity=True))
     rng = random.Random(99)
     accesses = 80
@@ -381,8 +393,8 @@ def test_ps_int_integrity_lines_per_access_pinned():
             controller.write(addr, addr.to_bytes(4, "little"))
         else:
             controller.read(addr)
-    per_access = controller.stats.get("integrity_node_writes") / accesses
-    assert per_access <= 12
+    assert controller.stats.get("integrity_commits") == accesses
+    assert controller.stats.get("integrity_node_writes") == accesses
 
 
 class TestBucketTree:

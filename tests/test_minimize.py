@@ -117,6 +117,18 @@ class TestMinimizer:
         assert repro_main([str(path)]) == 0
         assert "REPRODUCED" in capsys.readouterr().out
 
+    def test_replay_takes_a_spec_without_window_or_integrity(self, buggy_variant):
+        """replay() reads an old spec itself, not only through
+        load_reproducer: a spec lacking both keys builds the serial,
+        integrity-off system and reproduces."""
+        cell = _failing_cell(buggy_variant)
+        spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed)
+        del spec["window"], spec["integrity"]
+        _, system = build_spec_system(spec)
+        assert not isinstance(system, WindowScheduler)
+        assert system.integrity is None
+        assert replay(spec, cell.trace), "an old spec must still reproduce"
+
     def test_emit_reproducers_writes_files(self, buggy_variant, tmp_path):
         cell = _failing_cell(buggy_variant)
         point = MatrixPoint(variant=cell.variant, point=cell.point,

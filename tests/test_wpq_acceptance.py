@@ -17,9 +17,9 @@ from repro.util.rng import DeterministicRNG
 from tests.cases import case
 
 
-def _build(variant, integrity=False):
+def _build(variant, integrity=False, window=4):
     config = small_config(height=6, seed=5, integrity=integrity)
-    return build_scheduled(variant, config, window=4)
+    return build_scheduled(variant, config, window=window)
 
 
 def _drive(controller, accesses=120, space=60, seed=5):
@@ -71,6 +71,16 @@ def test_integrity_commit_does_not_advance_the_clock(variant, integrity):
     assert all(before == after for before, after in pairs)
 
 
+def _drive_observed(controller):
+    """Drive a run under a request observer; returns the results and the
+    (address, access) of every timed line."""
+    events = []
+    controller.memory.request_observer = (
+        lambda address, request: events.append((address, request.access))
+    )
+    return _drive(controller), events
+
+
 def _observed_run(variant, integrity=False):
     """Drive a run under a request observer.
 
@@ -79,11 +89,7 @@ def _observed_run(variant, integrity=False):
     integrity digest lines, whichever the variant has.
     """
     controller = _build(variant, integrity)
-    events = []
-    controller.memory.request_observer = (
-        lambda address, request: events.append((address, request.access))
-    )
-    results = _drive(controller)
+    results, events = _drive_observed(controller)
     ranges = []
     intent_log = getattr(controller, "intent_log", None)
     if intent_log is not None:
@@ -106,6 +112,32 @@ def test_posted_lines_are_never_read(variant, integrity):
     reads = [a for a, access in events if access is Access.READ and posted(a)]
     assert writes, "the run wrote no posted line: the check would be vacuous"
     assert reads == []
+
+
+@pytest.mark.parametrize("window", [1, 4])
+@pytest.mark.parametrize("variant", ["ps", "naive-ps", "ps-hybrid", "rcr-ps"])
+def test_residual_tree_lines_are_never_read(variant, window):
+    """No timed read touches a line the residual line tree covers or a
+    digest line.  Recovery rebuilds the residual tree from the image and
+    reads only the witness, so this is why a lazy commit persists the
+    witness alone: a persisted interior digest would never be read."""
+    controller = _build(variant, integrity=True, window=window)
+    domain = controller.integrity
+    assert domain.discipline in ("lazy", "eager")
+    _, events = _drive_observed(controller)
+
+    def residual(address):
+        return (domain.line_tree.base <= address < domain.protect_bytes
+                and domain._route(address) is domain.line_tree)
+
+    def digest(address):
+        return domain.node_base <= address < domain.node_end
+
+    for covered in (residual, digest):
+        writes = [a for a, access in events if access is Access.WRITE and covered(a)]
+        reads = [a for a, access in events if access is Access.READ and covered(a)]
+        assert writes, f"the run wrote no {covered.__name__} line: the check would be vacuous"
+        assert reads == []
 
 
 def test_rcr_ps_writes_one_intent_line_per_access():
