@@ -111,17 +111,15 @@ class BucketIntegrityTree:
         self._dirty.add(line // self.z)
         self.updates += 1
 
-    def propagate(self) -> List[int]:
-        """Hash every dirty bucket and its ancestors once; root-first list."""
+    def propagate(self) -> None:
+        """Hash every dirty bucket and its ancestors once, children first."""
         if not self._dirty:
-            return []
+            return
         order = self._closure(self._dirty)
         self._dirty.clear()
         digests = self._digests
         for bucket in order:
             digests[bucket] = self._bucket_digest(bucket, self._macs, digests)
-        order.reverse()
-        return order
 
     @property
     def root(self) -> bytes:

@@ -141,18 +141,11 @@ class MerkleIntegrityTree:
             out.append((level, index))
         return out
 
-    def propagate(self) -> List[Tuple[int, int]]:
-        """Batch-recompute every stale digest; one hash per affected node.
-
-        Returns the recomputed nodes as sorted (level, index) pairs —
-        leaves first, then each interior level up to the root — which is
-        exactly the set of node lines a lazy-batched persistence
-        discipline must write out.
-        """
+    def propagate(self) -> None:
+        """Batch-recompute every stale digest; one hash per affected node."""
         if not self._dirty:
-            return []
+            return
         arity = self.arity
-        touched: List[Tuple[int, int]] = [(0, leaf) for leaf in sorted(self._dirty)]
         frontier = sorted({leaf // arity for leaf in self._dirty})
         self._dirty.clear()
         for level in range(1, self.height + 1):
@@ -161,9 +154,7 @@ class MerkleIntegrityTree:
                     level, self.group(level - 1, index)
                 )
                 self.node_hashes += 1
-                touched.append((level, index))
             frontier = sorted({index // arity for index in frontier})
-        return touched
 
     @property
     def root(self) -> bytes:

@@ -11,7 +11,11 @@ sequences when one of them draws more numbers.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, TypeVar
+from array import array
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -85,36 +89,30 @@ class DeterministicRNG:
             count += 1
         return count
 
-    def zipf_index(self, n: int, alpha: float, _cache: Optional[dict] = None) -> int:
+    def zipf_index(self, n: int, alpha: float) -> int:
         """Draw an index in [0, n) with Zipf(alpha) popularity skew.
 
         Uses inverse-CDF sampling over the truncated Zipf distribution; the
-        CDF is cached per (n, alpha) on the instance.
+        CDF is built once per (n, alpha) per process and shared by every
+        instance (:func:`zipf_cdf`).
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
-        key = (n, alpha)
-        cache = getattr(self, "_zipf_cdf_cache", None)
-        if cache is None:
-            cache = {}
-            self._zipf_cdf_cache = cache
-        cdf = cache.get(key)
-        if cdf is None:
-            weights = [1.0 / ((i + 1) ** alpha) for i in range(n)]
-            total = sum(weights)
-            acc = 0.0
-            cdf = []
-            for w in weights:
-                acc += w / total
-                cdf.append(acc)
-            cdf[-1] = 1.0
-            cache[key] = cdf
-        u = self._random.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        cdf = zipf_cdf(n, alpha)
+        # The last entry is 1.0 > u, so the search never needs to look past it.
+        return bisect_left(cdf, self._random.random(), 0, n - 1)
+
+
+@lru_cache(maxsize=8)
+def zipf_cdf(n: int, alpha: float) -> array:
+    """The truncated Zipf(alpha) CDF over [0, n), as flat doubles.
+
+    Term ``i`` is ``1 / (i + 1) ** alpha``; the CDF accumulates the
+    normalized terms left to right and forces the last entry to 1.0, so a
+    draw ``u < 1`` always lands in range.  Callers must not mutate it.
+    """
+    weights = array("d", (1.0 / ((i + 1) ** alpha) for i in range(n)))
+    total = sum(weights)
+    cdf = array("d", accumulate(w / total for w in weights))
+    cdf[-1] = 1.0
+    return cdf

@@ -5,6 +5,7 @@ import pytest
 from repro.apps.kvstore import ObliviousKVStore, StoreFullError
 from repro.config import small_config
 from repro.core.variants import build_variant
+from repro.engine.registry import build_scheduled
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
 
@@ -204,3 +205,46 @@ class TestKVStoreLifecycle:
         store = _store(height=6, buckets=16)
         with pytest.raises(ValueError):
             store._allocate(0)
+
+
+class TestKVStoreTiming:
+    """A get's chunk reads depend on its directory bucket's content."""
+
+    @staticmethod
+    def _get_gaps(window):
+        """Per chunk read: its start cycle minus the directory read's
+        ``fetch_finish_cycle``, over 4 gets after 20 two-chunk puts."""
+        controller = build_scheduled("ps", small_config(height=8, sched_window=window,
+                                                        seed=7))
+        store = ObliviousKVStore(controller, directory_buckets=16)
+        for i in range(20):
+            store.put(f"key-{i}", bytes([i]) * 100)
+        bare = getattr(controller, "controller", controller)
+        inner, results = bare.access, []
+
+        def recording_access(*args, **kwargs):
+            results.append(inner(*args, **kwargs))
+            return results[-1]
+
+        bare.access = recording_access
+        gaps = []
+        for i in range(4):
+            results.clear()
+            assert store.get(f"key-{i}") == bytes([i]) * 100
+            directory, *chunks = results
+            assert len(chunks) == 2
+            gaps += [chunk.start_cycle - directory.fetch_finish_cycle for chunk in chunks]
+        return gaps
+
+    def test_serial_chunk_reads_start_after_the_directory_fetch(self):
+        assert min(self._get_gaps(1)) >= 0
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP 'Start a kv get's chunk reads after its directory "
+        "fetch': behind a window deeper than 1 the scheduler launches the "
+        "chunk read 1 cycle after the directory read starts, before the "
+        "bucket naming the chunk's block has been fetched",
+    )
+    def test_windowed_chunk_reads_start_after_the_directory_fetch(self):
+        assert min(self._get_gaps(4)) >= 0

@@ -111,11 +111,15 @@ class TestLazyPropagation:
         memory.store_line(64, b"b")
         t.update_line(64)
         assert t.dirty_leaves == (0, 1)
-        touched = t.propagate()
+        stale_root = t.node(t.height, 0)
+        assert t.propagate() is None
         assert t.dirty_leaves == ()
-        # Leaves first, then one entry per affected interior node.
-        assert (0, 0) in touched and (0, 1) in touched
-        assert touched[-1] == (t.height, 0)
+        # Every interior node above the two leaves now holds its digest.
+        assert t.node(t.height, 0) != stale_root
+        assert t.node(t.height, 0) == t.recompute_root()
+        for level, index in t.ancestors(0):
+            assert t.node(level, index) == t._interior_digest(
+                level, t.group(level - 1, index))
 
     def test_shared_ancestors_hashed_once_per_batch(self, tree):
         """k sibling-leaf writes cost one ancestor walk, not k."""
@@ -446,7 +450,12 @@ class TestBucketTree:
         for bucket in path:
             for address in region.bucket_addresses(bucket):
                 self._store(tree, memory, address, b"slot")
-        assert tree.propagate() == path
+        assert tree._closure(tree._dirty) == path[::-1]
+        assert tree.propagate() is None
+        # Exactly the path's buckets hold a digest, and the cached root is
+        # the from-scratch one.
+        assert sorted(tree._digests) == path
+        assert tree.root == tree.recompute_root()
 
     def test_detects_tampering_and_replay(self):
         tree, memory = self._tree()
@@ -486,16 +495,15 @@ class TestPathAlignedDomain:
         propagate = buckets.propagate
 
         def recording_propagate():
-            closure = propagate()
-            if closure:  # reading the root re-propagates a clean tree
-                closures.append(closure)
-            return closure
+            if buckets._dirty:  # reading the root re-propagates a clean tree
+                closures.append(buckets._closure(buckets._dirty))
+            propagate()
 
         buckets.propagate = recording_propagate
         self._drive(controller, 40)
         assert len(closures) == 40
         for closure in closures:
-            leaf = closure[-1] - ((1 << height) - 1)
+            leaf = closure[0] - ((1 << height) - 1)
             assert 0 <= leaf < 1 << height
             path = {
                 (address - buckets.base) // buckets.line_bytes // buckets.z

@@ -1,8 +1,16 @@
 """Unit tests for the deterministic RNG."""
 
+import hashlib
+from array import array
+
 import pytest
 
-from repro.util.rng import DeterministicRNG
+from repro.util.rng import DeterministicRNG, zipf_cdf
+from repro.workloads.spec import spec_workload
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
 class TestDeterminism:
@@ -73,6 +81,12 @@ class TestDistributions:
     def test_zipf_rejects_empty(self):
         with pytest.raises(ValueError):
             DeterministicRNG(1).zipf_index(0, 1.0)
+        with pytest.raises(ValueError):
+            DeterministicRNG(1).zipf_index(-3, 1.0)
+
+    def test_zipf_single_index(self):
+        rng = DeterministicRNG(5)
+        assert [rng.zipf_index(1, 0.8) for _ in range(20)] == [0] * 20
 
     def test_shuffle_and_sample(self):
         rng = DeterministicRNG(9)
@@ -81,3 +95,59 @@ class TestDistributions:
         rng.shuffle(shuffled)
         assert sorted(shuffled) == items
         assert len(rng.sample(items, 4)) == 4
+
+
+class TestZipfGolden:
+    """The Zipf sampler defines kv-read-skew's keys and three Table-4 traces.
+
+    Each digest is the sha256 of ``repr`` of the listed values; a changed
+    draw anywhere moves every modeled number those workloads report.
+    """
+
+    @pytest.mark.parametrize("n,alpha,digest", [
+        (256, 0.99, "970ceaf175c8e7ec1e95b6c19b5d4e9ab3f22dfe875d226094934c41214c1084"),
+        (250_000, 0.8, "f7e5d404b704ff2eb50f821cb0cb1e29886e0113f61b115a5c54121e551a81ef"),
+    ])
+    def test_draws(self, n, alpha, digest):
+        rng = DeterministicRNG(7)
+        assert _sha256([rng.zipf_index(n, alpha) for _ in range(10_000)]) == digest
+
+    @pytest.mark.parametrize("name,digest", [
+        ("471.omnetpp", "7db67e86575f2b8368191ae01b101e5b3fad286d6ebfe54de5976b58e4e9120a"),
+        ("483.xalancbmk", "e2c221fccf4a8fd12f618bbab6a286398af05c8fe56140e4e95c1b8d74e9f5ea"),
+        ("482.sphinx3", "699e4909b1478b59a537c9919f441976890a731eed61a6a4f5057d713c25d060"),
+    ])
+    def test_spec_traces(self, name, digest):
+        trace = spec_workload(name, references=2000, seed=7)
+        assert _sha256([(op.gap, op.address, op.is_write) for op in trace]) == digest
+
+
+class TestZipfTable:
+    @pytest.mark.parametrize("n,alpha,digest", [
+        (256, 0.99, "f9046b427d86ddc3cda6a9e66f3b838813e41a4aaee7c5ba4756e6db4a16f632"),
+        (250_000, 0.8, "265bf880534e34e0fdbdee885c35950c7e6e6e8d720f329ddae59fa22d347da3"),
+        (200_000, 0.9, "41d5d2585228dd4e2480a3683b3d25fa7e1e0382df9cc8a99b6faa66bf2c8825"),
+        (300_000, 0.7, "0ddce8f57672ebfe4d6792438ae94361bb1df0178cdccfd337c0c518fef1051b"),
+        (7, 0.5, "5cf86b133888324537208b73f732e950668e3a12f6ded82b4371974a6810f819"),
+        (1000, 2.5, "e2dc7575f4d57c4b50986d723d3e554777c46ffdb6d8d966b25cee0998bd1f1f"),
+    ])
+    def test_cdf_values(self, n, alpha, digest):
+        """Every CDF entry, bit for bit.  Captured under CPython 3.11 (CI's
+        version), whose float ``sum`` adds left to right; 3.12's
+        compensated ``sum`` may move the last bit of the total."""
+        assert _sha256(zipf_cdf(n, alpha).tolist()) == digest
+
+    def test_instances_share_one_table(self):
+        zipf_cdf.cache_clear()
+        a, b = DeterministicRNG(1), DeterministicRNG(2)
+        a.zipf_index(1000, 0.9)
+        b.zipf_index(1000, 0.9)
+        info = zipf_cdf.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not hasattr(a, "_zipf_cdf_cache")
+
+    def test_table_is_flat_doubles(self):
+        cdf = zipf_cdf(1000, 0.9)
+        assert isinstance(cdf, array) and cdf.typecode == "d"
+        assert len(cdf) == 1000 and cdf[-1] == 1.0
+        assert all(x <= y for x, y in zip(cdf, cdf[1:]))
