@@ -3,13 +3,15 @@
 * :mod:`repro.crashsim.injector` — arms a controller's crash hook so a
   simulated power loss fires at a chosen protocol step (or randomly), then
   runs crash + recovery.
-* :mod:`repro.crashsim.checker` — the oracle: tracks every acknowledged
-  write and verifies post-recovery content (acknowledged writes durable,
-  in-flight accesses atomic).
-* :mod:`repro.crashsim.reference` — lock-step volatile reference
-  controller and the differential full-state diff.
-* :mod:`repro.crashsim.conformance` — single-cell conformance runs
-  (oracle + differential, per variant/point/WPQ geometry).
+* :mod:`repro.crashsim.oracle` — the tolerant reference, generic over
+  key and read-back: acknowledged values, a tolerance set per unresolved
+  key, the live read check, a pure sweep and ``settle``.  Engine cells
+  and service cells (:mod:`repro.serve.conformance`) both drive it.
+* :mod:`repro.crashsim.checker` — the address-keyed checker on top of it:
+  writes and reads one controller, then verifies post-recovery content
+  (acknowledged writes durable, in-flight accesses atomic).
+* :mod:`repro.crashsim.conformance` — single-cell conformance runs and
+  the crash-round step they share with reproducer replay.
 * :mod:`repro.crashsim.matrix` — the campaign matrix over every
   registered variant × crash point × WPQ config, run through the shared
   sweep pool with caching and journaling.
@@ -17,12 +19,12 @@
   minimization, and the standalone-reproducer JSON format.
 """
 
-from repro.crashsim.checker import ConsistencyChecker, CheckReport
+from repro.crashsim.checker import ConsistencyChecker
 from repro.crashsim.conformance import QUIESCENT, CellResult, run_cell
 from repro.crashsim.injector import CRASH_POINTS, CrashInjector, CrashOutcome
 from repro.crashsim.matrix import MatrixPoint, plan_matrix, run_matrix
 from repro.crashsim.minimize import minimize_trace, replay
-from repro.crashsim.reference import ReferenceController, diff_logical_state
+from repro.crashsim.oracle import CheckReport, TolerantReference
 
 __all__ = [
     "ConsistencyChecker",
@@ -33,8 +35,7 @@ __all__ = [
     "CellResult",
     "MatrixPoint",
     "QUIESCENT",
-    "ReferenceController",
-    "diff_logical_state",
+    "TolerantReference",
     "minimize_trace",
     "plan_matrix",
     "replay",

@@ -1,185 +1,99 @@
-"""The consistency oracle.
+"""The consistency oracle for one controller, keyed by logical address.
 
-Wraps a controller and tracks the ground truth the crash tests assert:
+Wraps a controller and drives it on top of a
+:class:`~repro.crashsim.oracle.TolerantReference` of padded blocks:
 
 * every **acknowledged** write (the ``write()`` call returned) must read
   back exactly after any crash + recovery;
 * an **in-flight** operation (interrupted by a crash) must be atomic:
   for a write the post-recovery value is either the old or the new
   content, never a mix; for a read the value must be unchanged;
-* all *other* addresses are untouched (checked exhaustively by the
-  differential pass in :mod:`repro.crashsim.reference`).
+* all *other* addresses are untouched: :meth:`ConsistencyChecker.verify`
+  sweeps any addresses it is given, and a conformance cell gives it the
+  whole logical span its workload draws from.
 
-This encodes the paper's Section 3/4.3 requirements as a checkable
-contract.  Three properties matter for campaign use:
+Three properties matter for campaign use:
 
 * **reporting, not raising** — a mid-campaign mismatch observed by
   :meth:`read` is recorded as a violation and surfaces in the next
-  :meth:`verify` report instead of aborting the campaign with a bare
-  ``AssertionError``;
-* **idempotent verification** — :meth:`verify` never mutates the shadow
-  state, so verifying twice after the same crash reports the same
-  result (a second pass used to vacuously pass);
-* **single-source in-flight recording** — :meth:`write` records the op
-  as in-flight *before* driving the controller and retires it on
-  acknowledgement, so a ``SimulatedCrash`` leaves exactly one record;
-  :meth:`note_interrupted_write` is now a no-op for ops the checker
-  drove itself.  The window holds *multiple* unresolved ops: crashes
-  whose survivors were never :meth:`settle`\\ d accumulate, and each is
-  checked with its own old/new tolerance.
+  :meth:`verify` report instead of aborting the campaign;
+* **idempotent verification** — :meth:`verify` never mutates the
+  reference, so verifying twice after the same crash reports the same
+  result; resolving the window is the explicit :meth:`settle`;
+* **single-source in-flight recording** — :meth:`write` stages the op
+  in the window *before* driving the controller and acknowledges it when
+  the call returns, so a ``SimulatedCrash`` leaves exactly one record.
+  Crashes whose survivors were never settled accumulate in the window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional
 
-
-@dataclass
-class CheckReport:
-    """Result of one post-recovery verification pass."""
-
-    checked: int
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
+from repro.crashsim.oracle import CheckReport, TolerantReference
 
 
 class ConsistencyChecker:
-    """Shadow map of acknowledged content plus an in-flight window."""
+    """Drives a controller and checks it against a tolerant reference."""
 
     def __init__(self, controller):
         self.controller = controller
         self.block_bytes = controller.oram_config.block_bytes
-        self._acknowledged: Dict[int, bytes] = {}
-        #: Unresolved interrupted ops: address -> (old, new) tolerance.
-        self._in_flight: Dict[int, Tuple[bytes, bytes]] = {}
-        #: Mismatches observed live by read(); surfaced via verify().
-        self._live_violations: List[str] = []
+        self._reference: TolerantReference[int, bytes] = TolerantReference(
+            bytes(self.block_bytes), "address {}".format)
 
     def _pad(self, data: bytes) -> bytes:
         return bytes(data) + bytes(self.block_bytes - len(data))
 
-    def _expected(self, address: int) -> bytes:
-        return self._acknowledged.get(address, bytes(self.block_bytes))
+    def _read_back(self, address: int) -> bytes:
+        return self.controller.read(address).data
 
     @property
-    def in_flight_window(self) -> Dict[int, Tuple[bytes, bytes]]:
-        """Read-only view of the unresolved interrupted ops."""
-        return dict(self._in_flight)
+    def in_flight_window(self) -> Dict[int, FrozenSet[bytes]]:
+        """Read-only view: address -> every value it may legally hold."""
+        return self._reference.window
 
     # -- driving --------------------------------------------------------------
 
     def write(self, address: int, data: bytes) -> None:
         """Write through the controller and record it as acknowledged.
 
-        The op is recorded as in-flight before the controller runs: if a
+        The op is staged before the controller runs: if a
         ``SimulatedCrash`` unwinds out of the call, the record is already
         in the window — callers need no bookkeeping of their own.
         """
         padded = self._pad(data)
-        old = self._in_flight.get(address, (self._expected(address),))[0]
-        self._in_flight[address] = (old, padded)
+        self._reference.stage(address, padded)
         self.controller.write(address, data)
-        # The call returned: the write is acknowledged.
-        self._acknowledged[address] = padded
-        del self._in_flight[address]
+        self._reference.acknowledge(address, padded)
 
     def read(self, address: int) -> bytes:
-        """Read through the controller, verifying against the shadow map.
-
-        A mismatch is recorded as a violation (reported by the next
-        :meth:`verify`) rather than raised, so one bad read does not
-        abort a whole campaign before the round can be journaled.
-        """
-        value = self.controller.read(address).data
-        if address in self._in_flight:
-            old, new = self._in_flight[address]
-            if value not in (old, new):
-                self._live_violations.append(
-                    f"address {address}: read of in-flight op torn "
-                    f"(got {value[:8]!r}, want {old[:8]!r} or {new[:8]!r})"
-                )
-        else:
-            expected = self._expected(address)
-            if value != expected:
-                self._live_violations.append(
-                    f"address {address}: read returned {value[:8]!r}, "
-                    f"expected {expected[:8]!r}"
-                )
+        """Read through the controller, checking the value it returned."""
+        value = self._read_back(address)
+        self._reference.check_read(address, value)
         return value
 
     def note_interrupted_write(self, address: int, data: bytes) -> None:
         """Record a write the *caller* drove directly and saw crash.
 
         Ops driven through :meth:`write` are already in the window; this
-        only records ops the checker never saw (kept for drivers that
-        talk to the controller themselves), and never double-records.
+        only records ops the checker never saw, and never double-records.
         """
-        if address not in self._in_flight:
-            self._in_flight[address] = (self._expected(address), self._pad(data))
+        if address not in self._reference.window:
+            self._reference.stage(address, self._pad(data))
 
     def note_interrupted_read(self, address: int) -> None:
-        """Record a read interrupted by a crash.
-
-        A read must not change the block, so its tolerance window is the
-        degenerate (expected, expected) — but recording it lets
-        :meth:`settle` and the differential pass treat the address
-        uniformly with interrupted writes.
-        """
-        if address not in self._in_flight:
-            expected = self._expected(address)
-            self._in_flight[address] = (expected, expected)
+        """Record a read interrupted by a crash: the block must not change."""
+        self._reference.stage(address, self._reference.expected(address))
 
     # -- verification ---------------------------------------------------------
 
-    def verify(self) -> CheckReport:
-        """Read back every tracked address post-recovery and report.
-
-        Pure: repeated calls after the same crash return the same
-        verdict.  Resolving the in-flight window into the shadow map is
-        a separate, explicit step — :meth:`settle`.
-        """
-        violations: List[str] = list(self._live_violations)
-        checked = 0
-        for address, expected in sorted(self._acknowledged.items()):
-            if address in self._in_flight:
-                continue  # handled below with both-values tolerance
-            checked += 1
-            actual = self.controller.read(address).data
-            if actual != expected:
-                violations.append(
-                    f"address {address}: acknowledged write lost "
-                    f"(got {actual[:8]!r}, want {expected[:8]!r})"
-                )
-        for address, (old, new) in sorted(self._in_flight.items()):
-            checked += 1
-            actual = self.controller.read(address).data
-            if actual not in (old, new):
-                violations.append(
-                    f"address {address}: in-flight write torn "
-                    f"(got {actual[:8]!r}, want {old[:8]!r} or {new[:8]!r})"
-                )
-        return CheckReport(checked=checked, violations=violations)
+    def verify(self, addresses: Optional[Iterable[int]] = None) -> CheckReport:
+        """Read back ``addresses`` (default: every tracked one) and report."""
+        if addresses is None:
+            addresses = self._reference.tracked()
+        return self._reference.sweep(addresses, self._read_back)
 
     def settle(self) -> Dict[int, bytes]:
-        """Adopt the surviving value of each in-flight op as the truth.
-
-        Called by campaign drivers after a consistent post-recovery
-        verification, before resuming the workload.  Returns the
-        resolutions (address -> surviving content) so a lock-step
-        reference model can be updated too.  An op whose value is out of
-        tolerance is *not* adopted — it stays in the window and keeps
-        failing verification.
-        """
-        resolved: Dict[int, bytes] = {}
-        for address, (old, new) in sorted(self._in_flight.items()):
-            actual = self.controller.read(address).data
-            if actual in (old, new):
-                self._acknowledged[address] = actual
-                resolved[address] = actual
-        for address in resolved:
-            del self._in_flight[address]
-        return resolved
+        """Adopt the surviving value of each in-flight op; return them."""
+        return self._reference.settle(self._read_back)

@@ -1,27 +1,25 @@
-"""Single-cell crash-conformance runs: oracle + differential, per variant.
+"""Single-cell crash-conformance runs, per variant, point and WPQ geometry.
 
 A **cell** is one (variant, integrity, crash point, WPQ config)
 combination of the campaign matrix (:mod:`repro.crashsim.matrix`).
 :func:`run_cell` drives a deterministic randomized workload against a
 fresh system, injects a crash at the cell's point each round,
-power-cycles, and checks recovery two independent ways:
-
-1. the acknowledged/in-flight **oracle**
-   (:class:`~repro.crashsim.checker.ConsistencyChecker`) — durability of
-   acknowledged writes, atomicity of the interrupted op;
-2. the **differential** check
-   (:func:`~repro.crashsim.reference.diff_logical_state`) — the same op
-   sequence replayed on a lock-step volatile reference controller, then
-   the *entire* logical span diffed post-recovery, catching bystander
-   corruption the oracle cannot see.
+power-cycles, and checks recovery with the tolerant-reference oracle
+(:class:`~repro.crashsim.checker.ConsistencyChecker`): durability of
+acknowledged writes and atomicity of the interrupted op, swept over the
+*entire* logical span the workload draws from, so bystander corruption
+the workload never touched fails the cell too.
 
 The conformance contract is per variant class:
 
 * a variant whose spec claims crash-consistency support must
-  ``recover() == True`` and pass both checks at every point;
+  ``recover() == True`` and pass the sweep at every point;
 * a volatile variant must *honestly* report ``recover() == False`` —
   that is conformant (it gets a fresh system each round); a volatile
   variant claiming successful recovery is a violation.
+
+:meth:`CellSystem.crash_round` is that check, one crash round of it; the
+reproducer replay (:mod:`repro.crashsim.minimize`) runs the same step.
 
 Every cell is deterministic given ``(variant, integrity, point, wpq,
 rounds, seed, height, window)``: the workload and injection RNGs are
@@ -40,7 +38,6 @@ from repro.config import WPQConfig, small_config
 from repro.core.recovery import crash_and_recover
 from repro.crashsim.checker import ConsistencyChecker
 from repro.crashsim.injector import CrashInjector
-from repro.crashsim.reference import ReferenceController, diff_logical_state
 from repro.engine.registry import build_scheduled
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
@@ -113,21 +110,98 @@ class CellResult:
         return cls(**payload)
 
 
-def _build_system(variant: str, height: int, wpq: str, config_seed: int,
-                  window: int = 1, integrity: bool = False):
-    """Build one cell's system; ``window > 1`` puts the controller behind
-    the memory-level-parallel access window (docs/SCHEDULER.md).  The
-    scheduler drains to a barrier on every crash, so the conformance
-    contract is unchanged — this exercises exactly that property.
-    ``integrity`` attaches the integrity domain (docs/INTEGRITY.md)."""
-    config = small_config(height=height, seed=config_seed,
-                          wpq=WPQ_CONFIGS[wpq], sched_window=window,
-                          integrity=integrity)
-    return config, build_scheduled(variant, config)
+@dataclass
+class RoundOutcome:
+    """What one crash round did, for the cell's counters."""
+
+    fired: Optional[str]  #: the label the crash fired at; None = quiescent
+    recovered: bool
+    wpq_blocks_applied: int
+    violations: List[str]
 
 
-def _workload_span(config) -> int:
-    return max(8, config.oram.num_logical_blocks // 8)
+class CellSystem:
+    """One cell's system under test, its checker and its crash injector.
+
+    ``window > 1`` puts the controller behind the memory-level-parallel
+    access window (docs/SCHEDULER.md); the scheduler drains to a barrier
+    on every crash, so the conformance contract is unchanged.
+    ``integrity`` attaches the integrity domain (docs/INTEGRITY.md).
+    :meth:`apply` runs one trace event (schema in
+    :mod:`repro.crashsim.minimize`); a ``crash`` event is the crash round.
+    A volatile system that honestly failed recovery restarts empty.
+    """
+
+    def __init__(self, variant: str, wpq: str, height: int, config_seed: int,
+                 window: int = 1, integrity: bool = False):
+        self.variant = variant
+        self.config = small_config(height=height, seed=config_seed,
+                                   wpq=WPQ_CONFIGS[wpq], sched_window=window,
+                                   integrity=integrity)
+        #: The logical span the workload draws from, swept after each crash.
+        self.span = max(8, self.config.oram.num_logical_blocks // 8)
+        self._restart()
+        self.supports = self.controller.supports_crash_consistency()
+
+    def _restart(self) -> None:
+        self.controller = build_scheduled(self.variant, self.config)
+        self.checker = ConsistencyChecker(self.controller)
+        self.injector = CrashInjector(self.controller)
+
+    def apply(self, event: Dict[str, Any]) -> Optional[RoundOutcome]:
+        op = event["op"]
+        if op == "write":
+            self.checker.write(event["addr"], bytes.fromhex(event["data"]))
+        elif op == "read":
+            self.checker.read(event["addr"])
+        elif op == "crash":
+            return self.crash_round(event)
+        else:
+            raise ValueError(f"unknown trace op {op!r}")
+        return None
+
+    def crash_round(self, event: Dict[str, Any]) -> RoundOutcome:
+        """Arm the point, drive the victim op, power-cycle, check, settle."""
+        victim = event["victim"]
+        self.injector.arm(event["point"], skip_hits=event.get("skip", 0))
+        try:
+            self.apply(victim)
+        except SimulatedCrash:
+            if victim["op"] == "read":
+                self.checker.note_interrupted_read(victim["addr"])
+        self.injector.disarm()
+        fired = self.injector.fired_point
+        report = crash_and_recover(self.controller)
+        violations = self._conformance(report.recovered)
+        if not self.supports and not violations:
+            self._restart()  # honest failure: the system restarts empty
+        return RoundOutcome(
+            fired=fired, recovered=report.recovered,
+            wpq_blocks_applied=report.wpq_blocks_applied or 0,
+            violations=[f"@ {fired or 'quiescent'}: {v}" for v in violations],
+        )
+
+    def _conformance(self, recovered: bool) -> List[str]:
+        if not self.supports:
+            return (["volatile variant claims successful recovery"]
+                    if recovered else [])
+        if not recovered:
+            return ["recovery failed on a variant that claims support"]
+        # Integrity contract (docs/INTEGRITY.md): recovery must yield an
+        # image whose recomputed root matches the persisted witness before
+        # any logical read-back — recovered-but-unverifiable is a failure.
+        domain = getattr(self.controller, "integrity", None)
+        if domain is not None and domain.recovery_violations:
+            return list(domain.recovery_violations)
+        # The tracked addresses are read back before the span: reads
+        # re-place blocks, and the state the next round starts from
+        # depends on them (docs/CRASHTEST.md, "The oracle").
+        for addresses in (None, range(self.span)):
+            check = self.checker.verify(addresses)
+            if not check.consistent:
+                return check.violations
+        self.checker.settle()
+        return []
 
 
 def run_cell(
@@ -155,36 +229,28 @@ def run_cell(
     ops_rng = cell_rng.substream("ops")
     inject_rng = cell_rng.substream("inject")
 
-    config, controller = _build_system(variant, height, wpq, seed, window,
-                                       integrity)
+    system = CellSystem(variant, wpq, height, seed, window, integrity)
     result = CellResult(variant=variant, point=point, wpq=wpq, rounds=rounds,
                         seed=seed, height=height, window=window,
-                        integrity=integrity,
-                        supports=controller.supports_crash_consistency())
-    span = _workload_span(config)
-    checker = ConsistencyChecker(controller)
-    reference = ReferenceController(span, config.oram.block_bytes)
-    injector = CrashInjector(controller, inject_rng)
-    points = list(controller.crash_points())
+                        integrity=integrity, supports=system.supports)
+    span = system.span
+    points = list(system.controller.crash_points())
     if point is not None and point != QUIESCENT and point not in points:
         raise ValueError(f"variant {variant!r} has no crash point {point!r}")
 
     trace: List[Dict[str, Any]] = []
     started = time.perf_counter()
     for round_no in range(rounds):
-        # -- workload burst, lock-stepped with the reference ------------------
+        # -- workload burst ---------------------------------------------------
+        events: List[Dict[str, Any]] = []
         for i in range(ops_between_crashes):
             address = ops_rng.randrange(span)
             if ops_rng.random() < 0.7:
                 data = bytes([ops_rng.randint(0, 255), i % 256])
-                trace.append({"op": "write", "addr": address,
-                              "data": data.hex()})
-                checker.write(address, data)
-                reference.write(address, data)
+                events.append({"op": "write", "addr": address,
+                               "data": data.hex()})
             else:
-                trace.append({"op": "read", "addr": address})
-                checker.read(address)
-            result.operations += 1
+                events.append({"op": "read", "addr": address})
 
         # -- the interrupted op ----------------------------------------------
         if point == QUIESCENT:
@@ -198,85 +264,34 @@ def run_cell(
         # first round never skips, so a pinned cell is guaranteed to hit
         # its label at least once whenever the label is reachable.
         skip = inject_rng.randint(0, 2) if wpq == "small" and round_no > 0 else 0
-        injector.arm(armed, skip_hits=skip)
         victim = ops_rng.randrange(span)
-        crash_event: Dict[str, Any] = {"op": "crash", "point": armed,
-                                       "skip": skip}
-        acknowledged = False
         if ops_rng.random() < 0.85:
             payload = bytes([ops_rng.randint(0, 255), 0xAA])
-            crash_event["victim"] = {"op": "write", "addr": victim,
-                                     "data": payload.hex()}
-            try:
-                checker.write(victim, payload)
-                acknowledged = True
-            except SimulatedCrash:
-                pass
+            victim_op = {"op": "write", "addr": victim, "data": payload.hex()}
         else:
             # Crash during a *read*: recovery must leave the block as-is.
-            crash_event["victim"] = {"op": "read", "addr": victim}
-            try:
-                checker.read(victim)
-                acknowledged = True
-            except SimulatedCrash:
-                checker.note_interrupted_read(victim)
-        result.operations += 1
-        trace.append(crash_event)
-        injector.disarm()
-        if injector.fired_point is not None:
+            victim_op = {"op": "read", "addr": victim}
+        events.append({"op": "crash", "point": armed, "skip": skip,
+                       "victim": victim_op})
+
+        for event in events[:-1]:
+            system.apply(event)
+        outcome = system.crash_round(events[-1])
+        trace.extend(events)
+        result.operations += len(events)
+        if outcome.fired is not None:
             result.crashes_fired += 1
         else:
             result.quiescent_crashes += 1
-        if acknowledged and crash_event["victim"]["op"] == "write":
-            reference.write(victim, payload)
-
-        # -- power cycle + conformance check ----------------------------------
-        report = crash_and_recover(controller)
-        if report.wpq_blocks_applied:
-            result.wpq_blocks_applied += report.wpq_blocks_applied
-        fired = injector.fired_point or "quiescent"
-        prefix = f"round {round_no} @ {fired}"
-        if result.supports:
-            if not report.recovered:
-                result.violations.append(f"{prefix}: recovery failed on a "
-                                         "variant that claims support")
-                break
+        result.wpq_blocks_applied += outcome.wpq_blocks_applied
+        if result.supports and outcome.recovered:
             result.recoveries += 1
-            # Integrity contract (docs/INTEGRITY.md): recovery must yield
-            # an image whose recomputed root matches the persisted
-            # witness *before* logical-state diffing even starts — a
-            # recovered-but-unverifiable state is a conformance failure.
-            domain = getattr(controller, "integrity", None)
-            if domain is not None and domain.recovery_violations:
-                result.violations.extend(
-                    f"{prefix}: {v}" for v in domain.recovery_violations
-                )
-                break
-            check = checker.verify()
-            if not check.consistent:
-                result.violations.extend(f"{prefix}: {v}"
-                                         for v in check.violations)
-                break
-            diffs = diff_logical_state(controller, reference,
-                                       checker.in_flight_window)
-            if diffs:
-                result.violations.extend(f"{prefix}: {v}" for v in diffs)
-                break
-            # Adopt the surviving value of the interrupted op on both
-            # sides before the next round's workload.
-            reference.apply(checker.settle())
-        else:
-            if report.recovered:
-                result.violations.append(
-                    f"{prefix}: volatile variant claims successful recovery")
-                break
-            # Honest failure is conformant; the system restarts empty.
-            config, controller = _build_system(variant, height, wpq, seed,
-                                               window, integrity)
-            checker = ConsistencyChecker(controller)
-            reference = ReferenceController(span, config.oram.block_bytes)
-            injector = CrashInjector(controller, inject_rng)
-            trace.clear()
+        if outcome.violations:
+            result.violations.extend(f"round {round_no} {v}"
+                                     for v in outcome.violations)
+            break
+        if not result.supports:
+            trace.clear()  # the system restarted empty
 
     result.wall_seconds = time.perf_counter() - started
     if result.violations:

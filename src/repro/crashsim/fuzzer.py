@@ -3,9 +3,9 @@
 The crash matrix (:mod:`repro.crashsim.matrix`) pins every cell to one
 checkpoint; a campaign goes further — randomized (workload, crash point,
 crash timing) combinations against one variant, with the consistency
-oracle *and* the differential reference check verifying after each power
-cycle.  This is the Jiang et al. "crash consistency validation" style of
-testing the paper cites [33], applied to our own implementation.
+oracle sweeping the whole logical span after each power cycle.  This is
+the Jiang et al. "crash consistency validation" style of testing the
+paper cites [33], applied to our own implementation.
 
 A campaign is a conformance cell with a random crash point per round:
 :func:`repro.crashsim.conformance.run_cell` with ``point=None``.  The

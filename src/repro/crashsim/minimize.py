@@ -20,7 +20,8 @@ Event schema (one dict per event):
 * ``{"op": "read", "addr": int}``
 * ``{"op": "crash", "point": str, "skip": int,
   "victim": {"op": "write"|"read", "addr": int, "data": "<hex>"?}}`` —
-  arm the point, drive the victim op, power-cycle, check conformance.
+  arm the point, drive the victim op, power-cycle, check conformance,
+  settle.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.recovery import crash_and_recover
-from repro.crashsim.checker import ConsistencyChecker
-from repro.crashsim.conformance import _build_system, _workload_span
-from repro.crashsim.injector import CrashInjector
-from repro.crashsim.reference import ReferenceController, diff_logical_state
-from repro.errors import SimulatedCrash
+from repro.crashsim.conformance import CellSystem
 
 Event = Dict[str, Any]
 
@@ -53,87 +49,20 @@ def make_spec(variant: str, wpq: str, height: int, config_seed: int,
             "integrity": integrity}
 
 
-def build_spec_system(spec: Dict[str, Any]):
-    """``(config, controller)`` for a reproducer spec, as its cell built them."""
-    spec = make_spec(**spec)
-    return _build_system(spec["variant"], spec["height"], spec["wpq"],
-                         spec["config_seed"], spec["window"], spec["integrity"])
-
-
 def replay(spec: Dict[str, Any], events: Sequence[Event]) -> List[str]:
     """Deterministically re-run a trace; return the violations it produces.
 
-    Each crash event power-cycles and runs the full conformance check
-    (oracle verify + differential diff).  The first crash event that
-    yields violations stops the replay and returns them — matching how
-    the original cell run stopped at its first inconsistent round.  A
-    clean replay returns ``[]``.
+    Each crash event runs the cell's crash round
+    (:meth:`~repro.crashsim.conformance.CellSystem.crash_round`).  The
+    first crash event that yields violations stops the replay and
+    returns them — matching how the original cell run stopped at its
+    first inconsistent round.  A clean replay returns ``[]``.
     """
-    config, controller = build_spec_system(spec)
-    span = _workload_span(config)
-    supports = controller.supports_crash_consistency()
-    checker = ConsistencyChecker(controller)
-    reference = ReferenceController(span, config.oram.block_bytes)
-    injector = CrashInjector(controller)
-
+    system = CellSystem(**make_spec(**spec))
     for event in events:
-        op = event["op"]
-        if op == "write":
-            data = bytes.fromhex(event["data"])
-            checker.write(event["addr"], data)
-            reference.write(event["addr"], data)
-        elif op == "read":
-            checker.read(event["addr"])
-        elif op == "crash":
-            violations = _replay_crash(event, controller, checker,
-                                       reference, injector, supports)
-            if violations:
-                return violations
-            if not supports:
-                # Honest volatile failure: restart empty, like the cell.
-                config, controller = build_spec_system(spec)
-                checker = ConsistencyChecker(controller)
-                reference = ReferenceController(span, config.oram.block_bytes)
-                injector = CrashInjector(controller)
-        else:
-            raise ValueError(f"unknown trace op {op!r}")
-    return []
-
-
-def _replay_crash(event, controller, checker, reference, injector,
-                  supports: bool) -> List[str]:
-    victim = event["victim"]
-    injector.arm(event["point"], skip_hits=event.get("skip", 0))
-    acknowledged = False
-    try:
-        if victim["op"] == "write":
-            checker.write(victim["addr"], bytes.fromhex(victim["data"]))
-        else:
-            checker.read(victim["addr"])
-        acknowledged = True
-    except SimulatedCrash:
-        if victim["op"] == "read":
-            checker.note_interrupted_read(victim["addr"])
-    injector.disarm()
-    if acknowledged and victim["op"] == "write":
-        reference.write(victim["addr"], bytes.fromhex(victim["data"]))
-
-    report = crash_and_recover(controller)
-    prefix = f"@ {injector.fired_point or 'quiescent'}"
-    if not supports:
-        if report.recovered:
-            return [f"{prefix}: volatile variant claims successful recovery"]
-        return []
-    if not report.recovered:
-        return [f"{prefix}: recovery failed on a variant that claims support"]
-    check = checker.verify()
-    if not check.consistent:
-        return [f"{prefix}: {v}" for v in check.violations]
-    diffs = diff_logical_state(controller, reference,
-                               checker.in_flight_window)
-    if diffs:
-        return [f"{prefix}: {v}" for v in diffs]
-    reference.apply(checker.settle())
+        outcome = system.apply(event)
+        if outcome is not None and outcome.violations:
+            return outcome.violations
     return []
 
 

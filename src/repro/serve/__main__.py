@@ -99,7 +99,8 @@ def _cmd_conformance(args) -> int:
 
     result = run_service_cell(
         shards=args.shards, variant=args.variant, point=args.point,
-        rounds=args.rounds, seed=args.seed, integrity=args.integrity,
+        rounds=args.rounds, seed=args.seed, height=args.height,
+        batch_max=args.batch_max, integrity=args.integrity,
         window=args.window,
     )
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -160,7 +161,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_conf.add_argument("--rounds", type=int, default=3)
     p_conf.add_argument("--point", default=None,
                         help="pin the crash point (default: fuzz)")
-    p_conf.set_defaults(fn=_cmd_conformance)
+    # A conformance cell's own geometry: a small tree, short batches.
+    p_conf.set_defaults(fn=_cmd_conformance, height=6, batch_max=4)
 
     p_status = sub.add_parser("status", help="summarize a bench journal")
     p_status.add_argument("--journal", default="BENCH_service.jsonl")

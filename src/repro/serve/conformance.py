@@ -1,16 +1,20 @@
 """Service-level crash conformance: the PR 5 contract, lifted to shards.
 
-:func:`run_service_cell` extends the differential conformance harness
+:func:`run_service_cell` extends the crash-conformance harness
 (:mod:`repro.crashsim.conformance`) from one controller to the whole
 sharded service: a deterministic request burst is driven through the
 inline front end, a power failure is injected mid-burst at any shard's
 engine/policy crash point (or between batches for the quiescent cell),
-every shard loses power at once, and recovery is checked against a
-lock-step per-key reference:
+every shard loses power at once, and recovery is checked against the
+same tolerant reference the engine cells use
+(:class:`~repro.crashsim.oracle.TolerantReference`), keyed by string
+with :data:`MISSING` as the value of an absent key:
 
 * every **acknowledged** op (its request resolved before the cut) must
   be durable: acknowledged puts read back exactly, acknowledged deletes
   stay gone;
+* every **acknowledged get** returned its key's last acknowledged value
+  at that point of the in-order fold (or a value in its tolerance set);
 * every **unacknowledged** op is atomic per key: after recovery the key
   holds its last acknowledged value or the value of an unacknowledged
   put to it — never a torn mix, never a value from nowhere;
@@ -30,17 +34,19 @@ real bugs.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.crashsim.injector import CrashInjector
+from repro.crashsim.oracle import TolerantReference
 from repro.errors import ServiceCrashedError, SimulatedCrash
 from repro.serve.batcher import OP_DELETE, OP_GET, OP_PUT
 from repro.serve.frontend import SERVICE_QUIESCENT, ShardedKVService
 from repro.util.rng import DeterministicRNG
 
-#: Sentinel for "key absent" in the reference and tolerance sets.
+#: The default value of the tolerant reference: "key absent".
 MISSING = None
 
 
@@ -56,6 +62,7 @@ class ServiceCellResult:
     batch_max: int
     height: int
     window: int = 1
+    integrity: bool = False
     supports: bool = False
     operations: int = 0
     acknowledged: int = 0
@@ -149,7 +156,7 @@ def run_service_cell(
     result = ServiceCellResult(
         shards=shards, variant=variant, point=point, rounds=rounds,
         seed=seed, batch_max=batch_max, height=height, window=window,
-        supports=supports,
+        integrity=integrity, supports=supports,
     )
     all_points = service.crash_points()
     if point is not None and point not in all_points:
@@ -157,9 +164,7 @@ def run_service_cell(
             f"service over {variant!r} x{shards} has no crash point {point!r}"
         )
     keys = [f"key-{index}" for index in range(num_keys)]
-    #: The lock-step reference: key -> last acknowledged value (absent =
-    #: MISSING).  Service-level analogue of crashsim's ReferenceController.
-    reference: Dict[str, bytes] = {}
+    reference = _new_reference()
 
     started = time.perf_counter()
     for round_no in range(rounds):
@@ -194,32 +199,36 @@ def run_service_cell(
         else:
             result.quiescent_crashes += 1
 
-        # -- fold acknowledgements into the reference, build tolerance ---
+        # -- fold the burst into the reference ---------------------------
         # Per-key ordering is sound: a key always routes to one shard and
         # shard batches preserve FIFO, so folding in input order applies
-        # each key's acknowledged ops in their true execution order.
-        tolerated: Dict[str, Set] = {}
+        # each key's ops in their true execution order.
         for request in requests:
             acked = request.done and not isinstance(
                 request.error, ServiceCrashedError
             )
             if acked:
                 result.acknowledged += 1
-                if request.error is not None:
+                if request.op == OP_GET:
+                    reference.check_read(
+                        request.key,
+                        MISSING if request.error is not None else request.result,
+                    )
+                elif request.error is not None:
                     continue  # semantic failure (e.g. full): state unchanged
-                if request.op == OP_PUT:
-                    reference[request.key] = request.value
-                elif request.op == OP_DELETE:
-                    reference.pop(request.key, None)
+                elif request.op == OP_PUT:
+                    reference.acknowledge(request.key, request.value)
+                else:
+                    reference.acknowledge(request.key, MISSING)
             elif request.op in (OP_PUT, OP_DELETE):
                 # In flight at the cut: the key may legally recover to its
                 # last acknowledged value or to any unacknowledged value
                 # staged for it (write coalescing commits only the final
                 # one, but the wider set keeps the check sound).
-                tolerance = tolerated.setdefault(
-                    request.key, {reference.get(request.key, MISSING)}
+                reference.stage(
+                    request.key,
+                    request.value if request.op == OP_PUT else MISSING,
                 )
-                tolerance.add(request.value if request.op == OP_PUT else MISSING)
 
         # -- whole-service power cut + recovery --------------------------
         service.crash()
@@ -246,11 +255,13 @@ def run_service_cell(
                     )
             if result.violations:
                 break
-            violations = _verify(service, reference, tolerated, keys, prefix)
-            if violations:
-                result.violations.extend(violations)
+            read_back = functools.partial(_read_back, service)
+            check = reference.sweep(keys, read_back)
+            if not check.consistent:
+                result.violations.extend(f"{prefix}: {v}"
+                                         for v in check.violations)
                 break
-            _settle(service, reference, tolerated)
+            reference.settle(read_back)
         else:
             if recovered:
                 result.violations.append(
@@ -261,7 +272,7 @@ def run_service_cell(
             # Honest failure is conformant; the service restarts empty.
             service = _build_service(shards, variant, height, batch_max, seed,
                                      integrity, window)
-            reference.clear()
+            reference = _new_reference()
 
     status = service.status()
     result.coalesced_ops = (
@@ -271,46 +282,12 @@ def run_service_cell(
     return result
 
 
+def _new_reference() -> TolerantReference[str, Optional[bytes]]:
+    return TolerantReference(MISSING, "key {!r}".format)
+
+
 def _read_back(service: ShardedKVService, key: str) -> Optional[bytes]:
     try:
         return service.get(key)
     except KeyError:
         return MISSING
-
-
-def _verify(service, reference, tolerated, keys, prefix) -> List[str]:
-    """Sweep the whole key universe against reference + tolerance."""
-    violations = []
-    for key in keys:
-        actual = _read_back(service, key)
-        if key in tolerated:
-            if actual not in tolerated[key]:
-                want = sorted(
-                    "absent" if v is MISSING else v[:8].hex()
-                    for v in tolerated[key]
-                )
-                got = "absent" if actual is MISSING else actual[:8].hex()
-                violations.append(
-                    f"{prefix}: key {key!r} in-flight torn "
-                    f"(got {got}, tolerated {want})"
-                )
-            continue
-        expected = reference.get(key, MISSING)
-        if actual != expected:
-            got = "absent" if actual is MISSING else actual[:8].hex()
-            want = "absent" if expected is MISSING else expected[:8].hex()
-            violations.append(
-                f"{prefix}: key {key!r} diverged from reference "
-                f"(acknowledged {want}, recovered {got})"
-            )
-    return violations
-
-
-def _settle(service, reference, tolerated) -> None:
-    """Adopt each in-flight key's surviving value before the next round."""
-    for key in tolerated:
-        survivor = _read_back(service, key)
-        if survivor is MISSING:
-            reference.pop(key, None)
-        else:
-            reference[key] = survivor

@@ -10,10 +10,11 @@ sequences when one of them draws more numbers.
 
 from __future__ import annotations
 
+import operator
 import random
 from array import array
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from typing import Sequence, TypeVar
 
@@ -110,9 +111,13 @@ def zipf_cdf(n: int, alpha: float) -> array:
     Term ``i`` is ``1 / (i + 1) ** alpha``; the CDF accumulates the
     normalized terms left to right and forces the last entry to 1.0, so a
     draw ``u < 1`` always lands in range.  Callers must not mutate it.
+
+    The total is a plain left-to-right sum: from Python 3.12 on the
+    builtin ``sum`` of floats is compensated, which would move the last
+    bits of the table (and so the draws) between interpreter versions.
     """
     weights = array("d", (1.0 / ((i + 1) ** alpha) for i in range(n)))
-    total = sum(weights)
+    total = reduce(operator.add, weights)
     cdf = array("d", accumulate(w / total for w in weights))
     cdf[-1] = 1.0
     return cdf

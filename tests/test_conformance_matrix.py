@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.config import small_config
+from repro.core.plain import PlainNVMController
 from repro.core.variants import build_variant, variant_specs
+from repro.crashsim.checker import ConsistencyChecker
 from repro.crashsim.conformance import QUIESCENT, CellResult, run_cell
 from repro.crashsim.matrix import (
     MatrixPoint,
@@ -15,7 +17,6 @@ from repro.crashsim.matrix import (
     plan_matrix,
     run_matrix,
 )
-from repro.crashsim.reference import ReferenceController, diff_logical_state
 from repro.exec.journal import RunJournal, read_events
 from repro.integrity.domain import INTEGRITY_CRASH_POINTS
 
@@ -76,30 +77,58 @@ class TestRunCell:
 
 
 class TestDifferentialCheck:
+    """The tracked addresses alone miss bystander damage; a sweep over
+    the span the workload draws from finds it."""
+
     def test_reference_catches_bystander_corruption(self):
-        """The oracle only watches driven addresses; the differential
-        diff covers the whole span."""
         controller = build_variant("plain", small_config(height=6, seed=2))
         block_bytes = controller.oram_config.block_bytes
-        reference = ReferenceController(16, block_bytes)
-        controller.write(3, b"x")
-        reference.write(3, b"x")
+        checker = ConsistencyChecker(controller)
+        checker.write(3, b"x")
         # Corrupt a block the workload never touched.
         line = 9 * block_bytes
         controller.memory.store_line(line, b"ghost" + bytes(block_bytes - 5))
-        diffs = diff_logical_state(controller, reference)
-        assert any("address 9" in d for d in diffs)
+        assert checker.verify().consistent
+        report = checker.verify(range(16))
+        assert [v for v in report.violations if "address 9" in v]
+        assert report.checked == 16
 
     def test_window_tolerance(self):
         controller = build_variant("plain", small_config(height=6, seed=2))
-        reference = ReferenceController(16, controller.oram_config.block_bytes)
         controller.write(4, b"new")
-        # Reference still holds the old (zero) content, but the op is in
-        # the in-flight window — either value is legal.
-        pad = lambda b: b + bytes(controller.oram_config.block_bytes - len(b))
-        window = {4: (pad(b""), pad(b"new"))}
-        assert diff_logical_state(controller, reference, window) == []
-        assert diff_logical_state(controller, reference) != []
+        # The op is in the in-flight window: the old (zero) content and
+        # the new one are both legal.  Without the window only zero is.
+        checker = ConsistencyChecker(controller)
+        checker.note_interrupted_write(4, b"new")
+        assert checker.verify(range(16)).consistent
+        assert not ConsistencyChecker(controller).verify(range(16)).consistent
+
+    def test_cell_sweeps_the_whole_span(self, monkeypatch):
+        """A recovery that corrupts only blocks the workload never wrote
+        fails the cell."""
+        written = set()
+        real_write = PlainNVMController.write
+        real_recover = PlainNVMController.recover
+
+        def write(self, address, data):
+            written.add(address)
+            return real_write(self, address, data)
+
+        def recover(self):
+            recovered = real_recover(self)
+            block_bytes = self.oram_config.block_bytes
+            for address in range(8):
+                if address not in written:
+                    self.memory.store_line(address * block_bytes,
+                                           b"ghost" + bytes(block_bytes - 5))
+            return recovered
+
+        monkeypatch.setattr(PlainNVMController, "write", write)
+        monkeypatch.setattr(PlainNVMController, "recover", recover)
+        cell = run_cell("plain", point=QUIESCENT, rounds=1, seed=5)
+        assert len(written) < 8
+        assert not cell.consistent
+        assert all("untouched key corrupted" in v for v in cell.violations)
 
 
 class TestPlanMatrix:

@@ -143,6 +143,19 @@ class TestRootPersistMutation:
         [outcome] = run_matrix(plan)
         assert any("witness" in v for v in outcome.result.violations)
 
+    def test_reproducer_replays_the_missing_witness(self, monkeypatch):
+        """Replay runs the cell's own crash round, integrity check included,
+        so the failing cell's trace reproduces its violation."""
+        from repro.crashsim.minimize import make_spec, replay
+
+        monkeypatch.setattr(IntegrityDomain, "_persist_root", lambda self: None)
+        result = run_cell("ps", point="integrity:after-persist",
+                          rounds=2, seed=11, integrity=True)
+        spec = make_spec("ps", "default", 6, 11, integrity=True)
+        violations = replay(spec, result.trace)
+        assert violations and all("witness" in v for v in violations)
+        assert result.violations == [f"round 0 {v}" for v in violations]
+
     def test_matrix_passes_with_root_persist_intact(self):
         result = run_cell("ps", point="integrity:after-persist",
                           rounds=2, seed=11, integrity=True)

@@ -10,10 +10,9 @@ through the ``repro`` CLI."""
 import pytest
 
 from repro.core.variants import build_variant
-from repro.crashsim.conformance import run_cell
+from repro.crashsim.conformance import CellSystem, run_cell
 from repro.crashsim.matrix import MatrixPoint, emit_reproducers
 from repro.crashsim.minimize import (
-    build_spec_system,
     load_reproducer,
     main as repro_main,
     make_spec,
@@ -124,7 +123,7 @@ class TestMinimizer:
         cell = _failing_cell(buggy_variant)
         spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed)
         del spec["window"], spec["integrity"]
-        _, system = build_spec_system(spec)
+        system = CellSystem(**make_spec(**spec)).controller
         assert not isinstance(system, WindowScheduler)
         assert system.integrity is None
         assert replay(spec, cell.trace), "an old spec must still reproduce"
@@ -154,7 +153,7 @@ class TestMinimizer:
         spec, events, _ = load_reproducer(path)
         assert spec["window"] == 4
         assert spec["integrity"] is True
-        _, system = build_spec_system(spec)
+        system = CellSystem(**make_spec(**spec)).controller
         assert isinstance(system, WindowScheduler)
         assert system.controller.integrity is not None
         assert replay(spec, events), "emitted reproducer must reproduce"
