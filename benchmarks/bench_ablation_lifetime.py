@@ -60,56 +60,6 @@ def test_lifetime_per_design(benchmark):
     assert data["naive-ps"][0] > 1.8 * data["baseline"][0]
 
 
-def test_wear_leveling_flattens_the_hotspot(benchmark):
-    """Start-Gap + randomization vs the raw root hotspot, per gap period.
-
-    Runs on a small tree so the leveling completes several sweeps within
-    the bench budget — at realistic region sizes the same sweep count
-    simply corresponds to the device's months-long wear horizon (the
-    leveling *rate* per write is what the period knob sets either way).
-    """
-    from repro.config import small_config
-    from repro.mem.wearlevel import attach_wear_leveling
-
-    config = small_config(height=6, seed=5)
-
-    def run():
-        out = {}
-        for period in (None, 64, 16, 4):
-            memory = NVMMainMemory(
-                config.nvm, line_bytes=64, track_wear=True
-            )
-            controller = build_variant("ps", config, memory=memory)
-            if period is not None:
-                attach_wear_leveling(controller, gap_period=period)
-            rng = DeterministicRNG(5)
-            for i in range(ACCESSES):
-                controller.write(rng.randrange(100), bytes([i % 256]))
-            out[period] = (
-                memory.traffic.max_line_writes(),
-                memory.traffic.total_writes / ACCESSES,
-            )
-        return out
-
-    data = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        ("off" if period is None else period, hottest, writes)
-        for period, (hottest, writes) in data.items()
-    ]
-    print()
-    print(
-        format_table(
-            "Start-Gap wear leveling on PS-ORAM (ORAM root = hottest lines)",
-            ["Gap period", "Hottest line writes", "Total writes/access"],
-            rows,
-        )
-    )
-    baseline_hot = data[None][0]
-    assert data[4][0] < 0.6 * baseline_hot  # aggressive leveling flattens
-    # The leveling cost: one extra line copy per period.
-    assert data[64][1] < 1.1 * data[None][1]
-
-
 def test_root_bucket_is_the_hot_spot(benchmark):
     """The ORAM root is written every access — the canonical wear target."""
     def run():

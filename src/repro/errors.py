@@ -75,7 +75,7 @@ class ConsistencyViolation(CrashError):
 
 
 class TraceFormatError(ReproError):
-    """A workload trace file is malformed."""
+    """A workload trace record is malformed."""
 
 
 class ServiceError(ReproError):

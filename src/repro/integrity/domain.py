@@ -151,15 +151,6 @@ class IntegrityDomain:
         if self._installed:
             return
         memory = self.c.memory
-        if memory.address_translator is not None:
-            # The memory hands line_observer the translated (physical)
-            # address, the trees reload it through the translator a second
-            # time, and recompute_root walks physical image keys: every
-            # line a translator moves would read as tampered.
-            raise ValueError(
-                "memory has an address translator (wear leveling); the "
-                "integrity domain cannot attach below one"
-            )
         # Seed line MACs for everything already written into the extent
         # (and reject anything the extent does not cover).
         line_bytes = memory.line_bytes
@@ -404,15 +395,14 @@ class IntegrityDomain:
         self._persist_root()
 
 
-def exact_extent(controller) -> int:
+def _exact_extent(controller) -> int:
     """Upper bound (bytes) of the controller's persistent data layout.
 
     Everything the protocol writes functionally falls below this bound:
     the main layout, the recursive intent log, and the version/bounce
     scratch lines.  The bound is exact, so the digest lines sit right
     above the last protected line; a store beyond it raises in
-    :meth:`IntegrityDomain._observe`.  :class:`repro.sim.multiprog.CoRunner`
-    spaces co-running controllers by the same bound.
+    :meth:`IntegrityDomain._observe`.
     """
     line_bytes = controller.memory.line_bytes
     extent = controller.layout.total_bytes
@@ -463,7 +453,7 @@ def enable_integrity(controller, key: bytes = DEFAULT_INTEGRITY_KEY,
     bucket_trees = [BucketIntegrityTree(memory, region, key=key) for region in regions]
     line_base = layout.data_tree.base + layout.data_tree.size_bytes
     line_tree = MerkleIntegrityTree(
-        memory, base=line_base, size_bytes=exact_extent(controller) - line_base,
+        memory, base=line_base, size_bytes=_exact_extent(controller) - line_base,
         key=key,
     )
     domain = IntegrityDomain(controller, line_tree, bucket_trees, discipline, key=key)

@@ -67,15 +67,9 @@ class NVMMainMemory:
         #: fast path alike).  The integrity domain registers here to keep
         #: leaf MACs current without monkey-patching the store methods.
         self.line_observer: Optional[Callable[[int], None]] = None
-        #: Optional address-translation layer below the controller
-        #: (start-gap wear leveling): maps the caller's line address to
-        #: the physical one in :meth:`issue`, :meth:`issue_path`,
-        #: :meth:`store_line` and :meth:`load_line`.
-        self.address_translator: Optional[Callable[[int], int]] = None
         #: Optional hook called after every timed line request with the
-        #: caller's address and the completed request (whose ``address``
-        #: is the physical one) — the bus observer and the wear leveler's
-        #: write counter register here.
+        #: line's byte address and the completed request — the bus
+        #: observer registers here.  It must not issue traffic itself.
         self.request_observer: Optional[
             Callable[[int, MemoryRequest], None]
         ] = None
@@ -84,16 +78,12 @@ class NVMMainMemory:
 
     def store_line(self, address: int, data: bytes) -> None:
         """Write the functional content of one line (no timing)."""
-        if self.address_translator is not None:
-            address = self.address_translator(address)
         self._image[address // self.line_bytes] = bytes(data)
         if self.line_observer is not None:
             self.line_observer(address)
 
     def load_line(self, address: int) -> Optional[bytes]:
         """Read the functional content of one line (no timing)."""
-        if self.address_translator is not None:
-            address = self.address_translator(address)
         return self._image.get(address // self.line_bytes)
 
     def written_lines(self, base: int, size_bytes: int) -> List[int]:
@@ -207,7 +197,6 @@ class NVMMainMemory:
         energy = self.energy_pj
         traffic = self.traffic
         image = self._image
-        translator = self.address_translator
         line_observer = self.line_observer
         request_observer = self.request_observer
         is_write = access is Access.WRITE
@@ -221,9 +210,6 @@ class NVMMainMemory:
         finish = arrival_cycle
         write_lines: List[int] = []
         for i, address in enumerate(addresses):
-            logical = address
-            if translator is not None:
-                address = translator(address)
             cal = dispatch_intervals
             if not cal or ready > cal[-1]:
                 dispatched = ready
@@ -285,11 +271,7 @@ class NVMMainMemory:
                 if requests is not None:
                     requests.append(request)
                 if request_observer is not None:
-                    # The observer may issue traffic of its own (a wear
-                    # leveler's gap move): hand it the energy tally.
-                    self.energy_pj = energy
-                    request_observer(logical, request)
-                    energy = self.energy_pj
+                    request_observer(address, request)
         self.energy_pj = energy
         traffic.record_burst(access, kind, len(addresses), write_lines if is_write else None)
         return finish

@@ -146,3 +146,5 @@ class TrafficMeter:
         self.read_bytes = 0
         self.write_bytes = 0
         self._line_writes.clear()
+        self.bits_written = 0
+        self.bits_flipped = 0

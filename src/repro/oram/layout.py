@@ -89,10 +89,10 @@ class MemoryLayout:
         self.data_tree = TreeRegion(
             base=cursor, height=config.height, z=config.z, line_bytes=line_bytes
         )
-        # One spare line after the tree region: the Start-Gap wear leveler
-        # (repro.mem.wearlevel) rotates N logical lines through N+1
-        # physical slots, and the gap slot must not collide with the
-        # PosMap region that follows.
+        # One spare line after the tree region.  Nothing uses it, but
+        # every later region's base, and so every NVM image digest and
+        # every line's bank, is fixed relative to it: dropping it would
+        # move all of them.
         cursor += self.data_tree.size_bytes + line_bytes
         self.posmap = PosMapRegion(
             base=cursor, num_entries=config.num_logical_blocks, line_bytes=line_bytes

@@ -3,8 +3,8 @@
 The threat model (paper Section 2.1) grants the adversary the address,
 command and data buses — addresses and read/write types in cleartext, data
 as ciphertext.  The observer registers as an :class:`NVMMainMemory`'s
-``request_observer`` and records exactly that view (physical addresses,
-below any translation layer), so the analysis module can test whether two
+``request_observer`` and records exactly that view (line addresses,
+read/write and request kind), so the analysis module can test whether two
 logical access sequences are distinguishable.
 """
 

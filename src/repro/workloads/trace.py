@@ -1,20 +1,16 @@
-"""Memory trace format.
+"""Memory traces.
 
 A trace is a sequence of :class:`MemoryOp` records: each carries the number
 of non-memory instructions executed since the previous memory reference,
 the byte address touched, and whether it is a store.  This is the
 information content of a gem5/SimPoint memory trace, which is all the
 evaluation consumes.
-
-Traces serialize to a simple line-oriented text format (``gap address R|W``)
-so they can be saved, inspected and reloaded.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.errors import TraceFormatError
 
@@ -35,7 +31,7 @@ class MemoryOp:
 
 
 class Trace:
-    """An in-memory workload trace with save/load support."""
+    """An in-memory workload trace."""
 
     def __init__(self, name: str, ops: Optional[List[MemoryOp]] = None):
         self.name = name
@@ -53,59 +49,8 @@ class Trace:
         """Total instructions: gaps plus one per memory reference."""
         return sum(op.gap for op in self.ops) + len(self.ops)
 
-    @property
-    def write_fraction(self) -> float:
-        if not self.ops:
-            return 0.0
-        return sum(1 for op in self.ops if op.is_write) / len(self.ops)
-
-    def footprint_lines(self, line_bytes: int = 64) -> int:
-        """Distinct cache lines touched."""
-        return len({op.address // line_bytes for op in self.ops})
-
     def __iter__(self) -> Iterator[MemoryOp]:
         return iter(self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    # -- serialization -----------------------------------------------------
-
-    def dump(self, stream: io.TextIOBase) -> None:
-        """Write the trace in ``gap address R|W`` lines."""
-        stream.write(f"# trace {self.name}\n")
-        for op in self.ops:
-            kind = "W" if op.is_write else "R"
-            stream.write(f"{op.gap} {op.address:#x} {kind}\n")
-
-    def dumps(self) -> str:
-        buffer = io.StringIO()
-        self.dump(buffer)
-        return buffer.getvalue()
-
-    @classmethod
-    def load(cls, stream: Iterable[str], name: str = "loaded") -> "Trace":
-        """Parse a trace written by :meth:`dump`."""
-        trace = cls(name)
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# trace "):
-                    trace.name = line[len("# trace ") :].strip()
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[2] not in ("R", "W"):
-                raise TraceFormatError(f"line {lineno}: malformed record {line!r}")
-            try:
-                gap = int(parts[0])
-                address = int(parts[1], 0)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from None
-            trace.append(gap, address, parts[2] == "W")
-        return trace
-
-    @classmethod
-    def loads(cls, text: str, name: str = "loaded") -> "Trace":
-        return cls.load(io.StringIO(text), name)

@@ -8,7 +8,7 @@ from repro.config import small_config
 from repro.core.plain import PlainNVMController
 from repro.core.variants import build_variant, variant_specs
 from repro.crashsim.checker import ConsistencyChecker
-from repro.crashsim.conformance import QUIESCENT, CellResult, run_cell
+from repro.crashsim.conformance import QUIESCENT, CellResult, CellSystem, run_cell
 from repro.crashsim.matrix import (
     MatrixPoint,
     _reproducer_filename,
@@ -129,6 +129,50 @@ class TestDifferentialCheck:
         assert len(written) < 8
         assert not cell.consistent
         assert all("untouched key corrupted" in v for v in cell.violations)
+
+
+class TestHybridSpanOnlyLoss:
+    """The tracked-address pass hides a ``ps-hybrid`` crash loss.
+
+    Pins ROADMAP's "Find the crash-time loss that the matrix's
+    verification reads hide in ``ps-hybrid``".  Cells read the tracked
+    addresses back before sweeping the span, and those reads re-place
+    blocks.  With a span-only sweep, the matrix cell
+    ``ps-hybrid/phase:persist-commit/default`` (campaign seed 1) loses
+    acknowledged address 18 in round 1, at windows 1 and 4.  When the
+    loss is fixed this xfail starts passing: drop the marker and the
+    tracked pass from ``CellSystem._conformance``.
+    """
+
+    CELL = dict(variant="ps-hybrid", point="phase:persist-commit",
+                wpq="default", rounds=2, seed=125281375832855, height=6)
+
+    @staticmethod
+    def _span_only(self, recovered):
+        if not recovered:
+            return ["recovery failed on a variant that claims support"]
+        check = self.checker.verify(range(self.span))
+        if not check.consistent:
+            return check.violations
+        self.checker.settle()
+        return []
+
+    def test_cell_is_conformant_with_the_tracked_pass(self):
+        for window in (1, 4):
+            cell = run_cell(**self.CELL, window=window)
+            assert cell.crashes_fired >= 1
+            assert cell.consistent, (window, cell.violations)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ps-hybrid loses acknowledged address 18 at a persist-commit "
+               "crash once the tracked-address reads no longer re-place it",
+    )
+    def test_cell_is_conformant_with_a_span_only_sweep(self, monkeypatch):
+        monkeypatch.setattr(CellSystem, "_conformance", self._span_only)
+        for window in (1, 4):
+            cell = run_cell(**self.CELL, window=window)
+            assert cell.consistent, (window, cell.violations)
 
 
 class TestPlanMatrix:

@@ -1,5 +1,7 @@
 """Unit tests for traffic and wear accounting."""
 
+from repro.config import small_config
+from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access, MemoryRequest, RequestKind
 from repro.mem.traffic import TrafficMeter
 
@@ -59,3 +61,18 @@ class TestWear:
         meter.reset()
         assert meter.total_writes == 0
         assert meter.max_line_writes() == 0
+
+
+class TestCellFlips:
+    def test_reset_timing_drops_warm_up_flips(self):
+        memory = NVMMainMemory(small_config().nvm)
+        memory.issue(0, Access.WRITE, 0, data=b"\xff" * 64)
+        assert memory.traffic.flip_rate == 1.0
+        memory.reset_timing()
+        assert memory.traffic.bits_written == 0
+        assert memory.traffic.bits_flipped == 0
+        # Rewriting the same content flips nothing; warm-up flips must
+        # not leak into the post-reset rate.
+        memory.issue(0, Access.WRITE, 0, data=b"\xff" * 64)
+        assert memory.traffic.bits_written == 512
+        assert memory.traffic.flip_rate == 0.0

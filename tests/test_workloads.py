@@ -1,7 +1,5 @@
 """Tests for traces, generators and the Table-4 workload suite."""
 
-import io
-
 import pytest
 
 from repro.errors import TraceFormatError
@@ -28,28 +26,10 @@ class TestTraceFormat:
         trace.append(5, 0x80, True)
         assert trace.memory_references == 2
         assert trace.instructions == 17
-        assert trace.write_fraction == 0.5
-        assert trace.footprint_lines() == 2
-
-    def test_dump_load_roundtrip(self):
-        trace = Trace("roundtrip")
-        trace.append(3, 0x1000, True)
-        trace.append(0, 0x40, False)
-        loaded = Trace.loads(trace.dumps())
-        assert loaded.name == "roundtrip"
-        assert loaded.ops == trace.ops
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(TraceFormatError):
-            Trace.load(io.StringIO("1 0x40 X\n"))
 
     def test_negative_gap_rejected(self):
         with pytest.raises(TraceFormatError):
             MemoryOp(gap=-1, address=0, is_write=False)
-
-    def test_comments_and_blanks_skipped(self):
-        loaded = Trace.loads("# comment\n\n1 0x40 R\n")
-        assert len(loaded) == 1
 
 
 class TestGenerators:
@@ -64,7 +44,7 @@ class TestGenerators:
 
     def test_pointer_chase_spreads(self):
         trace = pointer_chase_trace("p", 500, footprint_lines=10_000, seed=1)
-        assert trace.footprint_lines() > 400
+        assert len({op.address // 64 for op in trace}) > 400
 
     def test_working_set_hot_cold_split(self):
         trace = working_set_trace(
