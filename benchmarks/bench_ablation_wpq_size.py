@@ -4,44 +4,20 @@ The paper claims WPQ size does not affect PS-ORAM performance (the WPQs
 are not on the lookup path) — but a WPQ smaller than one path forces the
 ordered multi-round eviction, whose extra bounce writes and round overhead
 this bench quantifies.
+
+The experiment is :func:`repro.report.wpq`; ``python -m repro --only
+wpq`` prints the same table.
 """
 
-import dataclasses
-
-from repro.bench.harness import BENCH_CONFIG, format_table, sweep
-from repro.config import WPQConfig
-
-SIZES = (96, 48, 8, 4)
-WORKLOAD = ("429.mcf",)
-
-
-def _run(size):
-    config = dataclasses.replace(BENCH_CONFIG, wpq=WPQConfig(size, size))
-    result = sweep(("ps",), WORKLOAD, config=config)[0]
-    return result
+from repro.bench.harness import BENCH_CONFIG, BENCH_WORKLOADS
+from repro.report import WPQ_SIZES, wpq
 
 
 def test_wpq_size_sweep(benchmark):
     results = benchmark.pedantic(
-        lambda: {size: _run(size) for size in SIZES}, rounds=1, iterations=1
+        lambda: wpq(BENCH_WORKLOADS, BENCH_CONFIG), rounds=1, iterations=1
     )
-    full = results[SIZES[0]]
-    rows = [
-        (
-            size,
-            r.cycles / full.cycles,
-            r.nvm_writes / full.nvm_writes,
-        )
-        for size, r in results.items()
-    ]
-    print()
-    print(
-        format_table(
-            "Ablation: PS-ORAM with shrinking WPQs (vs 96-entry)",
-            ["WPQ entries", "Cycles", "Writes"],
-            rows,
-        )
-    )
+    full = results[WPQ_SIZES[0]]
     path_slots = BENCH_CONFIG.oram.path_blocks
     for size, result in results.items():
         ratio = result.cycles / full.cycles

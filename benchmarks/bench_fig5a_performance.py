@@ -4,69 +4,20 @@ Paper (Z=4, 1 channel, geometric means over 14 SPEC workloads, normalized
 to Baseline): FullNVM +90.54%, FullNVM(STT) +37.69%, Naive-PS-ORAM +73.92%,
 PS-ORAM +4.29%.
 
-Runnable standalone: ``python benchmarks/bench_fig5a_performance.py
-[--full] [--jobs N] [--no-cache] [--window N]``.  ``--window`` runs every
-variant behind the memory-level-parallel access window
-(docs/SCHEDULER.md); logical behaviour is unchanged, only cycle counts
-drop.
+The experiment is :func:`repro.report.fig5a`; ``python -m repro --only
+fig5a [--full] [--window N] [--integrity]`` prints the same table.
 """
 
-from repro.bench.harness import BENCH_WORKLOADS, format_table, parse_bench_args, sweep
-from repro.core.variants import NON_RECURSIVE_VARIANTS
-from repro.sim.results import geometric_mean, normalize
-
-
-def _aggregate(results):
-    table = normalize(results, "baseline", "cycles")
-    return {variant: geometric_mean(row.values()) for variant, row in table.items()}
-
-
-def _report(results, workloads):
-    """Print the figure tables; returns the geomean-normalized dict."""
-    norm = _aggregate(results)
-    per_workload = normalize(results, "baseline", "cycles")
-    rows = [
-        (variant, *(per_workload[variant].get(w, float("nan")) for w in workloads),
-         norm[variant])
-        for variant in NON_RECURSIVE_VARIANTS
-    ]
-    print()
-    print(
-        format_table(
-            "Figure 5(a): execution time normalized to Baseline",
-            ["Variant", *workloads, "geomean"],
-            rows,
-        )
-    )
-    paper = {"fullnvm": 1.9054, "fullnvm-stt": 1.3769, "naive-ps": 1.7392, "ps": 1.0429}
-    print(format_table(
-        "Paper vs measured (geomean)",
-        ["Variant", "Paper", "Measured"],
-        [(v, paper[v], norm[v]) for v in paper],
-    ))
-    return norm
+from repro.bench.harness import BENCH_CONFIG, BENCH_WORKLOADS
+from repro.report import fig5a
 
 
 def test_fig5a_normalized_performance(benchmark):
-    results = benchmark.pedantic(
-        lambda: sweep(NON_RECURSIVE_VARIANTS), rounds=1, iterations=1
+    norm = benchmark.pedantic(
+        lambda: fig5a(BENCH_WORKLOADS, BENCH_CONFIG), rounds=1, iterations=1
     )
-    norm = _report(results, BENCH_WORKLOADS)
     # Shape assertions: ordering and rough factors.
     assert norm["ps"] < 1.15
     assert norm["ps"] < norm["fullnvm-stt"] < norm["fullnvm"]
     assert norm["naive-ps"] > 1.4
     assert norm["fullnvm"] > 1.3
-
-
-def main(argv=None) -> int:
-    args = parse_bench_args(__doc__, argv)
-    if args.window > 1:
-        print(f"scheduler window: {args.window}")
-    results = sweep(NON_RECURSIVE_VARIANTS, args.workloads, config=args.config)
-    _report(results, args.workloads)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -6,35 +6,23 @@ schemes and stay flat otherwise (6a); writes increase +111.63% for FullNVM,
 over Rcr-Baseline (6b — our Rcr-PS bookkeeping is cheaper, see
 EXPERIMENTS.md).
 
-Runnable standalone: ``python benchmarks/bench_fig6_traffic.py
-[--full] [--jobs N] [--no-cache]``.
+The experiment is :func:`repro.report.fig6`; ``python -m repro --only
+fig6 [--full] [--window N] [--integrity]`` prints the same table.  The
+three tests share one sweep (the harness memoizes it).
 """
 
-from repro.bench.harness import format_table, parse_bench_args, sweep
-from repro.sim.results import geometric_mean, normalize
-
-SYSTEMS = (
-    "baseline", "fullnvm", "fullnvm-stt", "naive-ps", "ps",
-    "rcr-baseline", "rcr-ps",
-)
+from repro.bench.harness import BENCH_CONFIG, BENCH_WORKLOADS
+from repro.report import fig6
 
 
-def _norms(results, metric):
-    table = normalize(results, "baseline", metric)
-    return {variant: geometric_mean(row.values()) for variant, row in table.items()}
+def _fig6(benchmark):
+    return benchmark.pedantic(
+        lambda: fig6(BENCH_WORKLOADS, BENCH_CONFIG), rounds=1, iterations=1
+    )
 
 
 def test_fig6a_read_traffic(benchmark):
-    results = benchmark.pedantic(lambda: sweep(SYSTEMS), rounds=1, iterations=1)
-    reads = _norms(results, "nvm_reads")
-    print()
-    print(
-        format_table(
-            "Figure 6(a): NVM reads normalized to Baseline",
-            ["Variant", "Reads"],
-            sorted(reads.items()),
-        )
-    )
+    reads = _fig6(benchmark)["reads"]
     # Non-recursive data-path reads unchanged; recursion nearly doubles.
     assert abs(reads["ps"] - 1.0) < 0.02
     assert abs(reads["naive-ps"] - 1.0) < 0.02
@@ -43,22 +31,7 @@ def test_fig6a_read_traffic(benchmark):
 
 
 def test_fig6b_write_traffic(benchmark):
-    results = benchmark.pedantic(lambda: sweep(SYSTEMS), rounds=1, iterations=1)
-    writes = _norms(results, "nvm_writes")
-    print()
-    print(
-        format_table(
-            "Figure 6(b): NVM writes normalized to Baseline",
-            ["Variant", "Writes"],
-            sorted(writes.items()),
-        )
-    )
-    paper = {"fullnvm": 2.1163, "naive-ps": 2.009, "ps": 1.0484}
-    print(format_table(
-        "Paper vs measured (geomean)",
-        ["Variant", "Paper", "Measured"],
-        [(v, paper[v], writes[v]) for v in paper],
-    ))
+    writes = _fig6(benchmark)["writes"]
     assert 1.8 < writes["fullnvm"] < 2.4
     assert 1.8 < writes["naive-ps"] < 2.2
     assert 1.0 < writes["ps"] < 1.12
@@ -71,37 +44,6 @@ def test_fig6_wear_relevance(benchmark):
     The paper motivates dirty-entry persistence partly by NVM lifetime;
     this bench quantifies writes-per-access for each persistence policy.
     """
-    results = benchmark.pedantic(
-        lambda: sweep(("baseline", "naive-ps", "ps")), rounds=1, iterations=1
-    )
-    by_variant = {}
-    for result in results:
-        per_access = result.nvm_writes / max(result.llc_misses, 1)
-        by_variant.setdefault(result.variant, []).append(per_access)
-    rows = [
-        (variant, sum(vals) / len(vals))
-        for variant, vals in sorted(by_variant.items())
-    ]
-    print()
-    print(format_table("NVM writes per LLC miss", ["Variant", "Writes/miss"], rows))
-    per = dict(rows)
+    per = _fig6(benchmark)["writes_per_miss"]
     assert per["ps"] < 1.1 * per["baseline"]
     assert per["naive-ps"] > 1.8 * per["baseline"]
-
-
-def main(argv=None) -> int:
-    args = parse_bench_args(__doc__, argv)
-    results = sweep(SYSTEMS, args.workloads)
-    reads = _norms(results, "nvm_reads")
-    writes = _norms(results, "nvm_writes")
-    print(format_table(
-        "Figure 6: NVM traffic normalized to Baseline",
-        ["Variant", "Reads", "Writes"],
-        [(v, reads.get(v, float("nan")), writes.get(v, float("nan")))
-         for v in SYSTEMS],
-    ))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -4,47 +4,30 @@ Paper values: eADR-cache 12.653mJ / 26.638us; eADR-ORAM 2.286J / 4.817ms;
 PS-ORAM 76.530uJ / 161.134ns (96-entry WPQs) and ~2.83uJ / 6.713ns
 (4-entry; the paper's energy cell is inconsistent with its own time cell —
 we report the 284-byte-consistent 3.19uJ, see EXPERIMENTS.md).
+
+The experiment is :func:`repro.report.table2`; ``python -m repro --only
+table2`` prints the same table.
 """
 
-from repro.bench.harness import format_table
-from repro.energy.model import (
-    EADR_CACHE,
-    EADR_ORAM,
-    PS_ORAM,
-    PS_ORAM_SMALL,
-    table2_rows,
-)
-from repro.util.units import format_energy, format_time
+from repro.bench.harness import BENCH_CONFIG, BENCH_WORKLOADS
+from repro.report import PAPER, table2
+
+
+def _within(measured, key, tolerance):
+    return abs(measured - PAPER[key]) / PAPER[key] < tolerance
 
 
 def test_table2_draining_costs(benchmark):
-    rows = benchmark(table2_rows)
-    printable = [
-        (
-            name,
-            estimate.total_bytes,
-            format_energy(estimate.energy_pj),
-            format_time(estimate.time_ns),
-            f"{estimate.energy_pj / PS_ORAM.energy_pj:,.0f}x",
-        )
-        for name, estimate in (
-            ("eADR-cache", EADR_CACHE),
-            ("eADR-ORAM", EADR_ORAM),
-            ("PS-ORAM (96-entry)", PS_ORAM),
-            ("PS-ORAM (4-entry)", PS_ORAM_SMALL),
-        )
-    ]
-    print()
-    print(
-        format_table(
-            "Table 2: draining energy and time (vs PS-ORAM 96-entry)",
-            ["System", "Bytes", "Energy", "Time", "Energy vs PS"],
-            printable,
-        )
+    estimates = benchmark.pedantic(
+        lambda: table2(BENCH_WORKLOADS, BENCH_CONFIG), rounds=1, iterations=1
     )
-    assert len(rows) == 4
+    ps = estimates["PS-ORAM (96)"]
+    assert len(estimates) == 4
     # Paper's headline factors.
-    assert abs(EADR_ORAM.energy_pj / PS_ORAM.energy_pj - 29870) / 29870 < 0.07
-    assert abs(EADR_CACHE.energy_pj / PS_ORAM.energy_pj - 165) / 165 < 0.07
-    assert abs(PS_ORAM.time_ns - 161.134) / 161.134 < 0.01
-    assert abs(PS_ORAM_SMALL.time_ns - 6.713) / 6.713 < 0.01
+    assert _within(estimates["eADR-ORAM"].energy_pj / ps.energy_pj,
+                   "table2.eADR-ORAM.vs_ps", 0.07)
+    assert _within(estimates["eADR-cache"].energy_pj / ps.energy_pj,
+                   "table2.eADR-cache.vs_ps", 0.07)
+    assert _within(ps.time_ns, "table2.PS-ORAM (96).time_ns", 0.01)
+    assert _within(estimates["PS-ORAM (4)"].time_ns,
+                   "table2.PS-ORAM (4).time_ns", 0.01)

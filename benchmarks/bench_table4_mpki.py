@@ -3,50 +3,31 @@
 Regenerates the paper's workload-characterization table: each synthetic
 SPEC-like trace is run through the paper's L1/L2 hierarchy and its measured
 MPKI is compared with the published value.
+
+The experiment is :func:`repro.report.table4`; ``python -m repro --full
+--only table4`` prints the same table.
 """
 
 import pytest
 
-from repro.bench.harness import format_table
-from repro.workloads.spec import SPEC_WORKLOADS, measure_llc_misses, spec_workload
-
-#: References per workload: enough to stabilize MPKI through the caches.
-REFERENCES = 6000
-
-
-def _measure(name):
-    trace = spec_workload(name, references=REFERENCES, seed=7)
-    misses = measure_llc_misses(trace)
-    mpki = 1000.0 * misses / trace.instructions
-    return trace, mpki
+from repro.bench.harness import BENCH_CONFIG, FULL_WORKLOADS
+from repro.report import PAPER, table4
 
 
 def test_table4_all_workloads(benchmark):
-    def run():
-        rows = []
-        for name, spec in SPEC_WORKLOADS.items():
-            _, mpki = _measure(name)
-            rows.append((name, spec.mpki, mpki, mpki / spec.mpki))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    print(
-        format_table(
-            "Table 4: workloads and their MPKIs (paper vs measured)",
-            ["Workload", "Paper MPKI", "Measured", "Ratio"],
-            rows,
-        )
+    measured = benchmark.pedantic(
+        lambda: table4(FULL_WORKLOADS, BENCH_CONFIG), rounds=1, iterations=1
     )
-    for name, paper, measured, ratio in rows:
-        assert 0.6 < ratio < 1.4, f"{name}: measured {measured:.2f} vs paper {paper}"
+    for name, mpki in measured.items():
+        paper = PAPER[f"mpki.{name}"]
+        ratio = mpki / paper
+        assert 0.6 < ratio < 1.4, f"{name}: measured {mpki:.2f} vs paper {paper}"
 
 
 @pytest.mark.parametrize("name", ["458.sjeng", "403.gcc"])
 def test_mpki_extremes(benchmark, name):
     """The highest- and lowest-MPKI workloads calibrate correctly."""
-    trace, mpki = benchmark.pedantic(
-        lambda: _measure(name), rounds=1, iterations=1
+    measured = benchmark.pedantic(
+        lambda: table4([name], BENCH_CONFIG), rounds=1, iterations=1
     )
-    target = SPEC_WORKLOADS[name].mpki
-    assert mpki == pytest.approx(target, rel=0.4)
+    assert measured[name] == pytest.approx(PAPER[f"mpki.{name}"], rel=0.4)

@@ -31,7 +31,7 @@ _DECLARED_NAME = re.compile(r"(^|_)(CRASH_POINTS|PIPELINE_PHASES)$")
 #: its INTEGRITY_CRASH_POINTS declarations must match the _checkpoint
 #: literals it fires, in both directions, like any policy's.
 ROUND_SCOPE_DIRS = ("engine", "core", "hybrid", "integrity")
-ROUND_EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py", "mem/persistence.py")
+ROUND_EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py")
 
 
 class CrashPointCoverageRule:

@@ -30,7 +30,7 @@ statically checkable corollaries — so this rule checks them up front:
 
 Scope: the policy/controller layers (``engine/``, ``core/``,
 ``hybrid/``).  The WPQ/drainer mechanics themselves
-(``core/drainer.py``, ``mem/wpq.py``, ``mem/persistence.py``) implement
+(``core/drainer.py``, ``mem/wpq.py``) implement
 the contract and are excluded.
 """
 
@@ -53,7 +53,7 @@ from repro.analyze.model import Finding
 from repro.analyze.source import FunctionInfo, Project, SourceFile
 
 SCOPE_DIRS = ("engine", "core", "hybrid")
-EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py", "mem/persistence.py")
+EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py")
 
 #: Direct persistent-image writes (outside the WPQ path) relevant to R1.4.
 DIRECT_PERSIST_TERMINALS = {"write_entry", "store_line", "store_slot"}

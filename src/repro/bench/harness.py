@@ -9,16 +9,15 @@ preserves; EXPERIMENTS.md records paper-vs-measured per figure.
 Set ``REPRO_BENCH_SCALE`` in the environment to scale reference counts
 (e.g. ``REPRO_BENCH_SCALE=5`` for 5x longer runs).
 
-Sweeps can run in parallel: ``sweep(..., jobs=N)`` (or a ``--jobs N`` flag
-on ``python -m repro`` and the bench mains) fans the (variant x workload)
-points out across worker processes via :mod:`repro.exec`, with an on-disk
-result cache and a JSONL run journal.  Parallel results are bit-identical
-to serial ones; see ``docs/PARALLEL.md``.
+Sweeps can run in parallel: ``sweep(..., jobs=N)`` (or ``--jobs N`` on
+``python -m repro``) fans the (variant x workload) points out across
+worker processes via :mod:`repro.exec`, with an on-disk result cache and
+a JSONL run journal.  Parallel results are bit-identical to serial ones;
+see ``docs/PARALLEL.md``.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -65,9 +64,9 @@ BENCH_HEIGHT = 10
 BENCH_REFERENCES = int(1200 * _SCALE)
 BENCH_WARMUP = int(200 * _SCALE)
 
-#: Default workload subset for per-bench runs: one of each pattern family.
-#: The figure benches run the full Table-4 suite via --full runs or the
-#: module mains; pytest-benchmark runs use this subset to stay fast.
+#: Default workload subset: one of each pattern family.  ``python -m
+#: repro --full`` runs the full Table-4 suite; the pytest-benchmark runs
+#: use this subset to stay fast.
 BENCH_WORKLOADS = (
     "401.bzip2",      # streaming, high MPKI
     "429.mcf",        # pointer chase
@@ -75,7 +74,7 @@ BENCH_WORKLOADS = (
     "471.omnetpp",    # zipf
 )
 
-#: Full Table-4 suite, importable by module mains.
+#: Full Table-4 suite.
 FULL_WORKLOADS = (
     "401.bzip2", "403.gcc", "429.mcf", "445.gobmk", "456.hmmer",
     "458.sjeng", "462.libquantum", "464.h264ref", "471.omnetpp",
@@ -189,68 +188,6 @@ def _exec_sweep(
         if outcome.error is not None:
             print(f"sweep point failed: {outcome.error}", file=sys.stderr)
     return collect_results(outcomes)
-
-
-def parse_bench_args(
-    description: str, argv: Optional[Sequence[str]] = None
-) -> argparse.Namespace:
-    """Shared CLI for the ``benchmarks/bench_*.py`` module mains.
-
-    Provides ``--full``, ``--jobs``, ``--no-cache``, ``--window`` and
-    ``--integrity``, resolves the workload list, installs the execution
-    defaults so the bench's ``sweep()`` calls pick them up, and sets
-    ``args.config`` to the bench config with the requested scheduler
-    window (depth 1 — the default — is the serial pipeline; see
-    docs/SCHEDULER.md) and, with ``--integrity``, the crash-consistent
-    integrity domain attached to every built variant (docs/INTEGRITY.md).
-    """
-    parser = argparse.ArgumentParser(
-        description=description,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--full", action="store_true",
-                        help="all 14 Table-4 workloads (slower)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run sweep points on N worker processes")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the on-disk result cache")
-    parser.add_argument("--window", type=int, default=1, metavar="N",
-                        help="memory-level-parallel access window depth "
-                             "(1 = serial pipeline; default: %(default)s)")
-    parser.add_argument("--integrity", action="store_true",
-                        help="attach the crash-consistent integrity domain "
-                             "to every variant (digest persistence counts "
-                             "as NVM traffic; see docs/INTEGRITY.md)")
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.window < 1:
-        parser.error(f"--window must be >= 1, got {args.window}")
-    args.workloads = list(FULL_WORKLOADS if args.full else BENCH_WORKLOADS)
-    args.config = windowed_config(BENCH_CONFIG, args.window)
-    if args.integrity:
-        import dataclasses
-
-        args.config = dataclasses.replace(args.config, integrity=True)
-    set_execution_defaults(
-        jobs=args.jobs, use_cache=False if args.no_cache else None
-    )
-    return args
-
-
-def windowed_config(config: SystemConfig, window: int) -> SystemConfig:
-    """``config`` with ``sched_window`` set (unchanged object for depth 1).
-
-    The runner (:func:`repro.sim.runner.run_experiment`) wraps the built
-    controller in a :class:`repro.engine.sched.WindowScheduler` whenever
-    ``config.sched_window > 1``, so threading the window through the
-    config is all a bench needs to run scheduled.
-    """
-    import dataclasses
-
-    if window == config.sched_window:
-        return config
-    return dataclasses.replace(config, sched_window=window)
 
 
 def format_table(

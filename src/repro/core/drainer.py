@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from repro.mem.controller import NVMMainMemory
-from repro.mem.persistence import PersistenceDomain
 from repro.mem.request import Access, RequestKind
 from repro.mem.wpq import WritePendingQueue
 from repro.util.stats import LazyCounter, StatSet
@@ -53,12 +52,11 @@ class Drainer:
         written blocks can never be out-versioned by pre-crash ghosts.
         """
         self.memory = memory
-        self.domain = PersistenceDomain()
-        self.data_wpq: WritePendingQueue[bytes] = self.domain.register(
-            WritePendingQueue("data", data_capacity)
-        )
-        self.posmap_wpq: WritePendingQueue[PosMapPayload] = self.domain.register(
-            WritePendingQueue("posmap", posmap_capacity)
+        # The two queues are the whole ADR persistence domain: on a power
+        # cut their closed rounds reach the NVM, everything else is lost.
+        self.data_wpq: WritePendingQueue[bytes] = WritePendingQueue("data", data_capacity)
+        self.posmap_wpq: WritePendingQueue[PosMapPayload] = WritePendingQueue(
+            "posmap", posmap_capacity
         )
         self._apply_posmap_entry = apply_posmap_entry
         self._version_line = version_line
@@ -150,9 +148,8 @@ class Drainer:
         ``(blocks_applied, entries_applied)``.
         """
         self._record_version()
-        survivors = self.domain.crash_flush()
-        blocks = survivors.get("data", [])
-        entries = survivors.get("posmap", [])
+        blocks = self.data_wpq.crash()
+        entries = self.posmap_wpq.crash()
         for line_address, wire in blocks:
             self.memory.store_line(line_address, wire)
         for _, (address, path_id) in entries:

@@ -37,7 +37,6 @@ from repro.crashsim.conformance import QUIESCENT, WPQ_CONFIGS, CellResult, run_c
 from repro.crashsim.minimize import make_spec, minimize_trace, write_reproducer
 from repro.engine.registry import variant_specs
 from repro.exec.cache import CACHE_VERSION, ResultCache, code_version, default_cache_root
-from repro.exec.faults import FaultPolicy
 from repro.exec.journal import RunJournal
 from repro.exec.pool import PointOutcome, run_sweep
 
@@ -166,11 +165,10 @@ def run_matrix(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     journal: Optional[RunJournal] = None,
-    faults: Optional[FaultPolicy] = None,
 ) -> List[PointOutcome]:
     """Run the matrix through the shared sweep orchestrator."""
     return run_sweep(
-        plan, jobs=jobs, cache=cache, journal=journal, faults=faults,
+        plan, jobs=jobs, cache=cache, journal=journal,
         executor=execute_matrix_cell,
     )
 

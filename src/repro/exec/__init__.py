@@ -3,8 +3,8 @@
 The figures in the paper are sweeps over (variant x workload x config)
 points, and every point is independent of every other.  This package fans
 those points out across worker processes, memoizes finished points in a
-content-addressed on-disk cache, tolerates per-point faults (a crashing or
-hanging point becomes an error record, not a sweep abort), and streams a
+content-addressed on-disk cache, tolerates per-point faults (a raising or
+crashing point becomes an error record, not a sweep abort), and streams a
 JSONL journal of progress events that ``python -m repro.exec status``
 summarizes.
 
@@ -17,7 +17,7 @@ See ``docs/PARALLEL.md`` for the full design.
 """
 
 from repro.exec.cache import ResultCache, code_version, point_key
-from repro.exec.faults import FaultPolicy, PointError
+from repro.exec.faults import PointError
 from repro.exec.journal import RunJournal, read_events, summarize
 from repro.exec.pool import (
     PointOutcome,
@@ -28,7 +28,6 @@ from repro.exec.pool import (
 )
 
 __all__ = [
-    "FaultPolicy",
     "PointError",
     "PointOutcome",
     "ResultCache",

@@ -1,48 +1,21 @@
-"""Fault policy and error records for sweep points.
+"""Error records for sweep points.
 
-A sweep over hundreds of points must survive any single point hanging or
-crashing: the orchestrator applies a :class:`FaultPolicy` (per-point wall
-timeout plus a bounded retry budget) and converts an exhausted point into a
-:class:`PointError` record in the outcome list instead of aborting the
-sweep.  ``normalize()`` and the report tables already tolerate missing
-(variant, workload) cells, so a degraded sweep still yields every figure
-the surviving points support.
+A sweep over hundreds of points must survive any single point failing:
+the orchestrator records a point that raises, or whose worker process
+dies, as a :class:`PointError` in the outcome list instead of aborting
+the sweep.  ``normalize()`` and the report tables already tolerate
+missing (variant, workload) cells, so a degraded sweep still yields every
+figure the surviving points support.  A point that hangs is not caught:
+the sweep waits for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-#: How a point attempt failed.
+#: How a point failed.
 KIND_EXCEPTION = "exception"  # worker raised
-KIND_TIMEOUT = "timeout"      # exceeded FaultPolicy.timeout_s, killed
 KIND_CRASH = "crash"          # worker process died without reporting
-
-
-@dataclass(frozen=True)
-class FaultPolicy:
-    """Per-point fault handling knobs.
-
-    ``timeout_s`` is the wall-clock budget for one attempt; ``None``
-    disables the timeout.  Timeouts are enforced only on the parallel
-    path, where a hung worker process can be killed; the in-process serial
-    path cannot preempt a running point.  ``retries`` is how many *extra*
-    attempts a failed point gets before it is recorded as an error.
-    """
-
-    timeout_s: Optional[float] = None
-    retries: int = 0
-
-    def __post_init__(self):
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-
-    @property
-    def max_attempts(self) -> int:
-        return self.retries + 1
 
 
 @dataclass(frozen=True)
@@ -51,12 +24,8 @@ class PointError:
 
     variant: str
     workload: str
-    kind: str          # KIND_EXCEPTION | KIND_TIMEOUT | KIND_CRASH
+    kind: str          # KIND_EXCEPTION | KIND_CRASH
     message: str
-    attempts: int
 
     def __str__(self) -> str:
-        return (
-            f"{self.variant}/{self.workload}: {self.kind} after "
-            f"{self.attempts} attempt(s): {self.message}"
-        )
+        return f"{self.variant}/{self.workload}: {self.kind}: {self.message}"

@@ -5,10 +5,10 @@ leaves a readable record up to the instant it died.  Events:
 
 ====================  =====================================================
 ``sweep_started``     run_id, total points, jobs
-``point_started``     key, variant, workload, worker, attempt
-``point_finished``    key, variant, workload, worker, attempt, wall_s
+``point_started``     key, variant, workload, worker
+``point_finished``    key, variant, workload, worker, wall_s
 ``point_cached``      key, variant, workload (served from the result cache)
-``point_failed``      key, variant, workload, kind, error, attempts
+``point_failed``      key, variant, workload, kind, error
 ``sweep_interrupted`` run_id (KeyboardInterrupt: outstanding points killed)
 ``sweep_finished``    run_id, finished/cached/failed counts, wall_s
 ====================  =====================================================

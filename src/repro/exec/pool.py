@@ -8,18 +8,16 @@ how the points were scheduled.  Three properties define it:
   workload, config, trace length, seed), never on worker assignment or
   completion order.  Workers rebuild the workload trace from the point's
   seed, so parallel results are bit-identical to the serial path's.
-* **Fault isolation** — a point that raises, hangs past the
-  :class:`FaultPolicy` timeout, or whose worker process dies is retried up
-  to the policy's budget and then recorded as a :class:`PointError`; the
-  rest of the sweep completes.
+* **Fault isolation** — a point that raises, or whose worker process
+  dies, is recorded as a :class:`PointError`; the rest of the sweep
+  completes.
 * **Clean interrupt** — Ctrl-C kills outstanding workers, journals a
   ``sweep_interrupted`` event, flushes, and re-raises, so nothing is left
   orphaned and the journal reflects exactly what completed.
 
-Workers are one process per point attempt (fork start method where
-available): points are seconds-long simulations, so process spin-up is
-noise, and a dedicated process is the only way to enforce a hard per-point
-timeout and to survive a worker dying mid-point.
+Workers are one process per point (fork start method where available):
+points are seconds-long simulations, so process spin-up is noise, and a
+dedicated process lets the sweep survive a worker dying mid-point.
 """
 
 from __future__ import annotations
@@ -35,18 +33,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.exec.cache import ResultCache, point_key
-from repro.exec.faults import (
-    KIND_CRASH,
-    KIND_EXCEPTION,
-    KIND_TIMEOUT,
-    FaultPolicy,
-    PointError,
-)
+from repro.exec.faults import KIND_CRASH, KIND_EXCEPTION, PointError
 from repro.exec.journal import RunJournal
 from repro.sim.results import RunResult
-
-#: How long the parent sleeps in connection.wait when workers are busy.
-_POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -125,18 +114,16 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     journal: Optional[RunJournal] = None,
-    faults: Optional[FaultPolicy] = None,
     executor: Callable[[SweepPoint], RunResult] = execute_point,
 ) -> List[PointOutcome]:
     """Run every point; never aborts on a point failure.
 
-    ``jobs <= 1`` runs in-process (no worker processes, timeouts not
-    enforceable); ``jobs > 1`` fans out across processes.  ``cache`` short-
+    ``jobs <= 1`` runs in-process (no worker processes); ``jobs > 1`` fans
+    out across processes.  ``cache`` short-
     circuits points whose key is already stored and records fresh results.
     KeyboardInterrupt cancels outstanding points, flushes the journal, and
     re-raises.
     """
-    faults = faults or FaultPolicy()
     outcomes: List[Optional[PointOutcome]] = [None] * len(points)
     if journal is not None:
         journal.emit("sweep_started", points=len(points), jobs=jobs)
@@ -159,11 +146,9 @@ def run_sweep(
 
         if todo:
             if jobs <= 1:
-                _run_serial(points, todo, outcomes, cache, journal, faults, executor)
+                _run_serial(points, todo, outcomes, cache, journal, executor)
             else:
-                _run_parallel(
-                    points, todo, outcomes, jobs, cache, journal, faults, executor
-                )
+                _run_parallel(points, todo, outcomes, jobs, cache, journal, executor)
     except KeyboardInterrupt:
         if journal is not None:
             journal.emit("sweep_interrupted")
@@ -206,7 +191,6 @@ def _record(
                 "point_failed", key=point.key(),
                 variant=point.variant, workload=point.workload,
                 kind=outcome.error.kind, error=outcome.error.message,
-                attempts=outcome.error.attempts,
             )
 
 
@@ -216,45 +200,27 @@ def _run_serial(
     outcomes: List[Optional[PointOutcome]],
     cache: Optional[ResultCache],
     journal: Optional[RunJournal],
-    faults: FaultPolicy,
     executor: Callable[[SweepPoint], RunResult],
 ) -> None:
     for index in todo:
         point = points[index]
-        last_error = "unknown"
-        for attempt in range(1, faults.max_attempts + 1):
-            if journal is not None:
-                journal.emit(
-                    "point_started", key=point.key(),
-                    variant=point.variant, workload=point.workload,
-                    worker=0, attempt=attempt,
-                )
-            started = time.monotonic()
-            try:
-                result = executor(point)
-            except KeyboardInterrupt:
-                raise
-            except BaseException as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
-                continue
-            _record(
-                outcomes, index,
-                PointOutcome(
-                    point, result=result,
-                    wall_s=time.monotonic() - started, worker=0,
-                ),
-                cache, journal,
+        if journal is not None:
+            journal.emit(
+                "point_started", key=point.key(),
+                variant=point.variant, workload=point.workload, worker=0,
             )
-            break
-        else:
-            _record(
-                outcomes, index,
-                PointOutcome(point, error=PointError(
-                    point.variant, point.workload, KIND_EXCEPTION,
-                    last_error, faults.max_attempts,
-                )),
-                cache, journal,
-            )
+        started = time.monotonic()
+        try:
+            outcome = PointOutcome(point, result=executor(point), worker=0)
+            outcome.wall_s = time.monotonic() - started
+        except KeyboardInterrupt:
+            raise
+        except BaseException as exc:
+            outcome = PointOutcome(point, error=PointError(
+                point.variant, point.workload, KIND_EXCEPTION,
+                f"{type(exc).__name__}: {exc}",
+            ))
+        _record(outcomes, index, outcome, cache, journal)
 
 
 @dataclass
@@ -266,7 +232,6 @@ class _Attempt:
     process: multiprocessing.Process
     conn: connection.Connection
     worker: int
-    attempt: int
     started: float = field(default_factory=time.monotonic)
 
 
@@ -320,7 +285,6 @@ def _run_parallel(
     jobs: int,
     cache: Optional[ResultCache],
     journal: Optional[RunJournal],
-    faults: FaultPolicy,
     executor: Callable[[SweepPoint], RunResult],
 ) -> None:
     # fork keeps worker launch cheap and lets tests inject closures as
@@ -328,13 +292,11 @@ def _run_parallel(
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     pending = deque(todo)
-    attempts_used: Dict[int, int] = {index: 0 for index in todo}
     free_workers = list(range(jobs - 1, -1, -1))
     active: Dict[connection.Connection, _Attempt] = {}
 
     def spawn(index: int) -> None:
         point = points[index]
-        attempts_used[index] += 1
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_child_main, args=(executor, point, child_conn), daemon=True
@@ -348,19 +310,18 @@ def _run_parallel(
             process.start()
             child_conn.close()
             active[parent_conn] = _Attempt(
-                index, point, process, parent_conn, worker, attempts_used[index]
+                index, point, process, parent_conn, worker
             )
         finally:
             _sigint_release(unmask)
         if journal is not None:
             journal.emit(
                 "point_started", key=point.key(),
-                variant=point.variant, workload=point.workload,
-                worker=worker, attempt=attempts_used[index],
+                variant=point.variant, workload=point.workload, worker=worker,
             )
 
-    def retire(state: _Attempt, kind: Optional[str], payload) -> None:
-        """Handle one finished attempt: success, retry, or terminal error."""
+    def retire(state: _Attempt, kind: str, payload) -> None:
+        """Handle one finished attempt: a result or an error record."""
         state.conn.close()
         free_workers.append(state.worker)
         if kind == "ok":
@@ -374,15 +335,11 @@ def _run_parallel(
                 cache, journal,
             )
             return
-        if state.attempt < faults.max_attempts:
-            pending.append(state.index)
-            return
-        error_kind = KIND_EXCEPTION if kind == "err" else (kind or KIND_CRASH)
+        error_kind = KIND_EXCEPTION if kind == "err" else KIND_CRASH
         _record(
             outcomes, state.index,
             PointOutcome(state.point, error=PointError(
-                state.point.variant, state.point.workload,
-                error_kind, payload, state.attempt,
+                state.point.variant, state.point.workload, error_kind, payload,
             )),
             cache, journal,
         )
@@ -392,7 +349,8 @@ def _run_parallel(
             while pending and free_workers:
                 spawn(pending.popleft())
 
-            ready = connection.wait(list(active), timeout=_POLL_S)
+            # Blocks until a worker reports or dies (pipe EOF).
+            ready = connection.wait(list(active))
             for conn in ready:
                 state = active.pop(conn)
                 try:
@@ -404,19 +362,6 @@ def _run_parallel(
                     )
                 state.process.join()
                 retire(state, kind, payload)
-
-            if faults.timeout_s is not None:
-                now = time.monotonic()
-                for conn, state in list(active.items()):
-                    if now - state.started <= faults.timeout_s:
-                        continue
-                    del active[conn]
-                    state.process.terminate()
-                    state.process.join()
-                    retire(
-                        state, KIND_TIMEOUT,
-                        f"exceeded {faults.timeout_s}s wall budget",
-                    )
     except KeyboardInterrupt:
         _terminate_all(active)
         raise

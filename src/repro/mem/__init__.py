@@ -8,14 +8,13 @@ Models the off-chip persistent-memory system the ORAM tree lives in:
   per-channel serialization.
 * :mod:`repro.mem.controller` — the multi-channel memory controller plus a
   byte-addressable backing store (the "NVM chips").
-* :mod:`repro.mem.wpq` / :mod:`repro.mem.persistence` — the ADR persistence
-  domain: write-pending queues whose content survives a crash.
+* :mod:`repro.mem.wpq` — the ADR persistence domain: write-pending
+  queues whose closed rounds survive a crash.
 * :mod:`repro.mem.traffic` — read/write traffic and wear accounting.
 """
 
 from repro.mem.controller import NVMMainMemory
 from repro.mem.device import DeviceTimingModel
-from repro.mem.persistence import PersistenceDomain
 from repro.mem.request import Access, MemoryRequest
 from repro.mem.traffic import TrafficMeter
 from repro.mem.wpq import WritePendingQueue
@@ -25,7 +24,6 @@ __all__ = [
     "MemoryRequest",
     "DeviceTimingModel",
     "NVMMainMemory",
-    "PersistenceDomain",
     "TrafficMeter",
     "WritePendingQueue",
 ]

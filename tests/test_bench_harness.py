@@ -92,39 +92,3 @@ class TestScaleParsing:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1200"  # fell back to scale 1.0
         assert "REPRO_BENCH_SCALE" in proc.stderr
-
-
-class TestParseBenchArgs:
-    def test_defaults(self, monkeypatch):
-        from repro.bench import harness
-
-        monkeypatch.setattr(
-            harness, "_exec_defaults",
-            {"jobs": 1, "use_cache": None, "journal": None},
-        )
-        args = harness.parse_bench_args("d", [])
-        assert args.jobs == 1
-        assert args.workloads == list(harness.BENCH_WORKLOADS)
-        assert harness._exec_defaults["jobs"] == 1
-
-    def test_full_jobs_no_cache(self, monkeypatch):
-        from repro.bench import harness
-
-        monkeypatch.setattr(
-            harness, "_exec_defaults",
-            {"jobs": 1, "use_cache": None, "journal": None},
-        )
-        args = harness.parse_bench_args(
-            "d", ["--full", "--jobs", "3", "--no-cache"]
-        )
-        assert args.workloads == list(harness.FULL_WORKLOADS)
-        assert harness._exec_defaults["jobs"] == 3
-        assert harness._exec_defaults["use_cache"] is False
-
-    def test_rejects_bad_jobs(self):
-        import pytest
-
-        from repro.bench.harness import parse_bench_args
-
-        with pytest.raises(SystemExit):
-            parse_bench_args("d", ["--jobs", "0"])

@@ -79,6 +79,22 @@ class TestCrashSemantics:
         assert memory.load_line(0) == b"data"
         assert committed == {1: 2}
 
+    def test_closed_round_kept_open_round_discarded(self, setup):
+        memory, drainer, committed = setup
+        drainer.start()
+        drainer.push_block(0, b"kept")
+        drainer.push_posmap_entry(4096, address=1, path_id=2)
+        drainer.end()
+        drainer.start()
+        drainer.push_block(64, b"lost")
+        drainer.push_posmap_entry(4096, address=3, path_id=4)
+        assert drainer.crash_flush() == (1, 1)
+        assert memory.load_line(0) == b"kept"
+        assert memory.load_line(64) is None
+        assert committed == {1: 2}
+        assert not drainer.data_wpq.round_open
+        assert not drainer.posmap_wpq.round_open
+
     def test_no_partial_commit_possible(self, setup):
         """Data committed while metadata discarded cannot happen."""
         _, drainer, _ = setup

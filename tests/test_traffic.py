@@ -2,20 +2,20 @@
 
 from repro.config import small_config
 from repro.mem.controller import NVMMainMemory
-from repro.mem.request import Access, MemoryRequest, RequestKind
+from repro.mem.request import Access, RequestKind
 from repro.mem.traffic import TrafficMeter
 
 
-def _req(address, access, kind=RequestKind.DATA_PATH):
-    return MemoryRequest(address=address, access=access, kind=kind)
+def _write(meter, line, kind=RequestKind.DATA_PATH):
+    meter.record_burst(Access.WRITE, kind, 1, [line])
 
 
 class TestTrafficBreakdown:
     def test_counts_by_kind(self):
         meter = TrafficMeter()
-        meter.record(_req(0, Access.READ))
-        meter.record(_req(64, Access.WRITE, RequestKind.PERSIST))
-        meter.record(_req(128, Access.WRITE, RequestKind.POSMAP))
+        meter.record_burst(Access.READ, RequestKind.DATA_PATH, 1)
+        _write(meter, 1, RequestKind.PERSIST)
+        _write(meter, 2, RequestKind.POSMAP)
         assert meter.total_reads == 1
         assert meter.total_writes == 2
         assert meter.writes_of(RequestKind.PERSIST) == 1
@@ -24,12 +24,12 @@ class TestTrafficBreakdown:
 
     def test_byte_totals(self):
         meter = TrafficMeter()
-        meter.record(_req(0, Access.READ))
-        assert meter.read_bytes == 64
+        meter.record_burst(Access.READ, RequestKind.DATA_PATH, 3)
+        assert meter.read_bytes == 3 * 64
 
     def test_snapshot_keys(self):
         meter = TrafficMeter()
-        meter.record(_req(0, Access.WRITE))
+        _write(meter, 0)
         snap = meter.snapshot()
         assert snap["writes.total"] == 1
         assert snap["writes.data_path"] == 1
@@ -39,25 +39,24 @@ class TestWear:
     def test_hotspot_detection(self):
         meter = TrafficMeter(track_wear=True)
         for _ in range(10):
-            meter.record(_req(0, Access.WRITE))
-        meter.record(_req(64, Access.WRITE))
+            _write(meter, 0)
+        _write(meter, 1)
         assert meter.max_line_writes() == 10
         assert meter.wear_imbalance() > 1.5
 
     def test_even_wear(self):
         meter = TrafficMeter(track_wear=True)
-        for line in range(8):
-            meter.record(_req(line * 64, Access.WRITE))
+        meter.record_burst(Access.WRITE, RequestKind.DATA_PATH, 8, range(8))
         assert meter.wear_imbalance() == 1.0
 
     def test_wear_untracked_by_default(self):
         meter = TrafficMeter()
-        meter.record(_req(0, Access.WRITE))
+        _write(meter, 0)
         assert meter.max_line_writes() == 0
 
     def test_reset(self):
         meter = TrafficMeter(track_wear=True)
-        meter.record(_req(0, Access.WRITE))
+        _write(meter, 0)
         meter.reset()
         assert meter.total_writes == 0
         assert meter.max_line_writes() == 0

@@ -1,9 +1,8 @@
-"""Unit tests for the write-pending queues and persistence domain."""
+"""Unit tests for the write-pending queues."""
 
 import pytest
 
 from repro.errors import PersistenceError, WPQOverflowError
-from repro.mem.persistence import PersistenceDomain
 from repro.mem.wpq import WritePendingQueue
 
 
@@ -79,32 +78,3 @@ class TestCrashSemantics:
         survivors = wpq.crash()
         assert survivors == [(0, b"kept")]
         assert wpq.discarded_total == 1
-
-
-class TestPersistenceDomain:
-    def test_register_and_crash_flush(self):
-        domain = PersistenceDomain()
-        a = domain.register(WritePendingQueue("a", 4))
-        b = domain.register(WritePendingQueue("b", 4))
-        a.begin_round()
-        a.push(0, b"x")
-        a.end_round()
-        b.begin_round()
-        b.push(64, b"y")  # never ended: discarded
-        flushed = domain.crash_flush()
-        assert flushed["a"] == [(0, b"x")]
-        assert flushed["b"] == []
-
-    def test_duplicate_name_rejected(self):
-        domain = PersistenceDomain()
-        domain.register(WritePendingQueue("a", 4))
-        with pytest.raises(ValueError):
-            domain.register(WritePendingQueue("a", 4))
-
-    def test_occupancy_accounting(self):
-        domain = PersistenceDomain()
-        q = domain.register(WritePendingQueue("a", 4))
-        q.begin_round()
-        q.push(0, b"x")
-        assert domain.total_occupancy == 1
-        assert domain.total_capacity_entries == 4
