@@ -11,17 +11,26 @@ Layout over the ORAM's logical block space::
 * **values** span chained data blocks (62 payload bytes each);
 * a **free list** is rebuilt on open by scanning directory entries — the
   store needs no separate persistent allocator state, which keeps every
-  mutation's commit point a single directory-bucket write.
+  mutation's commit point a single directory-bucket access.
 
 Write protocol (crash-atomic): write the new value's chunks to fresh
-blocks, then write the directory bucket with the entry now pointing at
-them.  A crash before the bucket write leaves the old entry (old value)
-intact; after it, the new value is fully durable.  The superseded chunks
-are reclaimed lazily.
+blocks, then commit with one ``read_modify_write`` of the directory
+bucket: the ORAM fetches the bucket, the mutator splices the entry
+pointing at the new chunks into it on chip, and the access's atomic
+write-back makes it durable.  A crash before that write-back leaves the
+old entry (old value) intact; after it, the new value is fully durable.
+A delete is one such access that clears the slot.  The superseded
+chunks are reclaimed lazily.
 
 Obliviousness: every operation is a fixed pattern of ORAM block accesses
 keyed by a `BLAKE2` fingerprint, so bucket choice reveals nothing about the
-key to a bus observer (the ORAM hides the bucket index itself anyway).
+key to a bus observer (the ORAM hides the bucket index itself anyway).  A
+put or a get of a k-chunk value costs k+1 accesses and a delete costs 1,
+so the access count does not tell a put from a get of the same size.
+Opening a store over a blank NVM image costs none: every block of a blank
+image reads as zeros, so its directory is known empty.  The commit needs
+an ORAM's on-chip mutate path; the plain non-ORAM controller has none and
+rejects the first put with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -99,25 +108,32 @@ class ObliviousKVStore:
         for index, (block, chunk) in enumerate(zip(blocks, chunks)):
             header = bytes([index & 0xFF, len(chunk)])
             self._oram.write(block, header + chunk)
-        # Commit point: one directory-bucket write.
-        bucket_index, payload, slot, old = self._locate(key)
-        self._generation += 1
-        entry = self._pack_entry(
-            self._fingerprint(key), blocks[0], len(chunks), self._generation
-        )
-        new_payload = (
-            payload[: slot * _ENTRY_BYTES]
-            + entry
-            + payload[(slot + 1) * _ENTRY_BYTES :]
-        )
-        self._oram.write(1 + bucket_index, new_payload)
+        # Commit point: one read-modify-write of the directory bucket.  The
+        # mutator never raises inside the access; a full bucket is written
+        # back unchanged and reported once the access has returned.
+        fingerprint = self._fingerprint(key)
+        generation = self._generation + 1
+        entry = self._pack_entry(fingerprint, blocks[0], len(chunks), generation)
+
+        def commit(payload: bytes) -> bytes:
+            slot, _ = self._find(payload, fingerprint)
+            return payload if slot is None else self._splice(payload, slot, entry)
+
+        bucket_index = self._bucket_of(fingerprint)
+        old_payload = self._oram.read_modify_write(1 + bucket_index, commit).data
+        slot, old = self._find(old_payload, fingerprint)
+        if slot is None:
+            raise StoreFullError(
+                f"directory bucket {bucket_index} full (4 colliding keys)"
+            )
+        self._generation = generation
         if old is not None:
             self._release(old[0], old[1])
 
     def get(self, key: str) -> bytes:
         """Fetch a value; raises ``KeyError`` when absent."""
         self._check_open()
-        _, _, _, found = self._locate(key)
+        found = self._lookup(key)
         if found is None:
             raise KeyError(key)
         start, count = found
@@ -128,21 +144,26 @@ class ObliviousKVStore:
         return bytes(out)
 
     def delete(self, key: str) -> None:
-        """Remove a key; atomic; raises ``KeyError`` when absent."""
+        """Remove a key in one atomic access; raises ``KeyError`` when absent."""
         self._check_open()
-        bucket_index, payload, slot, found = self._locate(key)
+        fingerprint = self._fingerprint(key)
+
+        def clear(payload: bytes) -> bytes:
+            slot, found = self._find(payload, fingerprint)
+            if found is None:
+                return payload
+            return self._splice(payload, slot, bytes(_ENTRY_BYTES))
+
+        old_payload = self._oram.read_modify_write(
+            1 + self._bucket_of(fingerprint), clear
+        ).data
+        _, found = self._find(old_payload, fingerprint)
         if found is None:
             raise KeyError(key)
-        cleared = (
-            payload[: slot * _ENTRY_BYTES]
-            + bytes(_ENTRY_BYTES)
-            + payload[(slot + 1) * _ENTRY_BYTES :]
-        )
-        self._oram.write(1 + bucket_index, cleared)
         self._release(found[0], found[1])
 
     def __contains__(self, key: str) -> bool:
-        return self._locate(key)[3] is not None
+        return self._lookup(key) is not None
 
     def keys_fingerprints(self) -> Iterator[bytes]:
         """Fingerprints of stored keys (keys themselves are never stored)."""
@@ -242,8 +263,8 @@ class ObliviousKVStore:
     def _fingerprint(key: str) -> bytes:
         return hashlib.blake2b(key.encode("utf-8"), digest_size=6).digest()
 
-    def _bucket_of(self, key: str) -> int:
-        return int.from_bytes(self._fingerprint(key), "little") % self._buckets
+    def _bucket_of(self, fingerprint: bytes) -> int:
+        return int.from_bytes(fingerprint, "little") % self._buckets
 
     @staticmethod
     def _pack_entry(fingerprint: bytes, start: int, chunks: int, gen: int) -> bytes:
@@ -254,13 +275,23 @@ class ObliviousKVStore:
             + (gen & 0xFFFFFFFF).to_bytes(4, "little")
         )
 
-    def _locate(
-        self, key: str
-    ) -> Tuple[int, bytes, int, Optional[Tuple[int, int]]]:
-        """(bucket index, bucket payload, usable slot, existing (start, count))."""
-        bucket_index = self._bucket_of(key)
-        payload = self._oram.read(1 + bucket_index).data
-        fingerprint = self._fingerprint(key)
+    @staticmethod
+    def _splice(payload: bytes, slot: int, entry: bytes) -> bytes:
+        return (
+            payload[: slot * _ENTRY_BYTES]
+            + entry
+            + payload[(slot + 1) * _ENTRY_BYTES :]
+        )
+
+    @staticmethod
+    def _find(
+        payload: bytes, fingerprint: bytes
+    ) -> Tuple[Optional[int], Optional[Tuple[int, int]]]:
+        """(usable slot, existing (start, count)) for ``fingerprint``.
+
+        The usable slot is the key's own when present, else the first free
+        one, else None (the bucket is full).
+        """
         free_slot = None
         for slot in range(_ENTRIES_PER_BUCKET):
             entry = payload[slot * _ENTRY_BYTES : (slot + 1) * _ENTRY_BYTES]
@@ -271,12 +302,14 @@ class ObliviousKVStore:
             if entry[:6] == fingerprint:
                 start = int.from_bytes(entry[6:10], "little")
                 count = int.from_bytes(entry[10:12], "little")
-                return bucket_index, payload, slot, (start, count)
-        if free_slot is None:
-            raise StoreFullError(
-                f"directory bucket {bucket_index} full (4 colliding keys)"
-            )
-        return bucket_index, payload, free_slot, None
+                return slot, (start, count)
+        return free_slot, None
+
+    def _lookup(self, key: str) -> Optional[Tuple[int, int]]:
+        """The key's (start, count), or None; one directory read."""
+        fingerprint = self._fingerprint(key)
+        payload = self._oram.read(1 + self._bucket_of(fingerprint)).data
+        return self._find(payload, fingerprint)[1]
 
     def _allocate(self, count: int) -> List[int]:
         """Contiguous-run allocation from the free list."""
@@ -333,7 +366,9 @@ class ObliviousKVStore:
         self._used = set()
         self._generation = 0
         data_end = self._data_base + self._data_blocks
-        for bucket in range(self._buckets):
+        # A blank image reads as zeros everywhere: no directory entry to find.
+        buckets = 0 if self._oram.memory.blank else self._buckets
+        for bucket in range(buckets):
             payload = self._oram.read(1 + bucket).data
             for slot in range(_ENTRIES_PER_BUCKET):
                 entry = payload[slot * _ENTRY_BYTES : (slot + 1) * _ENTRY_BYTES]

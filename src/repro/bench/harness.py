@@ -84,7 +84,7 @@ FULL_WORKLOADS = (
 BENCH_CONFIG = small_config(height=BENCH_HEIGHT)
 
 _trace_cache: Dict[str, Trace] = {}
-_result_cache: Dict[tuple, List[RunResult]] = {}
+_result_cache: Dict[tuple, RunResult] = {}
 
 #: Session-wide execution defaults, set by the CLI entry points
 #: (``python -m repro --jobs N`` etc.) so every ``sweep()`` call in a
@@ -124,9 +124,11 @@ def sweep(
 ) -> List[RunResult]:
     """Run every variant on every workload with shared trace caching.
 
-    Results are memoized per (variants, workloads, config, sizes) so the
-    figure benches that share underlying runs (e.g. Fig 5 performance and
-    Fig 6 traffic) execute the simulation once per session.
+    Results are memoized per point — (variant, workload, config, sizes) —
+    so sweeps that share points (Fig 5 performance and Fig 6 traffic,
+    Fig 7's 1-channel systems, the WPQ ablation's default size) simulate
+    each point once per session.  A serial sweep runs only its missing
+    points; the result keeps the workload-outer, variant-inner order.
 
     With ``jobs > 1`` (argument or :func:`set_execution_defaults`) the
     points run through the :mod:`repro.exec` orchestrator: parallel
@@ -137,26 +139,39 @@ def sweep(
     config = config or BENCH_CONFIG
     jobs = jobs if jobs is not None else _exec_defaults["jobs"]
     use_cache = use_cache if use_cache is not None else _exec_defaults["use_cache"]
-    key = (tuple(variants), tuple(workloads), repr(config), references, warmup)
-    cached = _result_cache.get(key)
-    if cached is not None:
-        return cached
+    config_key = repr(config)
 
+    def point(variant: str, workload: str) -> tuple:
+        return (variant, workload, config_key, references, warmup)
+
+    keys = [point(variant, workload) for workload in workloads for variant in variants]
     if jobs > 1 or use_cache:
+        if all(key in _result_cache for key in keys):
+            return [_result_cache[key] for key in keys]
         results = _exec_sweep(
             variants, workloads, config, references, warmup, jobs, use_cache
         )
-    else:
-        results = run_variants(
-            variants,
-            config,
-            workloads,
-            references=references,
-            warmup_references=warmup,
-            trace_cache=_trace_cache,
-        )
-    _result_cache[key] = results
-    return results
+        if len(results) == len(keys):  # failed points are omitted
+            _result_cache.update(zip(keys, results))
+        return results
+
+    for workload in workloads:
+        missing = [
+            variant for variant in variants
+            if point(variant, workload) not in _result_cache
+        ]
+        if missing:
+            results = run_variants(
+                missing,
+                config,
+                (workload,),
+                references=references,
+                warmup_references=warmup,
+                trace_cache=_trace_cache,
+            )
+            for variant, result in zip(missing, results):
+                _result_cache[point(variant, workload)] = result
+    return [_result_cache[key] for key in keys]
 
 
 def _exec_sweep(

@@ -6,7 +6,6 @@ from repro.energy.model import (
     EADR_CACHE,
     EADR_ORAM,
     PS_ORAM,
-    table2_rows,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "EADR_CACHE",
     "EADR_ORAM",
     "PS_ORAM",
-    "table2_rows",
 ]

@@ -30,7 +30,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 # Table 1 constants.
 SRAM_ACCESS_PJ_PER_BYTE = 1.0
@@ -156,30 +156,3 @@ EADR_CACHE = _MODEL.estimate(eadr_cache_inventory())
 EADR_ORAM = _MODEL.estimate(eadr_oram_inventory())
 PS_ORAM = _MODEL.estimate(ps_oram_inventory(96))
 PS_ORAM_SMALL = _MODEL.estimate(ps_oram_inventory(4))
-
-
-def table2_rows(wpq_entries: Optional[List[int]] = None) -> List[Dict[str, object]]:
-    """Reproduce Table 2: one dict per system with energy/time/normalized.
-
-    Normalization is against the PS-ORAM sizing given first in
-    ``wpq_entries`` (paper normalizes against both 96 and 4).
-    """
-    wpq_entries = wpq_entries or [96, 4]
-    model = DrainCostModel()
-    rows: List[Dict[str, object]] = []
-    ps_estimates = {n: model.estimate(ps_oram_inventory(n)) for n in wpq_entries}
-    reference = ps_estimates[wpq_entries[0]]
-    for estimate in (EADR_CACHE, EADR_ORAM, *ps_estimates.values()):
-        rows.append(
-            {
-                "system": estimate.name
-                if estimate.name != "PS-ORAM"
-                else f"PS-ORAM (WPQ derived)",
-                "bytes": estimate.total_bytes,
-                "energy_pj": estimate.energy_pj,
-                "time_ns": estimate.time_ns,
-                "energy_vs_ps": estimate.energy_pj / reference.energy_pj,
-                "time_vs_ps": estimate.time_ns / reference.time_ns,
-            }
-        )
-    return rows

@@ -86,6 +86,11 @@ class NVMMainMemory:
         """Read the functional content of one line (no timing)."""
         return self._image.get(address // self.line_bytes)
 
+    @property
+    def blank(self) -> bool:
+        """True while the image holds no line: every block reads as zeros."""
+        return not self._image
+
     def written_lines(self, base: int, size_bytes: int) -> List[int]:
         """Byte addresses of all written lines inside [base, base + size).
 

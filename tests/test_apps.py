@@ -5,7 +5,7 @@ import pytest
 from repro.apps.kvstore import ObliviousKVStore, StoreFullError
 from repro.config import small_config
 from repro.core.variants import build_variant
-from repro.engine.registry import build_scheduled
+from repro.engine.registry import build_scheduled, variant_specs
 from repro.errors import SimulatedCrash
 from repro.util.rng import DeterministicRNG
 
@@ -180,7 +180,7 @@ class TestKVStoreLifecycle:
         store = _store(height=6, buckets=4)
         colliding = [
             key for key in (f"key-{i}" for i in range(4000))
-            if store._bucket_of(key) == 0
+            if store._bucket_of(store._fingerprint(key)) == 0
         ][:5]
         assert len(colliding) == 5
         for key in colliding[:4]:
@@ -248,3 +248,172 @@ class TestKVStoreTiming:
     )
     def test_windowed_chunk_reads_start_after_the_directory_fetch(self):
         assert min(self._get_gaps(4)) >= 0
+
+
+def _accesses(store):
+    return store.controller.stats.get("accesses")
+
+
+class TestKVStoreAccessCounts:
+    """Every directory commit is one ORAM access (read-modify-write)."""
+
+    VALUE = bytes(range(150))  # 3 chunks of 62 payload bytes
+
+    def test_put_costs_chunks_plus_one(self):
+        store = _store()
+        before = _accesses(store)
+        store.put("k", self.VALUE)
+        assert _accesses(store) - before == 3 + 1
+
+    def test_overwrite_costs_chunks_plus_one(self):
+        store = _store()
+        store.put("k", b"old")
+        before = _accesses(store)
+        store.put("k", self.VALUE)
+        assert _accesses(store) - before == 3 + 1
+
+    def test_get_costs_chunks_plus_one(self):
+        store = _store()
+        store.put("k", self.VALUE)
+        before = _accesses(store)
+        assert store.get("k") == self.VALUE
+        assert _accesses(store) - before == 3 + 1
+
+    def test_delete_costs_one(self):
+        store = _store()
+        store.put("k", self.VALUE)
+        before = _accesses(store)
+        store.delete("k")
+        assert _accesses(store) - before == 1
+        with pytest.raises(KeyError):
+            store.delete("k")
+        assert _accesses(store) - before == 2  # the miss is one access too
+
+    def test_opening_a_blank_store_costs_nothing(self):
+        controller = build_variant("ps", small_config(height=8, seed=21))
+        assert controller.memory.blank
+        store = ObliviousKVStore(controller, directory_buckets=32)
+        assert _accesses(store) == 0
+        assert store.free_blocks == store._data_blocks
+
+    @pytest.mark.parametrize("rescan", ["reopen", "settle"])
+    def test_rescanning_a_written_image_reads_every_bucket(self, rescan):
+        store = _store(buckets=32)
+        store.put("k", self.VALUE)
+        assert not store.controller.memory.blank
+        before = _accesses(store)
+        assert getattr(store, rescan)() == 0
+        assert _accesses(store) - before == 32
+        assert store.get("k") == self.VALUE
+
+
+def _ps_points(variant):
+    return [
+        (variant, point)
+        for point in build_variant(variant, small_config(height=6, seed=3)).crash_points()
+    ]
+
+
+class TestKVStoreCommitCrash:
+    @pytest.mark.parametrize(
+        "variant,point", _ps_points("ps") + _ps_points("rcr-ps")
+    )
+    def test_crash_inside_the_commit_recovers_old_or_new(self, variant, point):
+        store = _store(height=6, buckets=16, variant=variant)
+        store.put("victim", b"old-value")
+        store.put("bystander", b"untouched")
+        new_value = b"new-value-" * 10  # 2 chunks, so the commit is access 3
+        controller = store.controller
+        accesses = [0]
+        fired = []
+
+        def hook(label):
+            if label == "phase:position-lookup":
+                accesses[0] += 1
+            if accesses[0] == 3 and label == point and not fired:
+                fired.append(label)
+                raise SimulatedCrash(label)
+
+        controller.crash_hook = hook
+        try:
+            store.put("victim", new_value)
+        except SimulatedCrash:
+            pass
+        controller.crash_hook = None
+        assert fired == [point]
+        store.crash()
+        assert store.recover()
+        assert store.get("victim") in (b"old-value", new_value)
+        assert store.get("bystander") == b"untouched"
+        store.put("after", b"still usable")
+        assert store.get("after") == b"still usable"
+
+
+class TestKVStoreFullBucket:
+    def test_full_bucket_put_leaves_the_bucket_unchanged(self):
+        store = _store(height=6, buckets=4)
+        colliding = [
+            key for key in (f"key-{i}" for i in range(4000))
+            if store._bucket_of(store._fingerprint(key)) == 0
+        ][:5]
+        for key in colliding[:4]:
+            store.put(key, b"x")
+        bucket_before = store.controller.read(1).data
+        before = _accesses(store)
+        with pytest.raises(StoreFullError):
+            store.put(colliding[4], b"y" * 100)  # 2 chunks
+        assert _accesses(store) - before == 2 + 1
+        assert store.controller.read(1).data == bucket_before
+        assert colliding[4] not in store
+        for key in colliding[:4]:
+            assert store.get(key) == b"x"
+
+
+_ORAM_VARIANTS = [
+    spec.name for spec in variant_specs() if spec.hierarchy != "plain"
+]
+
+
+class TestKVStoreAcrossVariants:
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("variant", _ORAM_VARIANTS)
+    def test_round_trip_crash_recover(self, variant, window):
+        controller = build_scheduled(
+            variant, small_config(height=6, seed=5, sched_window=window)
+        )
+        store = ObliviousKVStore(controller, directory_buckets=16)
+        model = {}
+        for i in range(12):
+            key = f"key-{i % 7}"
+            value = bytes([i]) * (1 + 23 * i)
+            store.put(key, value)
+            model[key] = value
+        store.delete("key-3")
+        del model["key-3"]
+        for key, value in model.items():
+            assert store.get(key) == value
+        assert "key-3" not in store
+        store.crash()
+        if not controller.supports_crash_consistency():
+            assert not store.recover()  # volatile variants fail honestly
+            return
+        assert store.recover()
+        for key, value in model.items():
+            assert store.get(key) == value
+        assert "key-3" not in store
+        store.put("key-3", b"back")
+        assert store.get("key-3") == b"back"
+
+    def test_all_nine_oram_variants_covered(self):
+        assert len(_ORAM_VARIANTS) == 9
+
+
+class TestKVStoreOverPlain:
+    def test_plain_store_opens_but_rejects_the_first_put(self):
+        # The commit is a read-modify-write, which the non-ORAM yardstick
+        # has no on-chip path for (tests/test_fullnvm_plain.py).
+        controller = build_variant("plain", small_config(height=8, seed=21))
+        store = ObliviousKVStore(controller, directory_buckets=32)
+        assert _accesses(store) == 0
+        with pytest.raises(ValueError, match="read-modify-write"):
+            store.put("k", b"v")

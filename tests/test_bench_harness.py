@@ -42,12 +42,38 @@ class TestSweepCaching:
     def test_results_memoized(self):
         first = sweep(("plain",), ("403.gcc",), references=60, warmup=10)
         second = sweep(("plain",), ("403.gcc",), references=60, warmup=10)
-        assert first is second  # cache hit returns the same object
+        assert len(first) == len(second) == 1
+        assert first[0] is second[0]  # cache hit returns the same object
 
     def test_distinct_keys_not_shared(self):
         a = sweep(("plain",), ("403.gcc",), references=60, warmup=10)
         b = sweep(("plain",), ("403.gcc",), references=70, warmup=10)
-        assert a is not b
+        assert a[0] is not b[0]
+
+    def test_overlapping_sweep_runs_only_missing_points(self, monkeypatch):
+        from repro.bench import harness
+
+        monkeypatch.setattr(harness, "_result_cache", {})
+        ran = []
+        real = harness.run_variants
+
+        def counting(variants, config, workloads, **kwargs):
+            ran.extend((variant, workload) for workload in workloads
+                       for variant in variants)
+            return real(variants, config, workloads, **kwargs)
+
+        monkeypatch.setattr(harness, "run_variants", counting)
+        first = sweep(("plain",), ("403.gcc",), references=60, warmup=10)
+        both = sweep(("baseline", "plain"), ("429.mcf", "403.gcc"),
+                     references=60, warmup=10)
+        assert ran == [("plain", "403.gcc"), ("baseline", "429.mcf"),
+                       ("plain", "429.mcf"), ("baseline", "403.gcc")]
+        # Workload-outer, variant-inner order; the shared point is reused.
+        assert [(r.variant, r.workload) for r in both] == [
+            ("baseline", "429.mcf"), ("plain", "429.mcf"),
+            ("baseline", "403.gcc"), ("plain", "403.gcc"),
+        ]
+        assert both[3] is first[0]
 
 
 class TestScaleParsing:

@@ -13,7 +13,6 @@ from repro.energy.model import (
     PS_ORAM,
     PS_ORAM_SMALL,
     ps_oram_inventory,
-    table2_rows,
 )
 
 
@@ -71,14 +70,6 @@ class TestModelMechanics:
 
     def test_wpq_scaling(self):
         assert ps_oram_inventory(96).total_bytes == 24 * ps_oram_inventory(4).total_bytes
-
-    def test_table2_rows_structure(self):
-        rows = table2_rows()
-        systems = [row["system"] for row in rows]
-        assert len(rows) == 4
-        assert any("eADR-ORAM" in s for s in systems)
-        reference = rows[2]  # first PS-ORAM sizing
-        assert reference["energy_vs_ps"] == pytest.approx(1.0)
 
 
 class TestConfigDrivenComparison:

@@ -48,6 +48,19 @@ class TestReportCLI:
         assert "eADR-ORAM" in out
         assert "PS-ORAM (96)" in out
 
+    def test_table2_structure(self, capsys):
+        from repro.energy.model import PS_ORAM
+
+        estimates = report.table2((), harness.BENCH_CONFIG)
+        assert len(estimates) == 4
+        assert "eADR-ORAM" in estimates
+        # The 96-entry PS-ORAM row is the reference every ratio divides by.
+        reference = estimates["PS-ORAM (96)"]
+        assert reference.energy_pj / PS_ORAM.energy_pj == pytest.approx(1.0)
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("PS-ORAM (96)"))
+        assert row.split()[-1] == "1x"
+
     def test_table4_runs(self, capsys):
         assert main(["--only", "table4"]) == 0
         out = capsys.readouterr().out
