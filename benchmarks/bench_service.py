@@ -14,7 +14,8 @@ Drives the deterministic closed-loop load generator
 All primary numbers are *modeled* (shard-clock cycles at the configured
 core frequency), like every figure bench in this repo; host wall-clock
 throughput rides along as a secondary column.  Progress is journaled to
-``BENCH_service.jsonl`` (see ``python -m repro.serve status``).
+``BENCH_service.jsonl`` (see ``python -m repro.exec status --journal
+BENCH_service.jsonl``).
 
 Every shard runs behind the shared per-shard memory-level-parallel
 window (``--window``, default 4, see docs/SCHEDULER.md): batch loads and
@@ -78,7 +79,6 @@ def run_sweeps(
         if journal is not None:
             journal.emit(
                 "point_finished",
-                key=f"s{row['shards']}c{row['clients']}",
                 variant=variant,
                 workload=f"{row['shards']} shards x {row['clients']} clients",
                 worker=0,
@@ -161,7 +161,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              args.window, journal)
         journal.emit(
             "sweep_finished",
-            finished=points, cached=0, failed=0,
+            finished=points, failed=0,
             wall_s=round(time.perf_counter() - started, 3),
         )
 

@@ -5,9 +5,9 @@ into a systematic sweep: one **cell** per registered variant, per
 integrity setting (off, and on for every variant with an ORAM layout —
 the ``<variant>+int`` rows), per label that system can fire (plus a
 ``quiescent`` crash-between-accesses cell), per WPQ geometry.  Cells are
-independent and deterministic, so they run through the shared :func:`repro.exec.run_sweep`
-process-pool orchestrator with the content-addressed result cache and the
-JSONL run journal — the same machinery the performance sweeps use.
+independent and deterministic, so they run through the shared
+:func:`repro.exec.run_sweep` process-pool orchestrator and its JSONL run
+journal — the same machinery the performance sweeps use.
 
 Failing cells of crash-consistency-supporting variants are automatically
 shrunk into standalone reproducers (:mod:`repro.crashsim.minimize`) and
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import re
 import sys
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from repro.core.variants import get_spec
 from repro.crashsim.conformance import QUIESCENT, WPQ_CONFIGS, CellResult, run_cell
 from repro.crashsim.minimize import make_spec, minimize_trace, write_reproducer
 from repro.engine.registry import variant_specs
-from repro.exec.cache import CACHE_VERSION, ResultCache, code_version, default_cache_root
 from repro.exec.journal import RunJournal
 from repro.exec.pool import PointOutcome, run_sweep
 
@@ -68,26 +66,6 @@ class MatrixPoint:
     @property
     def label(self) -> str:
         return f"{self.variant}/{self.workload}"
-
-    def key(self) -> str:
-        """Content hash for the result cache (same scheme as sweep points)."""
-        payload = json.dumps(
-            {
-                "cache_version": CACHE_VERSION,
-                "code": code_version(),
-                "family": "crashsim-matrix",
-                "height": self.height,
-                "integrity": self.integrity,
-                "point": self.point,
-                "rounds": self.rounds,
-                "seed": self.seed,
-                "variant": self.variant,
-                "window": self.window,
-                "wpq": self.wpq,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def system_name(variant: str, integrity: bool) -> str:
@@ -163,22 +141,11 @@ def execute_matrix_cell(point: MatrixPoint) -> CellResult:
 def run_matrix(
     plan: Sequence[MatrixPoint],
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     journal: Optional[RunJournal] = None,
 ) -> List[PointOutcome]:
     """Run the matrix through the shared sweep orchestrator."""
     return run_sweep(
-        plan, jobs=jobs, cache=cache, journal=journal,
-        executor=execute_matrix_cell,
-    )
-
-
-def matrix_cache(root: Optional[Path] = None) -> ResultCache:
-    """The matrix's result cache (CellResult payloads, own subtree)."""
-    return ResultCache(
-        root if root is not None else default_cache_root() / "crashsim",
-        encode=CellResult.to_dict,
-        decode=CellResult.from_dict,
+        plan, jobs=jobs, journal=journal, executor=execute_matrix_cell,
     )
 
 
@@ -193,11 +160,9 @@ def summarize_matrix(outcomes: Sequence[PointOutcome]) -> str:
     for outcome in outcomes:
         row = per_system.setdefault(outcome.point.system, {
             "cells": 0, "fired": 0, "quiescent": 0, "violations": 0,
-            "errors": 0, "cached": 0,
+            "errors": 0,
         })
         row["cells"] += 1
-        if outcome.cached:
-            row["cached"] += 1
         if outcome.error is not None:
             row["errors"] += 1
             continue
@@ -208,14 +173,14 @@ def summarize_matrix(outcomes: Sequence[PointOutcome]) -> str:
 
     width = max(len(name) for name in per_system) if per_system else 7
     header = (f"{'variant':<{width}}  cells  fired  quiescent  "
-              f"violations  errors  cached")
+              f"violations  errors")
     lines = [header, "-" * len(header)]
     for name in sorted(per_system):
         row = per_system[name]
         lines.append(
             f"{name:<{width}}  {row['cells']:>5}  {row['fired']:>5}  "
             f"{row['quiescent']:>9}  {row['violations']:>10}  "
-            f"{row['errors']:>6}  {row['cached']:>6}"
+            f"{row['errors']:>6}"
         )
 
     failures = [o for o in outcomes
@@ -251,13 +216,13 @@ def emit_reproducers(
             continue
         if journal is not None:
             journal.emit(
-                "cell_violation", key=outcome.point.key(),
+                "cell_violation",
                 variant=outcome.point.variant,
                 workload=outcome.point.workload,
                 violations=cell.violations,
             )
         if not cell.trace:
-            continue  # cached pre-trace result or volatile reset path
+            continue  # a volatile system restarted empty: nothing to replay
         spec = make_spec(cell.variant, cell.wpq, cell.height, cell.seed,
                          cell.window, cell.integrity)
         try:
@@ -272,7 +237,7 @@ def emit_reproducers(
         written.append(path)
         if journal is not None:
             journal.emit(
-                "reproducer_written", key=outcome.point.key(),
+                "reproducer_written",
                 variant=outcome.point.variant,
                 workload=outcome.point.workload,
                 path=str(path), events=len(minimized),
@@ -307,10 +272,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help=f"comma-separated subset of: {', '.join(known)}")
     parser.add_argument("--wpq", default=None, choices=sorted(WPQ_CONFIGS),
                         help="restrict to one WPQ geometry (default: both)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every cell")
-    parser.add_argument("--cache-dir", default=None,
-                        help="cache root (default: <cache>/crashsim)")
     parser.add_argument("--journal", default=None,
                         help="JSONL journal path (default: none)")
     parser.add_argument("--repro-dir", default="crash_repros",
@@ -330,8 +291,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     plan = plan_matrix(variants=variants, wpqs=wpqs, rounds=args.rounds,
                        seed=args.seed, height=args.height,
                        window=args.window)
-    cache = None if args.no_cache else matrix_cache(
-        Path(args.cache_dir) if args.cache_dir else None)
     journal = RunJournal(args.journal) if args.journal else None
 
     print(f"matrix: {len(plan)} cells "
@@ -341,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if journal is not None:
         journal.emit("matrix_started", cells=len(plan), rounds=args.rounds,
                      seed=args.seed, height=args.height, window=args.window)
-    outcomes = run_matrix(plan, jobs=args.jobs, cache=cache, journal=journal)
+    outcomes = run_matrix(plan, jobs=args.jobs, journal=journal)
     print(summarize_matrix(outcomes))
 
     written = emit_reproducers(outcomes, Path(args.repro_dir), journal)

@@ -5,8 +5,6 @@ Subcommands::
     python -m repro.exec status               # summarize the latest run
     python -m repro.exec status --all         # ... every run in the journal
     python -m repro.exec status --journal P   # a specific journal file
-    python -m repro.exec cache                # result-cache location + size
-    python -m repro.exec cache --clear        # drop every cached result
 """
 
 from __future__ import annotations
@@ -16,8 +14,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.exec.cache import ResultCache, default_journal_path
 from repro.exec.journal import (
+    default_journal_path,
     format_status,
     last_run_events,
     read_events,
@@ -33,17 +31,6 @@ def _cmd_status(args) -> int:
     if not args.all:
         events = last_run_events(events)
     print(format_status(summarize(events)))
-    return 0
-
-
-def _cmd_cache(args) -> int:
-    cache = ResultCache(args.dir)
-    if args.clear:
-        removed = cache.clear()
-        print(f"cleared {removed} cached result(s) from {cache.root}")
-        return 0
-    print(f"cache root: {cache.root}")
-    print(f"entries: {len(cache)}")
     return 0
 
 
@@ -64,11 +51,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="summarize every run in the file, not just the latest",
     )
     status.set_defaults(func=_cmd_status)
-
-    cache = sub.add_parser("cache", help="inspect or clear the result cache")
-    cache.add_argument("--dir", default=None, help="cache root override")
-    cache.add_argument("--clear", action="store_true", help="delete all entries")
-    cache.set_defaults(func=_cmd_cache)
 
     args = parser.parse_args(argv)
     try:

@@ -1,12 +1,12 @@
 """Error records for sweep points.
 
-A sweep over hundreds of points must survive any single point failing:
-the orchestrator records a point that raises, or whose worker process
+The orchestrator records a point that raises, or whose worker process
 dies, as a :class:`PointError` in the outcome list instead of aborting
-the sweep.  ``normalize()`` and the report tables already tolerate
-missing (variant, workload) cells, so a degraded sweep still yields every
-figure the surviving points support.  A point that hangs is not caught:
-the sweep waits for it.
+the sweep, so every other point still runs and the journal records each
+failure.  :func:`~repro.exec.pool.collect_results` then raises, naming
+every failed point with its traceback: a figure is never drawn from a
+sweep with a hole in it.  A point that hangs is not caught: the sweep
+waits for it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ class PointError:
     workload: str
     kind: str          # KIND_EXCEPTION | KIND_CRASH
     message: str
+    #: The worker's formatted traceback (empty for a crash).
+    traceback: str = ""
 
     def __str__(self) -> str:
         return f"{self.variant}/{self.workload}: {self.kind}: {self.message}"

@@ -4,18 +4,19 @@ One line per event, flushed as written, so a crashed or interrupted sweep
 leaves a readable record up to the instant it died.  Events:
 
 ====================  =====================================================
-``sweep_started``     run_id, total points, jobs
-``point_started``     key, variant, workload, worker
-``point_finished``    key, variant, workload, worker, wall_s
-``point_cached``      key, variant, workload (served from the result cache)
-``point_failed``      key, variant, workload, kind, error
-``sweep_interrupted`` run_id (KeyboardInterrupt: outstanding points killed)
-``sweep_finished``    run_id, finished/cached/failed counts, wall_s
+``sweep_started``     total points, jobs
+``point_started``     variant, workload, worker
+``point_finished``    variant, workload, worker, wall_s
+``point_failed``      variant, workload, kind, error
+``sweep_interrupted`` (KeyboardInterrupt: outstanding points killed)
+``sweep_finished``    finished/failed counts, wall_s
 ====================  =====================================================
 
-Every event also carries ``ts`` (unix seconds) and ``run``, the run id of
-the enclosing sweep, so several sweeps can append to one journal file and
-``python -m repro.exec status`` can summarize just the latest.
+Every event also carries ``ts`` (unix seconds) and ``run``, the id of the
+:class:`RunJournal` that wrote it.  One journal object may record several
+sweeps (``python -m repro`` runs every experiment's sweeps under one), and
+several journals can append to one file; ``python -m repro.exec status``
+summarizes just the latest run.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ import time
 import uuid
 from pathlib import Path
 from typing import Dict, List, Optional
+
+
+def default_journal_path() -> Path:
+    """Where ``python -m repro`` journals its sweeps and ``python -m
+    repro.exec status`` looks: ``$REPRO_CACHE_DIR/journal.jsonl``, else
+    ``.repro_cache/journal.jsonl`` in the working directory."""
+    root = os.environ.get("REPRO_CACHE_DIR")
+    return (Path(root) if root else Path.cwd() / ".repro_cache") / "journal.jsonl"
 
 
 class RunJournal:
@@ -91,12 +100,9 @@ def summarize(events: List[Dict]) -> Dict:
     """Aggregate one run's events into the status-report dict."""
     started = [e for e in events if e.get("event") == "point_started"]
     finished = [e for e in events if e.get("event") == "point_finished"]
-    cached = [e for e in events if e.get("event") == "point_cached"]
     failed = [e for e in events if e.get("event") == "point_failed"]
-    total_points = len(finished) + len(cached) + len(failed)
-    sweep_meta = next(
-        (e for e in events if e.get("event") == "sweep_started"), {}
-    )
+    sweeps = [e for e in events if e.get("event") == "sweep_started"]
+    sweep_meta = sweeps[0] if sweeps else {}
     walls = sorted(
         (e.get("wall_s", 0.0), f"{e.get('variant')}/{e.get('workload')}")
         for e in finished
@@ -108,16 +114,14 @@ def summarize(events: List[Dict]) -> Dict:
     return {
         "run": sweep_meta.get("run"),
         "jobs": sweep_meta.get("jobs"),
-        "planned": sweep_meta.get("points"),
-        "points": total_points,
+        "planned": sum(e.get("points", 0) for e in sweeps),
+        "points": len(finished) + len(failed),
         "finished": len(finished),
-        "cached": len(cached),
         "failed": len(failed),
         "in_flight": max(0, len(started) - len(finished) - len(failed)),
         "interrupted": any(
             e.get("event") == "sweep_interrupted" for e in events
         ),
-        "cache_hit_rate": (len(cached) / total_points) if total_points else 0.0,
         "compute_wall_s": sum(w for w, _ in walls),
         "slowest": walls[-3:][::-1],
         "per_worker": per_worker,
@@ -136,9 +140,8 @@ def format_status(summary: Dict) -> str:
         + (f"  (jobs={summary['jobs']})" if summary.get("jobs") else ""),
         f"  points: {summary['points']}"
         + (f" of {summary['planned']} planned" if summary.get("planned") else ""),
-        f"  finished: {summary['finished']}   cached: {summary['cached']}"
-        f"   failed: {summary['failed']}   in-flight: {summary['in_flight']}",
-        f"  cache hit rate: {summary['cache_hit_rate']:.0%}",
+        f"  finished: {summary['finished']}   failed: {summary['failed']}"
+        f"   in-flight: {summary['in_flight']}",
         f"  compute wall time: {summary['compute_wall_s']:.1f}s",
     ]
     if summary["interrupted"]:

@@ -9,8 +9,9 @@ how the points were scheduled.  Three properties define it:
   completion order.  Workers rebuild the workload trace from the point's
   seed, so parallel results are bit-identical to the serial path's.
 * **Fault isolation** — a point that raises, or whose worker process
-  dies, is recorded as a :class:`PointError`; the rest of the sweep
-  completes.
+  dies, is recorded as a :class:`PointError` carrying the worker's
+  traceback; the rest of the sweep completes, and
+  :func:`collect_results` then raises naming every failed point.
 * **Clean interrupt** — Ctrl-C kills outstanding workers, journals a
   ``sweep_interrupted`` event, flushes, and re-raises, so nothing is left
   orphaned and the journal reflects exactly what completed.
@@ -24,15 +25,16 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
+import textwrap
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.exec.cache import ResultCache, point_key
 from repro.exec.faults import KIND_CRASH, KIND_EXCEPTION, PointError
 from repro.exec.journal import RunJournal
 from repro.sim.results import RunResult
@@ -53,13 +55,6 @@ class SweepPoint:
     def label(self) -> str:
         return f"{self.variant}/{self.workload}"
 
-    def key(self) -> str:
-        """Content hash for the result cache (see :mod:`repro.exec.cache`)."""
-        return point_key(
-            self.variant, self.workload, self.config,
-            self.references, self.warmup, self.seed,
-        )
-
 
 @dataclass
 class PointOutcome:
@@ -68,7 +63,6 @@ class PointOutcome:
     point: SweepPoint
     result: Optional[RunResult] = None
     error: Optional[PointError] = None
-    cached: bool = False
     wall_s: float = 0.0
     worker: Optional[int] = None
 
@@ -95,34 +89,32 @@ def execute_point(point: SweepPoint) -> RunResult:
     return run_experiment(point.variant, point.config, trace, point.warmup)
 
 
-def collect_results(
-    outcomes: Sequence[PointOutcome], strict: bool = False
-) -> List[RunResult]:
-    """The successful results, in order; ``strict`` raises on any failure."""
-    if strict:
-        errors = [o.error for o in outcomes if o.error is not None]
-        if errors:
-            raise RuntimeError(
-                "sweep had failed points:\n  "
-                + "\n  ".join(str(e) for e in errors)
-            )
-    return [o.result for o in outcomes if o.result is not None]
+def collect_results(outcomes: Sequence[PointOutcome]) -> List[RunResult]:
+    """Every point's result, in order; raises if any point failed.
+
+    The ``RuntimeError`` names each failed ``variant/workload`` and
+    carries its worker's traceback.
+    """
+    errors = [o.error for o in outcomes if o.error is not None]
+    if errors:
+        raise RuntimeError("sweep had failed points:\n" + "\n".join(
+            f"  {error}\n{textwrap.indent(error.traceback, '    ')}"
+            for error in errors
+        ))
+    return [o.result for o in outcomes]
 
 
 def run_sweep(
     points: Sequence[SweepPoint],
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     journal: Optional[RunJournal] = None,
     executor: Callable[[SweepPoint], RunResult] = execute_point,
 ) -> List[PointOutcome]:
     """Run every point; never aborts on a point failure.
 
     ``jobs <= 1`` runs in-process (no worker processes); ``jobs > 1`` fans
-    out across processes.  ``cache`` short-
-    circuits points whose key is already stored and records fresh results.
-    KeyboardInterrupt cancels outstanding points, flushes the journal, and
-    re-raises.
+    out across processes.  KeyboardInterrupt cancels outstanding points,
+    flushes the journal, and re-raises.
     """
     outcomes: List[Optional[PointOutcome]] = [None] * len(points)
     if journal is not None:
@@ -130,83 +122,58 @@ def run_sweep(
     sweep_start = time.monotonic()
 
     try:
-        # Cache pass: resolve every already-computed point up front.
-        todo: List[int] = []
-        for index, point in enumerate(points):
-            hit = cache.get(point.key()) if cache is not None else None
-            if hit is not None:
-                outcomes[index] = PointOutcome(point, result=hit, cached=True)
-                if journal is not None:
-                    journal.emit(
-                        "point_cached", key=point.key(),
-                        variant=point.variant, workload=point.workload,
-                    )
-            else:
-                todo.append(index)
-
-        if todo:
-            if jobs <= 1:
-                _run_serial(points, todo, outcomes, cache, journal, executor)
-            else:
-                _run_parallel(points, todo, outcomes, jobs, cache, journal, executor)
+        if jobs <= 1:
+            _run_serial(points, outcomes, journal, executor)
+        else:
+            _run_parallel(points, outcomes, jobs, journal, executor)
     except KeyboardInterrupt:
         if journal is not None:
             journal.emit("sweep_interrupted")
             journal.close()
         raise
 
-    done = [o for o in outcomes if o is not None]
     if journal is not None:
+        failed = sum(1 for o in outcomes if not o.ok)
         journal.emit(
             "sweep_finished",
-            finished=sum(1 for o in done if o.ok and not o.cached),
-            cached=sum(1 for o in done if o.cached),
-            failed=sum(1 for o in done if o.error is not None),
+            finished=len(outcomes) - failed, failed=failed,
             wall_s=time.monotonic() - sweep_start,
         )
-    return list(done)
+    return outcomes
 
 
 def _record(
     outcomes: List[Optional[PointOutcome]],
     index: int,
     outcome: PointOutcome,
-    cache: Optional[ResultCache],
     journal: Optional[RunJournal],
 ) -> None:
     outcomes[index] = outcome
+    if journal is None:
+        return
     point = outcome.point
     if outcome.ok:
-        if cache is not None and not outcome.cached:
-            cache.put(point.key(), outcome.result)
-        if journal is not None:
-            journal.emit(
-                "point_finished", key=point.key(),
-                variant=point.variant, workload=point.workload,
-                wall_s=outcome.wall_s, worker=outcome.worker,
-            )
+        journal.emit(
+            "point_finished", variant=point.variant, workload=point.workload,
+            wall_s=outcome.wall_s, worker=outcome.worker,
+        )
     else:
-        if journal is not None:
-            journal.emit(
-                "point_failed", key=point.key(),
-                variant=point.variant, workload=point.workload,
-                kind=outcome.error.kind, error=outcome.error.message,
-            )
+        journal.emit(
+            "point_failed", variant=point.variant, workload=point.workload,
+            kind=outcome.error.kind, error=outcome.error.message,
+        )
 
 
 def _run_serial(
     points: Sequence[SweepPoint],
-    todo: List[int],
     outcomes: List[Optional[PointOutcome]],
-    cache: Optional[ResultCache],
     journal: Optional[RunJournal],
     executor: Callable[[SweepPoint], RunResult],
 ) -> None:
-    for index in todo:
-        point = points[index]
+    for index, point in enumerate(points):
         if journal is not None:
             journal.emit(
-                "point_started", key=point.key(),
+                "point_started",
                 variant=point.variant, workload=point.workload, worker=0,
             )
         started = time.monotonic()
@@ -218,9 +185,9 @@ def _run_serial(
         except BaseException as exc:
             outcome = PointOutcome(point, error=PointError(
                 point.variant, point.workload, KIND_EXCEPTION,
-                f"{type(exc).__name__}: {exc}",
+                f"{type(exc).__name__}: {exc}", traceback.format_exc(),
             ))
-        _record(outcomes, index, outcome, cache, journal)
+        _record(outcomes, index, outcome, journal)
 
 
 @dataclass
@@ -261,7 +228,8 @@ def _sigint_release(unmask) -> None:
 
 
 def _child_main(executor, point, conn) -> None:
-    """Worker entry: run the point, ship back ('ok', result) or ('err', msg)."""
+    """Worker entry: run the point, ship back ``('ok', result)`` or
+    ``('err', (message, traceback))``."""
     # The fork inherited the parent's spawn-time signal mask; the child
     # must take interrupts normally (terminate/kill cleanup aside).
     if hasattr(signal, "pthread_sigmask"):
@@ -271,7 +239,8 @@ def _child_main(executor, point, conn) -> None:
         conn.send(("ok", result))
     except BaseException as exc:  # a failing point must still report
         try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
+            conn.send(("err", (f"{type(exc).__name__}: {exc}",
+                               traceback.format_exc())))
         except OSError:
             pass
     finally:
@@ -280,10 +249,8 @@ def _child_main(executor, point, conn) -> None:
 
 def _run_parallel(
     points: Sequence[SweepPoint],
-    todo: List[int],
     outcomes: List[Optional[PointOutcome]],
     jobs: int,
-    cache: Optional[ResultCache],
     journal: Optional[RunJournal],
     executor: Callable[[SweepPoint], RunResult],
 ) -> None:
@@ -291,7 +258,7 @@ def _run_parallel(
     # executors; fall back to the platform default elsewhere.
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    pending = deque(todo)
+    pending = deque(range(len(points)))
     free_workers = list(range(jobs - 1, -1, -1))
     active: Dict[connection.Connection, _Attempt] = {}
 
@@ -316,7 +283,7 @@ def _run_parallel(
             _sigint_release(unmask)
         if journal is not None:
             journal.emit(
-                "point_started", key=point.key(),
+                "point_started",
                 variant=point.variant, workload=point.workload, worker=worker,
             )
 
@@ -332,17 +299,18 @@ def _run_parallel(
                     wall_s=time.monotonic() - state.started,
                     worker=state.worker,
                 ),
-                cache, journal,
+                journal,
             )
             return
-        error_kind = KIND_EXCEPTION if kind == "err" else KIND_CRASH
-        _record(
-            outcomes, state.index,
-            PointOutcome(state.point, error=PointError(
-                state.point.variant, state.point.workload, error_kind, payload,
-            )),
-            cache, journal,
-        )
+        if kind == "err":
+            message, trace = payload
+            error = PointError(state.point.variant, state.point.workload,
+                               KIND_EXCEPTION, message, trace)
+        else:
+            error = PointError(state.point.variant, state.point.workload,
+                               KIND_CRASH, payload)
+        _record(outcomes, state.index, PointOutcome(state.point, error=error),
+                journal)
 
     try:
         while pending or active:

@@ -17,7 +17,6 @@ Options::
     python -m repro --window 4       # memory-level-parallel access window
     python -m repro --integrity      # attach the integrity domain
     python -m repro --jobs 4         # parallel sweep points (repro.exec)
-    python -m repro --no-cache       # ignore the on-disk result cache
     python -m repro --profile 30     # cProfile the run, print top 30
 """
 
@@ -311,6 +310,7 @@ EXPERIMENTS = {
 
 def main(argv: Sequence[str] = None) -> int:
     from repro.bench.harness import set_execution_defaults
+    from repro.exec.journal import RunJournal, default_journal_path
 
     parser = argparse.ArgumentParser(prog="python -m repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -327,8 +327,6 @@ def main(argv: Sequence[str] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run sweep points on N worker processes "
                              "(see docs/PARALLEL.md)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the on-disk result cache")
     parser.add_argument("--profile", type=int, nargs="?", const=25, default=None,
                         metavar="N",
                         help="run under cProfile and print the top N "
@@ -350,13 +348,16 @@ def main(argv: Sequence[str] = None) -> int:
     args.config = dataclasses.replace(
         BENCH_CONFIG, sched_window=args.window, integrity=args.integrity
     )
-    set_execution_defaults(
-        jobs=args.jobs, use_cache=False if args.no_cache else None
-    )
-
-    if args.profile is not None:
-        return _run_profiled(args)
-    return _run_experiments(args)
+    # Every run journals its sweeps, so `python -m repro.exec status`
+    # reads the latest one at any --jobs.
+    with RunJournal(default_journal_path()) as journal:
+        set_execution_defaults(jobs=args.jobs, journal=journal)
+        try:
+            if args.profile is not None:
+                return _run_profiled(args)
+            return _run_experiments(args)
+        finally:
+            set_execution_defaults(journal=None)
 
 
 def _list_variants() -> int:

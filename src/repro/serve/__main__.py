@@ -1,4 +1,4 @@
-"""CLI for the sharded ORAM service: serve / bench / conformance / status.
+"""CLI for the sharded ORAM service: serve / bench / conformance.
 
 Usage::
 
@@ -8,12 +8,12 @@ Usage::
     PYTHONPATH=src python -m repro.serve conformance [--shards N]
                                                 [--variant V] [--rounds R]
                                                 [--point LABEL] [--seed S]
-    PYTHONPATH=src python -m repro.serve status [--journal PATH]
 
 ``serve`` runs an interactive service on stdin (PUT/GET/DEL/STATUS/QUIT),
 executing each line inline as a one-request batch; ``bench`` runs one
 modeled load point; ``conformance`` runs a service-crash cell and exits
-non-zero on violations; ``status`` summarizes a bench journal.
+non-zero on violations.  ``python -m repro.exec status --journal PATH``
+summarizes a bench journal.
 """
 
 from __future__ import annotations
@@ -113,17 +113,6 @@ def _cmd_conformance(args) -> int:
     return 0
 
 
-def _cmd_status(args) -> int:
-    from repro.exec.journal import format_status, last_run_events, read_events, summarize
-
-    events = read_events(args.journal)
-    if not events:
-        print(f"no journal events at {args.journal}")
-        return 1
-    print(format_status(summarize(last_run_events(events))))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -163,10 +152,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="pin the crash point (default: fuzz)")
     # A conformance cell's own geometry: a small tree, short batches.
     p_conf.set_defaults(fn=_cmd_conformance, height=6, batch_max=4)
-
-    p_status = sub.add_parser("status", help="summarize a bench journal")
-    p_status.add_argument("--journal", default="BENCH_service.jsonl")
-    p_status.set_defaults(fn=_cmd_status)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -32,7 +32,7 @@ class RunResult:
         return self.cycles / self.instructions
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (the on-disk result-cache format)."""
+        """JSON-serializable form."""
         return {
             "variant": self.variant,
             "workload": self.workload,

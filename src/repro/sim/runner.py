@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.config import SystemConfig
 from repro.core.variants import build_variant
@@ -91,17 +91,13 @@ def run_variants(
     references: int = 4000,
     warmup_references: int = 500,
     seed: int = 7,
-    trace_cache: Optional[Dict[str, Trace]] = None,
 ) -> List[RunResult]:
     """Cartesian product run: every variant on every Table-4 workload."""
     results: List[RunResult] = []
-    cache = trace_cache if trace_cache is not None else {}
-    total = references + warmup_references
     for workload in workloads:
-        trace = cache.get(workload)
-        if trace is None or len(trace) < total:
-            trace = spec_workload(workload, references=total, seed=seed)
-            cache[workload] = trace
+        trace = spec_workload(
+            workload, references=references + warmup_references, seed=seed
+        )
         for variant in variants:
             results.append(
                 run_experiment(variant, config, trace, warmup_references)

@@ -55,14 +55,13 @@ class TestSweepCaching:
 
         monkeypatch.setattr(harness, "_result_cache", {})
         ran = []
-        real = harness.run_variants
+        real = harness.run_sweep
 
-        def counting(variants, config, workloads, **kwargs):
-            ran.extend((variant, workload) for workload in workloads
-                       for variant in variants)
-            return real(variants, config, workloads, **kwargs)
+        def counting(points, **kwargs):
+            ran.extend((p.variant, p.workload) for p in points)
+            return real(points, **kwargs)
 
-        monkeypatch.setattr(harness, "run_variants", counting)
+        monkeypatch.setattr(harness, "run_sweep", counting)
         first = sweep(("plain",), ("403.gcc",), references=60, warmup=10)
         both = sweep(("baseline", "plain"), ("429.mcf", "403.gcc"),
                      references=60, warmup=10)
@@ -74,6 +73,26 @@ class TestSweepCaching:
             ("baseline", "403.gcc"), ("plain", "403.gcc"),
         ]
         assert both[3] is first[0]
+
+    def test_short_sweep_after_long_one_matches_fresh(self, monkeypatch):
+        """Every point replays a trace of exactly its own length, so a
+        short sweep that follows a long one on the same workload is the
+        short run, not a replay of the long trace."""
+        from repro.bench import harness
+        from repro.config import small_config
+        from repro.sim.runner import run_experiment
+        from repro.workloads.spec import spec_workload
+
+        monkeypatch.setattr(harness, "_result_cache", {})
+        config = small_config(height=6)
+        [long] = sweep(("baseline",), ("429.mcf",), config=config,
+                       references=400, warmup=0)
+        [short] = sweep(("baseline",), ("429.mcf",), config=config,
+                        references=60, warmup=0)
+        fresh = run_experiment("baseline", config,
+                               spec_workload("429.mcf", references=60, seed=7))
+        assert short == fresh
+        assert short.llc_misses < long.llc_misses
 
 
 class TestScaleParsing:

@@ -10,10 +10,8 @@ from repro.core.variants import build_variant, variant_specs
 from repro.crashsim.checker import ConsistencyChecker
 from repro.crashsim.conformance import QUIESCENT, CellResult, CellSystem, run_cell
 from repro.crashsim.matrix import (
-    MatrixPoint,
     _reproducer_filename,
     cell_seed,
-    matrix_cache,
     plan_matrix,
     run_matrix,
 )
@@ -51,13 +49,6 @@ class TestRunCell:
         assert cell.supports
         assert cell.consistent, cell.violations
         assert cell.crashes_fired >= 1
-
-    def test_window_changes_cache_key(self):
-        base = dict(variant="ps", point="phase:fetch", wpq="default",
-                    rounds=2, seed=9, height=6)
-        serial = MatrixPoint(**base)
-        windowed = MatrixPoint(**base, window=4)
-        assert serial.key() != windowed.key()
 
     def test_unknown_point_rejected(self):
         with pytest.raises(ValueError):
@@ -212,7 +203,6 @@ class TestPlanMatrix:
         assert set(off) <= set(on)
         for label, point in off.items():
             twin = on[label]
-            assert twin.key() != point.key()
             assert twin.seed != point.seed
             assert twin.label == f"ps/{label}/default+int" != point.label
             # The run journal names a cell by (variant, workload).
@@ -232,34 +222,19 @@ class TestPlanMatrix:
 
 
 class TestRunMatrix:
-    def test_small_matrix_with_cache_and_journal(self, tmp_path):
+    def test_small_matrix_with_journal(self, tmp_path):
         plan = plan_matrix(variants=["ps", "baseline"], wpqs=["default"],
                            rounds=1, seed=3)
-        cache = matrix_cache(tmp_path / "cache")
         journal_path = tmp_path / "journal.jsonl"
         with RunJournal(journal_path) as journal:
-            outcomes = run_matrix(plan, jobs=1, cache=cache, journal=journal)
+            outcomes = run_matrix(plan, jobs=1, journal=journal)
         assert len(outcomes) == len(plan)
         assert all(o.ok for o in outcomes)
         assert all(o.result.consistent for o in outcomes)
-        assert not any(o.cached for o in outcomes)
-        events = {e["event"] for e in read_events(journal_path)}
-        assert {"sweep_started", "point_finished", "sweep_finished"} <= events
-
-        # Second run: every cell served from the content-addressed cache.
-        rerun = run_matrix(plan, jobs=1, cache=cache)
-        assert all(o.cached for o in rerun)
-        fresh = {o.point.key(): o.result.to_dict() for o in outcomes}
-        for outcome in rerun:
-            assert outcome.result.to_dict() == fresh[outcome.point.key()]
-
-    def test_matrix_point_key_depends_on_cell_identity(self):
-        base = dict(variant="ps", point="phase:fetch", wpq="default",
-                    rounds=2, seed=1, height=6)
-        key = MatrixPoint(**base).key()
-        assert key == MatrixPoint(**base).key()
-        for field, value in [("point", "phase:remap"), ("wpq", "small"),
-                             ("rounds", 3), ("seed", 2), ("height", 7),
-                             ("variant", "rcr-ps"), ("window", 4),
-                             ("integrity", True)]:
-            assert MatrixPoint(**{**base, field: value}).key() != key
+        events = read_events(journal_path)
+        assert {"sweep_started", "point_finished", "sweep_finished"} <= {
+            e["event"] for e in events}
+        # A cell's events name it by (variant, workload).
+        finished = {(e["variant"], e["workload"])
+                    for e in events if e["event"] == "point_finished"}
+        assert finished == {(p.variant, p.workload) for p in plan}

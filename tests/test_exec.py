@@ -10,7 +10,6 @@ import time
 import pytest
 
 from repro.config import small_config
-from repro.exec.cache import ResultCache, code_version, point_key
 from repro.exec.journal import (
     RunJournal,
     format_status,
@@ -45,7 +44,7 @@ def _points():
 def _serial_results():
     return run_variants(
         SYSTEMS, CONFIG, WORKLOADS,
-        references=REFS, warmup_references=WARMUP, trace_cache={},
+        references=REFS, warmup_references=WARMUP,
     )
 
 
@@ -60,45 +59,6 @@ class TestResultSerialization:
         assert RunResult.from_dict(payload) == result
 
 
-class TestCache:
-    def test_key_is_stable_and_sensitive(self):
-        base = point_key("ps", "429.mcf", CONFIG, 60, 10, 7)
-        assert base == point_key("ps", "429.mcf", CONFIG, 60, 10, 7)
-        assert base != point_key("ps", "429.mcf", CONFIG, 61, 10, 7)
-        assert base != point_key("ps", "403.gcc", CONFIG, 60, 10, 7)
-        assert base != point_key("ps", "429.mcf", CONFIG, 60, 10, 8)
-        other = small_config(height=7)
-        assert base != point_key("ps", "429.mcf", other, 60, 10, 7)
-
-    def test_code_version_memoized(self):
-        assert code_version() == code_version()
-        assert len(code_version()) == 16
-
-    def test_put_get_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = RunResult("ps", "429.mcf", 1, 2, 3, 4, 5)
-        key = point_key("ps", "429.mcf", CONFIG, 60, 10, 7)
-        assert cache.get(key) is None
-        cache.put(key, result)
-        assert key in cache
-        assert cache.get(key) == result
-        assert len(cache) == 1
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = point_key("ps", "429.mcf", CONFIG, 60, 10, 7)
-        cache.put(key, RunResult("ps", "429.mcf", 1, 2, 3, 4, 5))
-        cache._path(key).write_text("{not json")
-        assert cache.get(key) is None
-
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = point_key("ps", "429.mcf", CONFIG, 60, 10, 7)
-        cache.put(key, RunResult("ps", "429.mcf", 1, 2, 3, 4, 5))
-        assert cache.clear() == 1
-        assert len(cache) == 0
-
-
 class TestDeterminism:
     def test_parallel_matches_serial_bit_identical(self):
         """The defining property: --jobs 4 == serial, field for field."""
@@ -111,29 +71,6 @@ class TestDeterminism:
     def test_in_process_path_matches_serial(self):
         serial = _serial_results()
         assert collect_results(run_sweep(_points(), jobs=1)) == serial
-
-
-class TestCaching:
-    def test_second_run_is_90pct_cache_hits(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        journal_path = tmp_path / "journal.jsonl"
-        with RunJournal(journal_path) as journal:
-            first = run_sweep(_points(), jobs=2, cache=cache, journal=journal)
-        with RunJournal(journal_path) as journal:
-            second = run_sweep(_points(), jobs=2, cache=cache, journal=journal)
-        assert collect_results(second) == collect_results(first)
-        assert all(o.cached for o in second)
-        # The journal of the second run reports >= 90% cache hits.
-        events = last_run_events(read_events(journal_path))
-        summary = summarize(events)
-        assert summary["cache_hit_rate"] >= 0.9
-        assert summary["cached"] == len(_points())
-
-    def test_cached_results_identical_to_fresh(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        fresh = collect_results(run_sweep(_points(), jobs=2, cache=cache))
-        cached = collect_results(run_sweep(_points(), jobs=2, cache=cache))
-        assert cached == fresh == _serial_results()
 
 
 def _boom_executor(point):
@@ -172,6 +109,8 @@ class TestFaultTolerance:
             )
         self._check_degraded(outcomes, "exception")
         assert "injected fault" in str(outcomes[3].error)
+        # The pool child's traceback names where the point failed.
+        assert "in _boom_executor" in outcomes[3].error.traceback
         events = read_events(journal_path)
         assert any(e["event"] == "point_failed" for e in events)
         assert any(e["event"] == "sweep_finished" for e in events)
@@ -182,6 +121,7 @@ class TestFaultTolerance:
     def test_raising_point_serial_path(self):
         outcomes = run_sweep(_points(), jobs=1, executor=_boom_executor)
         self._check_degraded(outcomes, "exception")
+        assert "in _boom_executor" in outcomes[3].error.traceback
 
     def test_dead_worker_is_a_crash_record(self):
         outcomes = run_sweep(_points(), jobs=2, executor=_crash_executor)
@@ -190,11 +130,15 @@ class TestFaultTolerance:
 
     def test_collect_results_strict_raises(self):
         outcomes = run_sweep(_points()[:2], jobs=1, executor=_boom_executor)
-        # No failing point in this slice — strict passes.
-        assert len(collect_results(outcomes, strict=True)) == 2
+        # No failing point in this slice.
+        assert len(collect_results(outcomes)) == 2
         failing = run_sweep(_points(), jobs=1, executor=_boom_executor)
-        with pytest.raises(RuntimeError, match="failed points"):
-            collect_results(failing, strict=True)
+        with pytest.raises(RuntimeError, match="failed points") as raised:
+            collect_results(failing)
+        # The error names the point and shows where it failed.
+        assert "baseline/429.mcf: exception: RuntimeError: injected fault" \
+            in str(raised.value)
+        assert "in _boom_executor" in str(raised.value)
 
 
 class TestJournal:
@@ -213,7 +157,6 @@ class TestJournal:
         summary = summarize(events)
         assert summary["finished"] == len(_points())
         assert summary["failed"] == 0
-        assert summary["cache_hit_rate"] == 0.0
         text = format_status(summary)
         assert "finished: 4" in text
 
@@ -242,25 +185,11 @@ class TestJournal:
         assert main(["status", "--journal", str(path)]) == 0
         out = capsys.readouterr().out
         assert "finished: 2" in out
-        assert "cache hit rate: 0%" in out
 
     def test_status_cli_missing_journal(self, tmp_path, capsys):
         from repro.exec.__main__ import main
 
         assert main(["status", "--journal", str(tmp_path / "nope")]) == 1
-
-    def test_cache_cli(self, tmp_path, capsys):
-        from repro.exec.__main__ import main
-
-        cache = ResultCache(tmp_path)
-        cache.put(
-            point_key("ps", "429.mcf", CONFIG, 60, 10, 7),
-            RunResult("ps", "429.mcf", 1, 2, 3, 4, 5),
-        )
-        assert main(["cache", "--dir", str(tmp_path)]) == 0
-        assert "entries: 1" in capsys.readouterr().out
-        assert main(["cache", "--dir", str(tmp_path), "--clear"]) == 0
-        assert len(cache) == 0
 
 
 _INTERRUPT_SCRIPT = """
@@ -371,35 +300,18 @@ class TestHarnessIntegration:
         from repro.bench import harness
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(
-            harness, "_exec_defaults",
-            {"jobs": 1, "use_cache": None, "journal": None},
-        )
-        # Fresh trace cache: the serial path reuses any cached trace that
-        # is at least as long as requested, which would make it replay
-        # more references than the exec path's exact-length traces.
-        monkeypatch.setattr(harness, "_trace_cache", {})
+        monkeypatch.setattr(harness, "_exec_defaults",
+                            {"jobs": 1, "journal": None})
         monkeypatch.setattr(harness, "_result_cache", {})
         serial = harness.sweep(SYSTEMS, WORKLOADS, config=CONFIG,
-                               references=REFS, warmup=WARMUP, jobs=1,
-                               use_cache=False)
+                               references=REFS, warmup=WARMUP, jobs=1)
+        assert serial == _serial_results()
         monkeypatch.setattr(harness, "_result_cache", {})
         parallel = harness.sweep(SYSTEMS, WORKLOADS, config=CONFIG,
                                  references=REFS, warmup=WARMUP, jobs=2)
         assert parallel == serial
-        # The exec path journaled under the cache root.
-        journal = tmp_path / "journal.jsonl"
-        assert journal.exists()
-        assert any(
-            e["event"] == "sweep_finished" for e in read_events(journal)
-        )
-        # And cached every point: a fresh-memo rerun is all hits.
-        monkeypatch.setattr(harness, "_result_cache", {})
-        again = harness.sweep(SYSTEMS, WORKLOADS, config=CONFIG,
-                              references=REFS, warmup=WARMUP, jobs=2)
-        assert again == serial
-        summary = summarize(last_run_events(read_events(journal)))
-        assert summary["cache_hit_rate"] >= 0.9
+        # A direct sweep call journals nothing and writes no file.
+        assert list(tmp_path.iterdir()) == []
 
     def test_set_execution_defaults_validation(self):
         from repro.bench import harness

@@ -4,14 +4,23 @@ import pytest
 
 from repro import report
 from repro.bench import harness
+from repro.exec.journal import read_events
 from repro.report import EXPERIMENTS, PAPER, main
+from repro.sim import runner
 from repro.sim.results import RunResult
+
+
+@pytest.fixture(autouse=True)
+def journal_dir(monkeypatch, tmp_path):
+    """Every report run journals; keep the journal out of the checkout."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    return tmp_path
 
 
 @pytest.fixture
 def exec_defaults(monkeypatch):
     """Isolate the session-wide sweep defaults the CLI installs."""
-    defaults = {"jobs": 1, "use_cache": None, "journal": None}
+    defaults = {"jobs": 1, "journal": None}
     monkeypatch.setattr(harness, "_exec_defaults", defaults)
     return defaults
 
@@ -82,16 +91,15 @@ class TestReportCLI:
     def test_defaults(self, exec_defaults, swept):
         assert main(["--only", "fig5a"]) == 0
         assert exec_defaults["jobs"] == 1
-        assert exec_defaults["use_cache"] is None
         assert swept == [harness.BENCH_CONFIG]
 
-    def test_full_jobs_no_cache(self, exec_defaults, swept, capsys):
-        assert main(["--only", "fig5a", "--full", "--jobs", "3",
-                     "--no-cache"]) == 0
+    def test_full_jobs(self, exec_defaults, swept, capsys):
+        assert main(["--only", "fig5a", "--full", "--jobs", "3"]) == 0
         header = capsys.readouterr().out.splitlines()[1]
         assert all(w in header for w in harness.FULL_WORKLOADS)
         assert exec_defaults["jobs"] == 3
-        assert exec_defaults["use_cache"] is False
+        # The run's journal is closed and no longer handed to sweeps.
+        assert exec_defaults["journal"] is None
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(SystemExit):
@@ -109,3 +117,32 @@ def test_window_and_integrity_reach_every_sweep(experiment, exec_defaults, swept
     for config in swept:
         assert config.sched_window == 4
         assert config.integrity is True
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("experiment, failing", [
+    ("fig5a", ("naive-ps", "429.mcf")),
+    ("wpq", ("ps", "401.bzip2")),
+])
+def test_failed_point_fails_the_run(experiment, failing, jobs, exec_defaults,
+                                    journal_dir, monkeypatch):
+    """A point that raises fails ``python -m repro`` at every ``--jobs``,
+    naming the point; no table is printed from a sweep with a hole."""
+    monkeypatch.setattr(harness, "_result_cache", {})
+
+    def flaky(variant, config, trace, warmup_references=0):
+        if (variant, trace.name) == failing:
+            raise RuntimeError("injected fault")
+        return RunResult(variant, trace.name, cycles=1000, instructions=1000,
+                         llc_misses=10, nvm_reads=100, nvm_writes=100)
+
+    monkeypatch.setattr(runner, "run_experiment", flaky)
+    with pytest.raises(RuntimeError, match="failed points") as raised:
+        main(["--only", experiment, "--jobs", jobs])
+    message = str(raised.value)
+    assert f"{failing[0]}/{failing[1]}: exception: RuntimeError: " \
+        "injected fault" in message
+    assert "in flaky" in message  # the worker's traceback rides along
+    failed = [e for e in read_events(journal_dir / "journal.jsonl")
+              if e["event"] == "point_failed"]
+    assert [(e["variant"], e["workload"]) for e in failed] == [failing]
