@@ -82,7 +82,6 @@ def run_sweeps(
                 variant=variant,
                 workload=f"{row['shards']} shards x {row['clients']} clients",
                 worker=0,
-                attempt=1,
                 wall_s=round(time.perf_counter() - started, 3),
             )
         return row

@@ -14,11 +14,12 @@ statically checkable corollaries — so this rule checks them up front:
 * **R1.2 push outside a round** — every path reaching a push must have
   passed ``start()`` first (the WPQ raises at runtime; this catches it
   before any test runs).
-* **R1.3 unbounded round** — a loop that pushes into an open round must
-  be *visibly* bounded by a WPQ capacity: the loop's source collection
-  must be tied (in this function) to a ``capacity``-derived bound, a
-  ``plan_rounds`` split, or fixed structural geometry (``range``,
-  ``enumerate``, tree/store path helpers).  The Naive-PS WPQ overflow
+* **R1.3 unbounded round** — a push into an open round must be
+  *visibly* bounded by a WPQ capacity: each collection a batched push
+  queues (and the source of a loop that pushes) must be tied (in this
+  function) to a ``capacity``-derived bound, a ``plan_rounds`` split, or
+  fixed structural geometry (``range``, ``enumerate``, tree/store path
+  helpers).  The Naive-PS WPQ overflow
   (PR 5) was an instance: leftover entries dumped into a data round with
   no capacity clamp.
 * **R1.4 crash flush vs in-flight remap** — a policy whose ``remap``
@@ -58,7 +59,10 @@ EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py")
 #: Direct persistent-image writes (outside the WPQ path) relevant to R1.4.
 DIRECT_PERSIST_TERMINALS = {"write_entry", "store_line", "store_slot"}
 
-#: Evidence that a collection feeding an in-round push loop is bounded.
+#: The drainer's pushes: each queues one round's whole batch of writes.
+BATCHED_PUSH_TERMINALS = ("push_blocks", "push_posmap_entries")
+
+#: Evidence that a collection feeding an in-round push is bounded.
 _CAPACITY_EVIDENCE = re.compile(r"capacity|plan_rounds|room|needed")
 
 #: Geometry helpers whose result size is fixed by the tree shape.
@@ -75,9 +79,9 @@ def _classify_call(call: ast.Call) -> Optional[str]:
         return "start"
     if terminal == "end" and drainerish or terminal == "end_round":
         return "end"
-    if terminal in ("push_block", "push_posmap_entry"):
+    if terminal in BATCHED_PUSH_TERMINALS:
         return "push"
-    if terminal == "push" and "wpq" in chain:
+    if terminal == "push_batch" and "wpq" in chain:
         return "push"
     if terminal == "flush" and drainerish:
         return "flush"
@@ -180,10 +184,17 @@ class _FunctionScan:
 # ---------------------------------------------------------------------------
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp)
+
+
 def _structurally_bounded(expr: ast.AST) -> Optional[bool]:
     """True: bounded by construction; None: needs name evidence."""
     if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
         return True
+    if isinstance(expr, _COMPREHENSIONS):
+        if all(_structurally_bounded(g.iter) for g in expr.generators):
+            return True
+        return None
     if isinstance(expr, ast.Call):
         chain = attr_chain(expr.func) or ""
         terminal = chain.rsplit(".", 1)[-1]
@@ -208,7 +219,24 @@ def _iterable_names(expr: ast.AST) -> Set[str]:
         return _iterable_names(expr.args[0])
     if isinstance(expr, ast.Subscript):
         return _iterable_names(expr.value)
+    if isinstance(expr, _COMPREHENSIONS):
+        # A comprehension is as long as the collections it walks.
+        names: Set[str] = set()
+        for generator in expr.generators:
+            names |= _iterable_names(generator.iter)
+        return names
     return set()
+
+
+def _unbounded_source(expr: ast.AST, evidence: "_BoundEvidence") -> Optional[str]:
+    """None when ``expr`` (a pushed collection, or a push loop's source)
+    is visibly bounded; otherwise the names it draws from, for the report."""
+    if _structurally_bounded(expr):
+        return None
+    names = _iterable_names(expr)
+    if names and any(evidence.bounded(n) for n in names):
+        return None
+    return ", ".join(sorted(names)) if names else "<expression>"
 
 
 class _BoundEvidence:
@@ -367,16 +395,11 @@ class PersistOrderingRule:
             }
             if "start" in kinds and "end" in kinds:
                 continue
-            if isinstance(loop, ast.While):
-                names = _iterable_names(loop.test)
-            else:
-                names = _iterable_names(loop.iter)
-                structural = _structurally_bounded(loop.iter)
-                if structural:
-                    continue
-            if names and any(evidence.bounded(n) for n in names):
+            source = _unbounded_source(
+                loop.test if isinstance(loop, ast.While) else loop.iter, evidence
+            )
+            if source is None:
                 continue
-            source = ", ".join(sorted(names)) if names else "<expression>"
             yield self._finding(
                 sf,
                 loop.lineno,
@@ -385,6 +408,23 @@ class PersistOrderingRule:
                 "capacity bound (capacity clamp, plan_rounds split, or "
                 "structural geometry)",
             )
+        # A batched push queues a whole collection at once: each argument
+        # must carry the same capacity evidence a push loop's source does.
+        for call in calls_in(info.node):
+            if _classify_call(call) != "push":
+                continue
+            for arg in call.args:
+                source = _unbounded_source(arg, evidence)
+                if source is None:
+                    continue
+                yield self._finding(
+                    sf,
+                    call.lineno,
+                    info.qualname,
+                    f"batched push of {source!r} has no visible WPQ capacity "
+                    "bound (capacity clamp, plan_rounds split, or structural "
+                    "geometry)",
+                )
 
     # -- R1.4 -------------------------------------------------------------
 

@@ -18,7 +18,7 @@ metadata can part ways — the property Section 3.2 demands.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.mem.controller import NVMMainMemory
 from repro.mem.request import Access, RequestKind
@@ -62,7 +62,7 @@ class Drainer:
         self._version_line = version_line
         self._version_provider = version_provider
         self.stats = StatSet("drainer")
-        # Bound once: pushes run per slot per eviction round.
+        # Bound once: pushes run every eviction round.
         self._c_rounds_started = LazyCounter(self.stats, "rounds_started")
         self._c_rounds_committed = LazyCounter(self.stats, "rounds_committed")
         self._c_blocks_pushed = LazyCounter(self.stats, "blocks_pushed")
@@ -90,15 +90,19 @@ class Drainer:
 
     # -- pushes ---------------------------------------------------------------
 
-    def push_block(self, line_address: int, wire: bytes) -> None:
-        """Queue one encrypted block write."""
-        self.data_wpq.push(line_address, wire)
-        self._c_blocks_pushed.add()
+    def push_blocks(self, line_addresses: Sequence[int], wires: Sequence[bytes]) -> None:
+        """Queue one round's encrypted block writes, columnar and in order."""
+        self.data_wpq.push_batch(line_addresses, wires)
+        if line_addresses:
+            self._c_blocks_pushed.add(len(line_addresses))
 
-    def push_posmap_entry(self, line_address: int, address: int, path_id: int) -> None:
-        """Queue one dirty PosMap entry."""
-        self.posmap_wpq.push(line_address, (address, path_id))
-        self._c_entries_pushed.add()
+    def push_posmap_entries(
+        self, line_addresses: Sequence[int], entries: Sequence[PosMapPayload]
+    ) -> None:
+        """Queue one round's dirty PosMap entries ``(address, path_id)``."""
+        self.posmap_wpq.push_batch(line_addresses, entries)
+        if line_addresses:
+            self._c_entries_pushed.add(len(line_addresses))
 
     # -- flush ------------------------------------------------------------------
 
@@ -107,32 +111,27 @@ class Drainer:
 
         Returns the memory cycle at which the last write completes.  Data
         blocks go to the ORAM tree (DATA_PATH writes, same addresses the
-        baseline would produce); PosMap entries go to the PosMap region as
-        one non-coalesced line write each (the paper's persistency model).
+        baseline would produce) as one burst; PosMap entries go to the
+        PosMap region as one non-coalesced line write each (the paper's
+        persistency model).
         """
         self._record_version()
         finish = start_mem_cycle
-        data = list(self.data_wpq.drain())
-        if data:
+        lines, wires = self.data_wpq.drain()
+        if lines:
             finish = self.memory.issue_path(
-                [line_address for line_address, _ in data],
-                Access.WRITE,
-                start_mem_cycle,
-                RequestKind.DATA_PATH,
-                datas=[wire for _, wire in data],
+                lines, Access.WRITE, start_mem_cycle, RequestKind.DATA_PATH,
+                datas=wires,
             )
-        entries = list(self.posmap_wpq.drain())
-        if entries:
-            for _, (address, path_id) in entries:
+        entry_lines, entries = self.posmap_wpq.drain()
+        if entry_lines:
+            for address, path_id in entries:
                 if address >= 0:
                     self._apply_posmap_entry(address, path_id)
                 # address < 0: a padding entry (Naive-PS-ORAM writes one
                 # line per path slot regardless of content) — timed only.
             entry_finish = self.memory.issue_path(
-                [line_address for line_address, _ in entries],
-                Access.WRITE,
-                start_mem_cycle,
-                posmap_kind,
+                entry_lines, Access.WRITE, start_mem_cycle, posmap_kind,
             )
             if entry_finish > finish:
                 finish = entry_finish
@@ -148,13 +147,13 @@ class Drainer:
         ``(blocks_applied, entries_applied)``.
         """
         self._record_version()
-        blocks = self.data_wpq.crash()
-        entries = self.posmap_wpq.crash()
-        for line_address, wire in blocks:
+        lines, wires = self.data_wpq.crash()
+        _, entries = self.posmap_wpq.crash()
+        for line_address, wire in zip(lines, wires):
             self.memory.store_line(line_address, wire)
-        for _, (address, path_id) in entries:
+        for address, path_id in entries:
             if address >= 0:
                 self._apply_posmap_entry(address, path_id)
-        self.stats.counter("crash_blocks_applied").add(len(blocks))
+        self.stats.counter("crash_blocks_applied").add(len(lines))
         self.stats.counter("crash_entries_applied").add(len(entries))
-        return len(blocks), len(entries)
+        return len(lines), len(entries)

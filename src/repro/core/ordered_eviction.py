@@ -28,26 +28,14 @@ from repro.errors import WPQOverflowError
 class SlotWrite:
     """One pending slot write within an eviction."""
 
-    __slots__ = ("line_address", "wire", "old_line", "entry_key", "is_backup_write")
+    __slots__ = ("line_address", "wire", "old_line")
 
-    def __init__(
-        self,
-        line_address: int,
-        wire: bytes,
-        old_line: Optional[int] = None,
-        entry_key: Optional[int] = None,
-        is_backup_write: bool = False,
-    ):
+    def __init__(self, line_address: int, wire: bytes, old_line: Optional[int] = None):
         self.line_address = line_address
         self.wire = wire
         #: Line currently holding this block's durable copy (constrains
         #: ordering); None for dummies and blocks with no on-path copy.
         self.old_line = old_line
-        #: Logical address whose dirty PosMap entry rides with this write.
-        self.entry_key = entry_key
-        #: Whether this writes a backup copy (graduated labels must commit
-        #: in the backup's round, live entries in the live copy's round).
-        self.is_backup_write = is_backup_write
 
 
 def plan_rounds(

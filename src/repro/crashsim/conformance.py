@@ -105,10 +105,6 @@ class CellResult:
             "wall_seconds": self.wall_seconds,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CellResult":
-        return cls(**payload)
-
 
 @dataclass
 class RoundOutcome:

@@ -51,11 +51,11 @@ class CryptoEngine:
         return self._cipher.decrypt(ciphertext, iv)
 
     def encrypt_batch(self, plaintexts, ivs):
-        """Encrypt a batch of same-length units; counts match the loop."""
+        """Encrypt a batch of units (any lengths); counts match the loop."""
         n = len(plaintexts)
         if n:
             self._encrypt_ops.add(n)
-            self._encrypt_bytes.add(n * len(plaintexts[0]))
+            self._encrypt_bytes.add(sum(map(len, plaintexts)))
         return self._cipher.encrypt_batch(plaintexts, ivs)
 
     def decrypt_batch(self, ciphertexts, ivs):

@@ -20,7 +20,7 @@ this reason (see :meth:`DirtyEntryPSPolicy.allow_stash_hit`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backup import make_backup_entry
 from repro.core.drainer import Drainer
@@ -189,30 +189,50 @@ class DirtyEntryPSPolicy(PersistencePolicy):
         With full-path-sized WPQs (the paper's 96-entry sizing) the whole
         eviction is one atomic round.  With smaller WPQs the write-back is
         split into ordered rounds per Section 4.2.3 — see
-        :mod:`repro.core.ordered_eviction`.
+        :mod:`repro.core.ordered_eviction`.  Either way a round is a list
+        of indices into the encoded path's ``(line, wire)`` columns.
         """
         c = self.c
         assignment, placed = c._plan_eviction(path_id)
 
         # 5-A: encrypt eviction candidates and identify dirty PosMap entries.
         c._checkpoint("step5:before-start")
-        writes = self._encode_assignment(path_id, assignment, placed)
+        z = c.tree.z
+        dummies = [Block.dummy_template(c.codec.block_bytes)] * z
+        blocks: List[Block] = []
+        slot_of = {}  # id(placed block) -> its slot index on the path
+        for level, level_blocks in enumerate(assignment):
+            if level_blocks:
+                level_blocks = level_blocks[:z]
+                for slot, block in enumerate(level_blocks, level * z):
+                    slot_of[id(block)] = slot
+                blocks += level_blocks
+            blocks += dummies[len(level_blocks):]
+        # One batched codec pass over the whole path.
+        lines = c.tree.path_addresses(path_id)
+        wires = c.codec.encode_path(blocks, lines)
+        slots = len(wires)
+        # Slot index -> (logical address, is backup) of the placed block it
+        # writes: the matching dirty PosMap entry commits in that slot's
+        # round.
+        slot_key = {
+            slot_of[id(entry.block)]: (entry.block.address, entry.is_backup)
+            for entry in placed if not entry.block.is_dummy
+        }
         dirty_entries = self._dirty_entries_for(placed)
-        c.now += c.engine.batch_latency_cycles(len(writes))
+        c.now += c.engine.batch_latency_cycles(slots)
 
         # Rounds are sized so a round's block-bound PosMap entries (at most
         # one per data write) can never exceed the metadata WPQ either.
         round_capacity = min(
             c.drainer.data_wpq.capacity, c.drainer.posmap_wpq.capacity
         )
-        if len(writes) <= round_capacity:
-            rounds = [writes]
+        if slots <= round_capacity:
+            rounds = [list(range(slots))]
         else:
-            rounds = plan_rounds(writes, round_capacity, c._bounce_lines)
-            c.stats.counter("ordered_eviction_rounds").add(len(rounds))
-            bounced = sum(len(r) for r in rounds) - len(writes)
-            if bounced:
-                c.stats.counter("bounce_writes").add(bounced)
+            rounds, lines, wires = self._ordered_rounds(
+                lines, wires, placed, slot_of, round_capacity
+            )
 
         # Associate each dirty entry with the round that writes its block,
         # so data and metadata commit in the same atomic round — an entry
@@ -224,12 +244,8 @@ class DirtyEntryPSPolicy(PersistencePolicy):
         # Per-level write-back release (the window scheduler's segment-
         # hazard input): ordered rounds flush at successive cycles, so a
         # tree level is released at the flush finish of the round carrying
-        # its slot lines.  Bounce/backup/metadata lines are not path slots
-        # and impose no release.
-        addr_level = {
-            line: index // c.tree.z
-            for index, line in enumerate(c.tree.path_addresses(path_id))
-        }
+        # its slot lines (slot index // Z).  Bounce lines are not path
+        # slots and impose no release.
         release = [0] * (c.tree.height + 1)
 
         tagged = [(address, path, False) for address, path in dirty_entries]
@@ -237,18 +253,12 @@ class DirtyEntryPSPolicy(PersistencePolicy):
             address, path = self._graduate
             tagged.append((address, path, True))
             self._graduate = None
-        all_keys = {
-            (w.entry_key, w.is_backup_write)
-            for r in rounds for w in r if w.entry_key is not None
-        }
+        all_keys = set(slot_key.values())
         remaining = [e for e in tagged if (e[0], e[2]) in all_keys]
         padding = [e for e in tagged if (e[0], e[2]) not in all_keys]
         persisted: List[Tuple[int, int]] = []
-        for round_writes in rounds:
-            keys = {
-                (w.entry_key, w.is_backup_write)
-                for w in round_writes if w.entry_key is not None
-            }
+        for round_slots in rounds:
+            keys = set(map(slot_key.get, round_slots))
             round_entries = [e for e in remaining if (e[0], e[2]) in keys]
             remaining = [e for e in remaining if (e[0], e[2]) not in keys]
             room = max(0, c.drainer.posmap_wpq.capacity - len(round_entries))
@@ -258,12 +268,13 @@ class DirtyEntryPSPolicy(PersistencePolicy):
             # 5-B: "start" signal, push data + metadata into the WPQs.
             c.drainer.start()
             c._checkpoint("step5:round-open")
-            for write in round_writes:
-                c.drainer.push_block(write.line_address, write.wire)
-            for address, pending_path, _backup_bound in round_entries:
-                c.drainer.push_posmap_entry(
-                    self._entry_line(address), address, pending_path
-                )
+            c.drainer.push_blocks(
+                [lines[i] for i in round_slots], [wires[i] for i in round_slots]
+            )
+            c.drainer.push_posmap_entries(
+                [self._entry_line(address) for address, _, _ in round_entries],
+                [(address, path) for address, path, _ in round_entries],
+            )
             c._checkpoint("step5:before-end")
 
             # 5-C: "end" signal — the round is now atomic — then flush.
@@ -273,9 +284,8 @@ class DirtyEntryPSPolicy(PersistencePolicy):
             round_finish = c.drainer.flush(
                 mem_start, posmap_kind=self._posmap_persist_kind()
             )
-            for write in round_writes:
-                level = addr_level.get(write.line_address)
-                if level is not None and round_finish > release[level]:
+            for level in sorted({i // z for i in round_slots if i < slots}):
+                if round_finish > release[level]:
                     release[level] = round_finish
             persisted.extend(
                 (address, path) for address, path, _bound in round_entries
@@ -294,10 +304,10 @@ class DirtyEntryPSPolicy(PersistencePolicy):
             padding = padding[posmap_capacity:]
             c.drainer.start()
             c._checkpoint("step5:round-open")
-            for address, pending_path, _backup_bound in chunk:
-                c.drainer.push_posmap_entry(
-                    self._entry_line(address), address, pending_path
-                )
+            c.drainer.push_posmap_entries(
+                [self._entry_line(address) for address, _, _ in chunk],
+                [(address, path) for address, path, _ in chunk],
+            )
             c._checkpoint("step5:before-end")
             c.drainer.end()
             c._checkpoint("step5:after-end")
@@ -322,46 +332,52 @@ class DirtyEntryPSPolicy(PersistencePolicy):
     # eviction helpers
     # ------------------------------------------------------------------
 
-    def _encode_assignment(
+    def _ordered_rounds(
         self,
-        path_id: int,
-        assignment: List[List[Block]],
+        lines: Sequence[int],
+        wires: Sequence[bytes],
         placed: List[StashEntry],
-    ) -> List[SlotWrite]:
-        """Encrypt every slot of the eviction path (dummy-padded).
+        slot_of: Dict[int, int],
+        capacity: int,
+    ) -> Tuple[List[List[int]], List[int], List[bytes]]:
+        """Split a path too large for the WPQs into ordered rounds (§4.2.3).
 
-        Each write carries the block's current durable line (for ordered
-        eviction) and its logical address (so the matching dirty PosMap
-        entry commits in the same atomic round).
+        Each slot write carries the block's current durable line (its
+        old-line constraint) for :func:`plan_rounds`.  Returns the rounds
+        as index lists plus the ``(line, wire)`` columns they index: the
+        path's, followed by any bounce copies the plan staged.
         """
         c = self.c
-        entry_by_block = {id(entry.block): entry for entry in placed}
-        z = c.tree.z
-        dummy = Block.dummy_template(c.codec.block_bytes)
-        blocks: List[Block] = []
-        for level_blocks in assignment:
-            blocks.extend(level_blocks[:z])
-            blocks.extend(dummy for _ in range(z - len(level_blocks)))
-        # One batched codec pass over the whole path (same IV order as the
-        # former per-slot encode loop, so the wires are byte-identical).
-        addresses = c.tree.path_addresses(path_id)
-        wires = c.codec.encode_path(blocks, addresses)
         round_ = c._round
-        writes: List[SlotWrite] = []
-        for cursor, block in enumerate(blocks):
-            entry = entry_by_block.get(id(block))
-            old_line = None
-            entry_key = None
-            is_backup_write = False
-            if entry is not None and not block.is_dummy:
-                entry_key = block.address
-                is_backup_write = entry.is_backup
-                if entry.fetch_round == round_:
-                    old_line = entry.source_line
-            writes.append(SlotWrite(addresses[cursor], wires[cursor],
-                                    old_line=old_line, entry_key=entry_key,
-                                    is_backup_write=is_backup_write))
-        return writes
+        old_line = {
+            slot_of[id(entry.block)]: entry.source_line
+            for entry in placed
+            if not entry.block.is_dummy and entry.fetch_round == round_
+        }
+        writes = [
+            SlotWrite(line, wire, old_line=old_line.get(i))
+            for i, (line, wire) in enumerate(zip(lines, wires))
+        ]
+        planned = plan_rounds(writes, capacity, c._bounce_lines)
+        c.stats.counter("ordered_eviction_rounds").add(len(planned))
+        bounced = sum(len(r) for r in planned) - len(writes)
+        if bounced:
+            c.stats.counter("bounce_writes").add(bounced)
+        index_of = {id(write): i for i, write in enumerate(writes)}
+        lines = list(lines)
+        wires = list(wires)
+        rounds: List[List[int]] = []
+        for round_writes in planned:
+            indices = []
+            for write in round_writes:
+                index = index_of.get(id(write))
+                if index is None:  # a bounce copy, not a path slot
+                    index = len(lines)
+                    lines.append(write.line_address)
+                    wires.append(write.wire)
+                indices.append(index)
+            rounds.append(indices)
+        return rounds, lines, wires
 
     def _dirty_entries_for(
         self, placed: List[StashEntry]

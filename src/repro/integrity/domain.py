@@ -192,12 +192,26 @@ class IntegrityDomain:
             "ORAM tree regions — the layout has an unprotected region"
         )
 
-    def _observe(self, address: int) -> None:
-        tree = self._route(address)
-        if tree is not None:
-            tree.update_line(address)
+    def _observe(self, addresses: List[int]) -> None:
+        """Route one store's (or one write burst's) lines to their trees.
+
+        A burst inside one bucket tree — every path write-back — is
+        re-MACed in one :meth:`BucketIntegrityTree.update_lines` pass;
+        anything else is routed line by line, in order.
+        """
+        lo = min(addresses)
+        hi = max(addresses)
+        for tree in self.bucket_trees:
+            if tree.base <= lo and hi < tree.end:
+                tree.update_lines(addresses)
+                break
+        else:
+            for address in addresses:
+                tree = self._route(address)
+                if tree is not None:
+                    tree.update_line(address)
         if self._prev_observer is not None:
-            self._prev_observer(address)
+            self._prev_observer(addresses)
 
     @property
     def persists_root(self) -> bool:

@@ -62,11 +62,12 @@ class NVMMainMemory:
         # Functional image: line address -> bytes. Sparse, so a 4GB
         # configured capacity costs nothing until written.
         self._image: Dict[int, bytes] = {}
-        #: Optional hook called with the byte address after every
-        #: functional line store (store_line and the issue_path write
-        #: fast path alike).  The integrity domain registers here to keep
-        #: leaf MACs current without monkey-patching the store methods.
-        self.line_observer: Optional[Callable[[int], None]] = None
+        #: Optional hook called with a list of byte addresses after every
+        #: functional store: one address for :meth:`store_line`, a whole
+        #: burst's written lines (in order) for a write ``issue_path``.
+        #: The integrity domain registers here to keep leaf MACs current
+        #: without monkey-patching the store methods.
+        self.line_observer: Optional[Callable[[List[int]], None]] = None
         #: Optional hook called after every timed line request with the
         #: line's byte address and the completed request — the bus
         #: observer registers here.  It must not issue traffic itself.
@@ -80,7 +81,7 @@ class NVMMainMemory:
         """Write the functional content of one line (no timing)."""
         self._image[address // self.line_bytes] = bytes(data)
         if self.line_observer is not None:
-            self.line_observer(address)
+            self.line_observer([address])
 
     def load_line(self, address: int) -> Optional[bytes]:
         """Read the functional content of one line (no timing)."""
@@ -201,8 +202,6 @@ class NVMMainMemory:
         energy_each = device.energy_pj(access)
         energy = self.energy_pj
         traffic = self.traffic
-        image = self._image
-        line_observer = self.line_observer
         request_observer = self.request_observer
         is_write = access is Access.WRITE
         build_requests = requests is not None or request_observer is not None
@@ -214,7 +213,7 @@ class NVMMainMemory:
         ready = arrival_cycle
         finish = arrival_cycle
         write_lines: List[int] = []
-        for i, address in enumerate(addresses):
+        for address in addresses:
             cal = dispatch_intervals
             if not cal or ready > cal[-1]:
                 dispatched = ready
@@ -260,13 +259,6 @@ class NVMMainMemory:
             energy += energy_each
             if is_write:
                 write_lines.append(line)
-                if datas is not None:
-                    data = datas[i]
-                    if data is not None:
-                        traffic.record_cell_flips(image.get(line) or b"", data)
-                        image[line] = bytes(data)
-                        if line_observer is not None:
-                            line_observer(address)
             if build_requests:
                 request = MemoryRequest(
                     address=address, access=access, kind=kind, size_bytes=line_bytes
@@ -279,7 +271,56 @@ class NVMMainMemory:
                     request_observer(address, request)
         self.energy_pj = energy
         traffic.record_burst(access, kind, len(addresses), write_lines if is_write else None)
+        if is_write and datas is not None:
+            self._store_burst(addresses, write_lines, datas)
         return finish
+
+    def _store_burst(
+        self,
+        addresses: List[int],
+        lines: List[int],
+        datas: List[Optional[bytes]],
+    ) -> None:
+        """The functional half of a write burst: DCW cell flips, the image
+        update and one ``line_observer`` call, after the timing loop.
+
+        Bit-identical to storing line by line in burst order.  The flips of
+        the whole burst are one big-int XOR and popcount over the joined
+        old and new contents; an absent old line counts as zeros (every
+        set bit of the new content flips).  A line written twice in the
+        burst, or an old line whose length differs from the new one, takes
+        the exact per-line path instead.
+        """
+        if None in datas:
+            kept = [i for i, data in enumerate(datas) if data is not None]
+            if not kept:
+                return
+            addresses = [addresses[i] for i in kept]
+            lines = [lines[i] for i in kept]
+            datas = [datas[i] for i in kept]
+        image = self._image
+        traffic = self.traffic
+        olds = list(map(image.get, lines))
+        if None in olds:
+            olds = [
+                bytes(len(datas[i])) if old is None else old
+                for i, old in enumerate(olds)
+            ]
+        if len(set(lines)) == len(lines) and list(map(len, olds)) == list(map(len, datas)):
+            new = b"".join(datas)
+            traffic.bits_written += 8 * len(new)
+            traffic.bits_flipped += (
+                int.from_bytes(b"".join(olds), "little")
+                ^ int.from_bytes(new, "little")
+            ).bit_count()
+            image.update(zip(lines, map(bytes, datas)))
+        else:
+            record_cell_flips = traffic.record_cell_flips
+            for line, data in zip(lines, datas):
+                record_cell_flips(image.get(line) or b"", data)
+                image[line] = bytes(data)
+        if self.line_observer is not None:
+            self.line_observer(addresses)
 
     def next_free_cycles(self) -> List[int]:
         """Per-channel earliest-issue cycles (index-aligned with ``channels``).

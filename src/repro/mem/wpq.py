@@ -18,32 +18,30 @@ The model here captures exactly that contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generic, List, Tuple, TypeVar
+from typing import Generic, List, Sequence, Tuple, TypeVar
 
 from repro.errors import PersistenceError, WPQOverflowError
 
 T = TypeVar("T")
 
 
-@dataclass
-class WPQEntry(Generic[T]):
-    """One queued write: a destination address and an opaque payload."""
-
-    address: int
-    payload: T
-    round_id: int
-
-
 class WritePendingQueue(Generic[T]):
-    """A fixed-capacity, round-bracketed persistent write queue."""
+    """A fixed-capacity, round-bracketed persistent write queue.
+
+    Entries are held columnar — destination addresses and payloads in two
+    parallel lists, FIFO.  Only the newest round can be open, so its
+    entries are always the suffix from ``_open_start``: a round boundary
+    is one index, not a tag per entry.
+    """
 
     def __init__(self, name: str, capacity: int):
         if capacity < 1:
             raise ValueError(f"WPQ capacity must be >= 1, got {capacity}")
         self.name = name
         self.capacity = capacity
-        self._entries: List[WPQEntry[T]] = []
+        self._addresses: List[int] = []
+        self._payloads: List[T] = []
+        self._open_start = 0
         self._round_id = 0
         self._round_open = False
         self.pushed_total = 0
@@ -62,6 +60,7 @@ class WritePendingQueue(Generic[T]):
             raise PersistenceError(f"WPQ {self.name}: round {self._round_id} already open")
         self._round_id += 1
         self._round_open = True
+        self._open_start = len(self._addresses)
         return self._round_id
 
     def end_round(self) -> None:
@@ -72,59 +71,82 @@ class WritePendingQueue(Generic[T]):
 
     # -- data path ----------------------------------------------------------
 
-    def push(self, address: int, payload: T) -> None:
-        """Queue one write; must be inside an open round."""
+    def push_batch(self, addresses: Sequence[int], payloads: Sequence[T]) -> None:
+        """Queue a batch of writes, in order; must be inside an open round.
+
+        One capacity check covers the whole batch: a batch that does not
+        fit raises and queues nothing.
+        """
         if not self._round_open:
             raise PersistenceError(f"WPQ {self.name}: push outside of a round")
-        if len(self._entries) >= self.capacity:
+        if len(addresses) != len(payloads):
+            raise ValueError(
+                f"WPQ {self.name}: {len(addresses)} addresses for "
+                f"{len(payloads)} payloads"
+            )
+        if len(self._addresses) + len(addresses) > self.capacity:
             raise WPQOverflowError(
                 f"WPQ {self.name}: capacity {self.capacity} exceeded"
             )
-        self._entries.append(WPQEntry(address, payload, self._round_id))
-        self.pushed_total += 1
+        self._addresses.extend(addresses)
+        self._payloads.extend(payloads)
+        self.pushed_total += len(addresses)
 
-    def drain(self) -> List[Tuple[int, T]]:
-        """Remove and return all durable (closed-round) entries in FIFO order.
+    def _split(self) -> Tuple[List[int], List[T]]:
+        """Detach and return the closed-round prefix; keep the open round."""
+        cut = self._open_start if self._round_open else len(self._addresses)
+        addresses = self._addresses
+        payloads = self._payloads
+        if cut == len(addresses):
+            self._addresses = []
+            self._payloads = []
+        else:
+            self._addresses = addresses[cut:]
+            self._payloads = payloads[cut:]
+            del addresses[cut:]
+            del payloads[cut:]
+        self._open_start = 0
+        return addresses, payloads
+
+    def drain(self) -> Tuple[List[int], List[T]]:
+        """Remove and return all durable (closed-round) entries in FIFO order,
+        as ``(addresses, payloads)``.
 
         Open-round entries stay queued: they are not yet guaranteed and may
         still be discarded by a crash.
         """
-        durable = [e for e in self._entries if not self._is_open(e)]
-        self._entries = [e for e in self._entries if self._is_open(e)]
-        self.drained_total += len(durable)
-        return [(e.address, e.payload) for e in durable]
+        addresses, payloads = self._split()
+        self.drained_total += len(addresses)
+        return addresses, payloads
 
-    def crash(self) -> List[Tuple[int, T]]:
+    def crash(self) -> Tuple[List[int], List[T]]:
         """Simulate power loss.
 
         Entries of the open round never got their "end" signal, so ADR does
         not guarantee them: they are discarded.  All closed-round entries are
-        flushed by the ADR energy reserve and returned so the crash harness
-        can apply them to the NVM image.
+        flushed by the ADR energy reserve and returned, as ``(addresses,
+        payloads)``, so the crash harness can apply them to the NVM image.
         """
-        survivors = [e for e in self._entries if not self._is_open(e)]
-        discarded = [e for e in self._entries if self._is_open(e)]
-        self.discarded_total += len(discarded)
-        self.drained_total += len(survivors)
-        self._entries = []
+        addresses, payloads = self._split()
+        self.discarded_total += len(self._addresses)
+        self.drained_total += len(addresses)
+        self._addresses = []
+        self._payloads = []
         self._round_open = False
-        return [(e.address, e.payload) for e in survivors]
+        return addresses, payloads
 
     # -- introspection --------------------------------------------------------
 
-    def _is_open(self, entry: WPQEntry[T]) -> bool:
-        return self._round_open and entry.round_id == self._round_id
-
     @property
     def occupancy(self) -> int:
-        return len(self._entries)
+        return len(self._addresses)
 
     @property
     def free_slots(self) -> int:
-        return self.capacity - len(self._entries)
+        return self.capacity - len(self._addresses)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._addresses)
 
     def __repr__(self) -> str:
         return (

@@ -52,11 +52,12 @@ def _path_slot_addresses(region: TreeRegion, path_id: int) -> Tuple[int, ...]:
     z = region.z
     base = region.base
     line = region.line_bytes
+    bucket_span = z * line
     addresses: List[int] = []
     for level in range(height + 1):
         bucket = (1 << level) - 1 + (path_id >> (height - level))
-        first = base + bucket * z * line
-        addresses.extend(first + slot * line for slot in range(z))
+        first = base + bucket * bucket_span
+        addresses += range(first, first + bucket_span, line)
     return tuple(addresses)
 
 

@@ -80,10 +80,6 @@ class ServiceCellResult:
     def to_dict(self) -> Dict[str, Any]:
         return dict(self.__dict__, violations=list(self.violations))
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ServiceCellResult":
-        return cls(**payload)
-
 
 def _build_service(shards, variant, height, batch_max, seed,
                    integrity=False, window=1) -> ShardedKVService:

@@ -44,20 +44,6 @@ class RunResult:
             "extra": dict(self.extra),
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RunResult":
-        """Inverse of :meth:`to_dict`; raises ``KeyError`` on missing fields."""
-        return cls(
-            variant=payload["variant"],
-            workload=payload["workload"],
-            cycles=payload["cycles"],
-            instructions=payload["instructions"],
-            llc_misses=payload["llc_misses"],
-            nvm_reads=payload["nvm_reads"],
-            nvm_writes=payload["nvm_writes"],
-            extra=dict(payload.get("extra", {})),
-        )
-
 
 def normalize(
     results: Iterable[RunResult],

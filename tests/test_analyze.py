@@ -53,7 +53,7 @@ class TestPersistOrdering:
                 "engine/bad.py": (
                     "def evict(self):\n"
                     "    c = self.c\n"
-                    "    c.drainer.push_block(1, b'x')\n"
+                    "    c.drainer.push_blocks([1], [b'x'])\n"
                     "    c.drainer.end()\n"
                     "    c.drainer.flush(0)\n"
                 )
@@ -70,7 +70,7 @@ class TestPersistOrdering:
                     "def evict(self):\n"
                     "    c = self.c\n"
                     "    c.drainer.start()\n"
-                    "    c.drainer.push_block(1, b'x')\n"
+                    "    c.drainer.push_blocks([1], [b'x'])\n"
                 )
             },
             rules=["R1"],
@@ -85,7 +85,7 @@ class TestPersistOrdering:
                     "def evict(self):\n"
                     "    c = self.c\n"
                     "    c.drainer.start()\n"
-                    "    c.drainer.push_block(1, b'x')\n"
+                    "    c.drainer.push_blocks([1], [b'x'])\n"
                     "    c.drainer.end()\n"
                 )
             },
@@ -101,7 +101,7 @@ class TestPersistOrdering:
                     "def evict(self):\n"
                     "    c = self.c\n"
                     "    c.drainer.start()\n"
-                    "    c.drainer.push_block(1, b'x')\n"
+                    "    c.drainer.push_blocks([1], [b'x'])\n"
                     "    c.drainer.end()\n"
                     "    c.drainer.flush(0)\n"
                 )
@@ -119,7 +119,7 @@ class TestPersistOrdering:
                     "    c = self.c\n"
                     "    c.drainer.start()\n"
                     "    for it in items:\n"
-                    "        c.drainer.push_block(it, b'x')\n"
+                    "        c.drainer.push_blocks([it], [b'x'])\n"
                     "    c.drainer.end()\n"
                     "    c.drainer.flush(0)\n"
                 )
@@ -139,7 +139,93 @@ class TestPersistOrdering:
                     "    items = items[:room]\n"
                     "    c.drainer.start()\n"
                     "    for it in items:\n"
-                    "        c.drainer.push_block(it, b'x')\n"
+                    "        c.drainer.push_blocks([it], [b'x'])\n"
+                    "    c.drainer.end()\n"
+                    "    c.drainer.flush(0)\n"
+                )
+            },
+            rules=["R1"],
+        )
+        assert not active(result)
+
+    def test_batched_push_unfenced(self, tmp_path):
+        """A batched push left in an open round at exit is R1.1."""
+        result = analyze_fixture(
+            tmp_path,
+            {
+                "engine/bad.py": (
+                    "def evict(self, lines, wires):\n"
+                    "    c = self.c\n"
+                    "    lines = lines[:c.drainer.data_wpq.capacity]\n"
+                    "    c.drainer.start()\n"
+                    "    c.drainer.push_blocks(lines, wires[:len(lines)])\n"
+                )
+            },
+            rules=["R1"],
+        )
+        assert any("without the round's end()" in f.message for f in active(result))
+
+    def test_batched_push_before_start(self, tmp_path):
+        """A batched push no start() dominates is R1.2."""
+        result = analyze_fixture(
+            tmp_path,
+            {
+                "engine/bad.py": (
+                    "def evict(self, entries):\n"
+                    "    c = self.c\n"
+                    "    room = c.drainer.posmap_wpq.capacity\n"
+                    "    entries = entries[:room]\n"
+                    "    c.drainer.push_posmap_entries(\n"
+                    "        [e[0] for e in entries], [e[1] for e in entries]\n"
+                    "    )\n"
+                    "    c.drainer.start()\n"
+                    "    c.drainer.end()\n"
+                    "    c.drainer.flush(0)\n"
+                )
+            },
+            rules=["R1"],
+        )
+        assert any("no start() dominates" in f.message for f in active(result))
+
+    def test_batched_push_of_unbounded_list(self, tmp_path):
+        """R1.3 applies the capacity-evidence test to a batched push's
+        arguments, the way it does to a push loop's source."""
+        result = analyze_fixture(
+            tmp_path,
+            {
+                "engine/bad.py": (
+                    "def evict(self, pending):\n"
+                    "    c = self.c\n"
+                    "    c.drainer.start()\n"
+                    "    c.drainer.push_posmap_entries(\n"
+                    "        [self.line_of(a) for a, _ in pending], pending\n"
+                    "    )\n"
+                    "    c.drainer.end()\n"
+                    "    c.drainer.flush(0)\n"
+                )
+            },
+            rules=["R1"],
+        )
+        hits = [
+            f for f in active(result)
+            if "batched push of 'pending'" in f.message
+            and "capacity bound" in f.message
+        ]
+        assert hits
+
+    def test_batched_push_of_clamped_list_is_clean(self, tmp_path):
+        result = analyze_fixture(
+            tmp_path,
+            {
+                "engine/good.py": (
+                    "def evict(self, pending):\n"
+                    "    c = self.c\n"
+                    "    room = c.drainer.posmap_wpq.capacity\n"
+                    "    chunk = pending[:room]\n"
+                    "    c.drainer.start()\n"
+                    "    c.drainer.push_posmap_entries(\n"
+                    "        [self.line_of(a) for a, _ in chunk], chunk\n"
+                    "    )\n"
                     "    c.drainer.end()\n"
                     "    c.drainer.flush(0)\n"
                 )
@@ -218,7 +304,7 @@ class TestCrashPointCoverage:
                     "def write(self):\n"
                     "    c = self.c\n"
                     "    c.drainer.start()\n"
-                    "    c.drainer.push_block(1, b'x')\n"
+                    "    c.drainer.push_blocks([1], [b'x'])\n"
                     "    c.drainer.end()\n"
                     "    c.drainer.flush(0)\n"
                 )
@@ -261,7 +347,7 @@ class TestCrashPointCoverage:
                     "def commit(self):\n"
                     "    c = self.c\n"
                     "    c.drainer.start()\n"
-                    "    c.drainer.push_block(1, b'x')\n"
+                    "    c.drainer.push_blocks([1], [b'x'])\n"
                     "    c.drainer.end()\n"
                     "    c.drainer.flush(0)\n"
                 )

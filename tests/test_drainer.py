@@ -33,13 +33,13 @@ class TestRoundAtomicity:
     def test_push_outside_round_rejected(self, setup):
         _, drainer, _ = setup
         with pytest.raises(PersistenceError):
-            drainer.push_block(0, b"x")
+            drainer.push_blocks([0], [b"x"])
 
     def test_flush_applies_data_and_entries(self, setup):
         memory, drainer, committed = setup
         drainer.start()
-        drainer.push_block(0, b"wire-bytes")
-        drainer.push_posmap_entry(4096, address=3, path_id=7)
+        drainer.push_blocks([0], [b"wire-bytes"])
+        drainer.push_posmap_entries([4096], [(3, 7)])
         drainer.end()
         finish = drainer.flush(0)
         assert finish > 0
@@ -51,7 +51,7 @@ class TestRoundAtomicity:
     def test_flush_without_end_applies_nothing(self, setup):
         memory, drainer, committed = setup
         drainer.start()
-        drainer.push_block(0, b"wire")
+        drainer.push_blocks([0], [b"wire"])
         drainer.flush(0)
         assert memory.load_line(0) is None
         assert committed == {}
@@ -61,8 +61,8 @@ class TestCrashSemantics:
     def test_crash_before_end_discards_both(self, setup):
         memory, drainer, committed = setup
         drainer.start()
-        drainer.push_block(0, b"data")
-        drainer.push_posmap_entry(4096, address=1, path_id=2)
+        drainer.push_blocks([0], [b"data"])
+        drainer.push_posmap_entries([4096], [(1, 2)])
         blocks, entries = drainer.crash_flush()
         assert blocks == 0 and entries == 0
         assert memory.load_line(0) is None
@@ -71,8 +71,8 @@ class TestCrashSemantics:
     def test_crash_after_end_completes_both(self, setup):
         memory, drainer, committed = setup
         drainer.start()
-        drainer.push_block(0, b"data")
-        drainer.push_posmap_entry(4096, address=1, path_id=2)
+        drainer.push_blocks([0], [b"data"])
+        drainer.push_posmap_entries([4096], [(1, 2)])
         drainer.end()
         blocks, entries = drainer.crash_flush()
         assert blocks == 1 and entries == 1
@@ -82,12 +82,12 @@ class TestCrashSemantics:
     def test_closed_round_kept_open_round_discarded(self, setup):
         memory, drainer, committed = setup
         drainer.start()
-        drainer.push_block(0, b"kept")
-        drainer.push_posmap_entry(4096, address=1, path_id=2)
+        drainer.push_blocks([0], [b"kept"])
+        drainer.push_posmap_entries([4096], [(1, 2)])
         drainer.end()
         drainer.start()
-        drainer.push_block(64, b"lost")
-        drainer.push_posmap_entry(4096, address=3, path_id=4)
+        drainer.push_blocks([64], [b"lost"])
+        drainer.push_posmap_entries([4096], [(3, 4)])
         assert drainer.crash_flush() == (1, 1)
         assert memory.load_line(0) == b"kept"
         assert memory.load_line(64) is None
@@ -99,8 +99,8 @@ class TestCrashSemantics:
         """Data committed while metadata discarded cannot happen."""
         _, drainer, _ = setup
         drainer.start()
-        drainer.push_block(0, b"data")
-        drainer.push_posmap_entry(4096, address=1, path_id=2)
+        drainer.push_blocks([0], [b"data"])
+        drainer.push_posmap_entries([4096], [(1, 2)])
         # Whatever the crash timing, both queues share the round boundary.
         blocks, entries = drainer.crash_flush()
         assert (blocks == 0) == (entries == 0)

@@ -9,8 +9,8 @@ from repro.errors import WPQOverflowError
 from repro.util.rng import DeterministicRNG
 
 
-def _write(new, old=None, key=None):
-    return SlotWrite(line_address=new, wire=b"w", old_line=old, entry_key=key)
+def _write(new, old=None):
+    return SlotWrite(line_address=new, wire=b"w", old_line=old)
 
 
 class TestPlanRounds:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.serve.__main__ import main as serve_main
 from repro.serve.batcher import OP_GET
-from repro.serve.conformance import ServiceCellResult, run_service_cell
+from repro.serve.conformance import run_service_cell
 from repro.serve.frontend import SERVICE_QUIESCENT, ShardedKVService
 
 
@@ -92,12 +92,6 @@ class TestDeterminism:
     def test_integrity_is_recorded(self):
         assert _small_cell(variant="ps", seed=1).integrity is False
         assert _small_cell(variant="ps", seed=1, integrity=True).integrity is True
-
-    def test_result_round_trips_through_dict(self):
-        result = _small_cell(variant="ps", seed=1)
-        clone = ServiceCellResult.from_dict(result.to_dict())
-        assert clone.to_dict() == result.to_dict()
-        assert clone.consistent == result.consistent
 
 
 def _after_recovery(monkeypatch, damage):
