@@ -122,6 +122,18 @@ class TestBatchedCryptoGolden:
             batched = prf.keystream_many(nonces, length)
             assert batched == [prf.keystream(n, length) for n in nonces]
 
+    def test_keystream_many_mixed_lengths_match_looped_keystream(self):
+        prf = Prf(b"golden-key", digest_size=16)
+        nonces = [bytes([i]) * 16 for i in range(8)]
+        # Runs of equal length, a zero-length unit alone and ahead of a
+        # multi-counter run, and a length that reappears after a change.
+        lengths = [24, 24, 0, 40, 40, 16, 5, 24]
+        batched = prf.keystream_many(nonces, lengths)
+        assert batched == [prf.keystream(n, l) for n, l in zip(nonces, lengths)]
+        assert prf.keystream_many(nonces[:1], [0]) == [b""]
+        with pytest.raises(ValueError):
+            prf.keystream_many(nonces[:2], [8, -1])
+
     def test_evaluate_many_matches_fresh_keyed_blake2b(self):
         prf = Prf(b"golden-key", digest_size=16)
         messages = [b"", b"m", bytes(range(200))]
@@ -151,6 +163,16 @@ class TestBatchedCryptoGolden:
         batched = cipher.encrypt_batch(plaintexts, ivs)
         assert batched == [cipher.encrypt(p, iv) for p, iv in zip(plaintexts, ivs)]
         assert cipher.decrypt_batch(batched, ivs) == plaintexts
+        # Mixed lengths, as the path codec passes them (headers, then
+        # payloads), and empty units alone and ahead of a longer run.
+        for plaintexts in (
+            [bytes([i]) * 24 for i in range(3)] + [bytes([i]) * 64 for i in range(3)],
+            [b""],
+            [b"", b"", bytes(48), bytes(48), b"", bytes(5)],
+        ):
+            ivs = [300 + i for i in range(len(plaintexts))]
+            batched = cipher.encrypt_batch(plaintexts, ivs)
+            assert batched == [cipher.encrypt(p, iv) for p, iv in zip(plaintexts, ivs)]
 
     def test_decrypt_batch_rejects_tamper(self):
         cipher = CtrCipher(b"golden-cipher-key")
