@@ -30,7 +30,7 @@ _DECLARED_NAME = re.compile(r"(^|_)(CRASH_POINTS|PIPELINE_PHASES)$")
 #: "integrity" keeps the integrity domain's persist-commit window honest:
 #: its INTEGRITY_CRASH_POINTS declarations must match the _checkpoint
 #: literals it fires, in both directions, like any policy's.
-ROUND_SCOPE_DIRS = ("engine", "core", "hybrid", "integrity")
+ROUND_SCOPE_DIRS = ("engine", "core", "integrity")
 ROUND_EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py")
 
 

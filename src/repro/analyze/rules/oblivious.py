@@ -35,7 +35,7 @@ from repro.analyze.astutil import attr_chain, calls_in, in_dirs
 from repro.analyze.model import Finding
 from repro.analyze.source import FunctionInfo, Project, SourceFile
 
-SCOPE_DIRS = ("engine", "oram", "core", "hybrid")
+SCOPE_DIRS = ("engine", "oram", "core")
 
 #: Phase hooks whose address/payload parameters are secret by default.
 PHASE_FUNCS = {

@@ -29,10 +29,9 @@ statically checkable corollaries — so this rule checks them up front:
   The eADR remap-rollback bug (PR 5) was an instance: the crash flush
   persisted a PosMap mapping whose block still carried the old label.
 
-Scope: the policy/controller layers (``engine/``, ``core/``,
-``hybrid/``).  The WPQ/drainer mechanics themselves
-(``core/drainer.py``, ``mem/wpq.py``) implement
-the contract and are excluded.
+Scope: the policy/controller layers (``engine/``, ``core/``).  The
+WPQ/drainer mechanics themselves (``core/drainer.py``, ``mem/wpq.py``)
+implement the contract and are excluded.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from repro.analyze.cfg import CFG, Node, build_cfg
 from repro.analyze.model import Finding
 from repro.analyze.source import FunctionInfo, Project, SourceFile
 
-SCOPE_DIRS = ("engine", "core", "hybrid")
+SCOPE_DIRS = ("engine", "core")
 EXCLUDED_FILES = ("core/drainer.py", "mem/wpq.py")
 
 #: Direct persistent-image writes (outside the WPQ path) relevant to R1.4.

@@ -85,19 +85,6 @@ STTRAM_TIMING = NVMTimingConfig(
     read_energy_pj=800.0,
     write_energy_pj=2500.0,
 )
-# DRAM-like parameters, used only by the non-ORAM / non-NVM comparison point.
-DRAM_TIMING = NVMTimingConfig(
-    name="DRAM",
-    freq_hz=800e6,
-    t_rcd=14,
-    t_wp=14,
-    t_cwd=10,
-    t_wtr=5,
-    t_rp=14,
-    t_ccd=4,
-    read_energy_pj=300.0,
-    write_energy_pj=300.0,
-)
 
 
 @dataclass(frozen=True)

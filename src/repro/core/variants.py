@@ -1,7 +1,7 @@
 """Every evaluated system variant as a hierarchy × policy × posmap row.
 
 No variant is *defined* here — each is an assembly of one access
-hierarchy (``path`` / ``hybrid`` / ``plain``), one persistence
+hierarchy (``path`` / ``plain``), one persistence
 policy (:mod:`repro.engine.policy`, :mod:`repro.engine.ps`, ...) and one
 PosMap mode (``flat`` on-chip mirror vs ``recursive`` posmap tree),
 registered as a :class:`repro.engine.registry.VariantSpec` (paper
@@ -20,7 +20,6 @@ name               system
                    stash (persistent but not crash-consistent)
 ``rcr-ps``         recursive PS-ORAM (crash-consistent)
 ``eadr-oram``      extended-ADR: crash flush drains the stash (Table 2)
-``ps-hybrid``      PS-ORAM with a write-through DRAM tree-top
 =================  ============================================================
 
 The persistent Merkle integrity domain (docs/INTEGRITY.md) is not a row:
@@ -44,7 +43,6 @@ from repro.engine.registry import (  # noqa: F401
     get_spec,
     variant_specs,
 )
-from repro.hybrid.controller import HybridPSORAMController
 from repro.mem.controller import NVMMainMemory
 from repro.oram.controller import PathORAMController
 from repro.oram.recursive import RecursivePathORAM
@@ -109,11 +107,6 @@ _SPECS = (
         "eadr-oram", "path", "eadr", "flat",
         "extended-ADR ORAM: the crash flush drains the stash into the tree",
         _assemble(PathORAMController, EADRPolicy),
-    ),
-    VariantSpec(
-        "ps-hybrid", "hybrid", "dirty-entry-ps", "flat",
-        "PS-ORAM with a write-through DRAM tree-top cache",
-        HybridPSORAMController,
     ),
 )
 

@@ -1,7 +1,7 @@
 """The phase-structured ORAM access pipeline shared by every hierarchy.
 
 Every evaluated system — Path ORAM with a flat or recursive PosMap,
-the hybrid tree-top, plain NVM — drives its accesses through the single
+plain NVM — drives its accesses through the single
 :meth:`AccessEngine.access` implementation below.  The pipeline is a
 fixed sequence of named phases::
 

@@ -1,7 +1,7 @@
 """Variant registry: evaluated systems as hierarchy × policy × posmap rows.
 
 Every system the paper evaluates is a :class:`VariantSpec` — an assembly
-of one access hierarchy (path / hybrid / plain), one persistence policy and
+of one access hierarchy (path / plain), one persistence policy and
 one PosMap mode (flat on-chip vs recursive) — registered here by
 :mod:`repro.core.variants`.  Nothing in the registry is a subclass; the
 ``factory`` closes over the assembly.
@@ -18,7 +18,7 @@ class VariantSpec:
     """One evaluated system: a (hierarchy, policy, posmap) assembly."""
 
     name: str
-    hierarchy: str  #: "path" | "hybrid" | "plain"
+    hierarchy: str  #: "path" | "plain"
     policy: str  #: "volatile" | "naive-flush-all" | "dirty-entry-ps" | ...
     posmap: str  #: "flat" | "recursive"
     summary: str  #: one-line description for --list-variants

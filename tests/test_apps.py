@@ -404,8 +404,8 @@ class TestKVStoreAcrossVariants:
         store.put("key-3", b"back")
         assert store.get("key-3") == b"back"
 
-    def test_all_nine_oram_variants_covered(self):
-        assert len(_ORAM_VARIANTS) == 9
+    def test_all_eight_oram_variants_covered(self):
+        assert len(_ORAM_VARIANTS) == 8
 
 
 class TestKVStoreOverPlain:

@@ -122,20 +122,18 @@ class TestDifferentialCheck:
         assert all("untouched key corrupted" in v for v in cell.violations)
 
 
-class TestHybridSpanOnlyLoss:
-    """The tracked-address pass hides a ``ps-hybrid`` crash loss.
+class TestSpanOnlyLoss:
+    """The tracked-address pass hides a flat PS crash loss.
 
-    Pins ROADMAP's "Find the crash-time loss that the matrix's
-    verification reads hide in ``ps-hybrid``".  Cells read the tracked
-    addresses back before sweeping the span, and those reads re-place
-    blocks.  With a span-only sweep, the matrix cell
-    ``ps-hybrid/phase:persist-commit/default`` (campaign seed 1) loses
-    acknowledged address 18 in round 1, at windows 1 and 4.  When the
-    loss is fixed this xfail starts passing: drop the marker and the
+    Cells read the tracked addresses back before sweeping the span, and
+    those reads re-place blocks.  With a span-only sweep, the cell
+    ``ps/phase:persist-commit/default`` at cell seed 125281375832855
+    loses acknowledged address 18 in round 1, at windows 1 and 4.  When
+    the loss is fixed this xfail starts passing: drop the marker and the
     tracked pass from ``CellSystem._conformance``.
     """
 
-    CELL = dict(variant="ps-hybrid", point="phase:persist-commit",
+    CELL = dict(variant="ps", point="phase:persist-commit",
                 wpq="default", rounds=2, seed=125281375832855, height=6)
 
     @staticmethod
@@ -156,7 +154,7 @@ class TestHybridSpanOnlyLoss:
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="ps-hybrid loses acknowledged address 18 at a persist-commit "
+        reason="ps loses acknowledged address 18 at a persist-commit "
                "crash once the tracked-address reads no longer re-place it",
     )
     def test_cell_is_conformant_with_a_span_only_sweep(self, monkeypatch):
@@ -191,7 +189,7 @@ class TestPlanMatrix:
                 assert has_points == (discipline in ("eager", "lazy")), (spec.name, integrity)
         # naive-ps is the eager discipline; the dirty-entry PS rows are lazy.
         assert {p.variant for p in plan if p.point in INTEGRITY_CRASH_POINTS} \
-            == {"naive-ps", "ps", "ps-hybrid", "rcr-ps"}
+            == {"naive-ps", "ps", "rcr-ps"}
         assert all(p.integrity for p in plan if p.point in INTEGRITY_CRASH_POINTS)
         # Both WPQ geometries, every cell.
         assert {p.wpq for p in plan} == {"default", "small"}

@@ -116,10 +116,10 @@ class TestPipelinePhaseCrashMatrix:
     pipeline refactor): the engine's phase boundaries are variant-
     independent, the policy points are not — so each variant is swept
     over its *own* full ``crash_points()`` set.  Rcr-PS adds the
-    recursive-PosMap intent point, and the hybrid mixes flat and
-    recursive paths."""
+    recursive-PosMap intent point; flat PS adds the phase boundaries to
+    the step points :class:`TestCrashMatrix` sweeps."""
 
-    PHASE_VARIANTS = ["rcr-ps", "ps-hybrid"]
+    PHASE_VARIANTS = ["rcr-ps", "ps"]
 
     @pytest.mark.parametrize("variant", PHASE_VARIANTS)
     def test_consistent_at_every_crash_point(self, variant):
@@ -128,7 +128,7 @@ class TestPipelinePhaseCrashMatrix:
             report = _crash_once_at(variant, point)
             assert report.consistent, (variant, point, report.violations)
 
-    @pytest.mark.parametrize("variant", PS_VARIANTS + ["ps-hybrid"])
+    @pytest.mark.parametrize("variant", PS_VARIANTS)
     def test_crash_points_cover_every_phase(self, variant):
         controller = build_variant(variant, small_config(height=6))
         points = controller.crash_points()

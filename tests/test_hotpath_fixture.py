@@ -62,14 +62,9 @@ EXPECTED = {
         "3069fd10ea97cc3a112d70720b8f3fe5919182d934f08fee413bb5ba8db32c79",
         956906,
     ),
-    # ps-hybrid and eadr-oram goldens captured at acba882 (pre-engine
-    # refactor) with the same drive; eadr-oram includes a mid-drive
-    # crash+recover (CRASH_AT) so the digest pins the drain/restore path.
-    ("ps-hybrid", False): (
-        "8946069c78052e801e5c9a21def0bd0f20aa8e6365361be912a2ae303eb815ee",
-        "399f78f023b088e90c79e52bce423241f7e847da3eff1245adbe31130a2312ac",
-        1124398,
-    ),
+    # eadr-oram golden captured at acba882 (pre-engine refactor) with the
+    # same drive; it includes a mid-drive crash+recover (CRASH_AT) so the
+    # digest pins the drain/restore path.
     ("eadr-oram", False): (
         "71dbd6842cb921adf65700ba2e44b5946f27a34f19c28a966e5b8454506064ec",
         "7df9a1856d38b8a50bd15de7e0203533387559b402215b64706b08843e4af4c3",

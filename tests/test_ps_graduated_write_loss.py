@@ -9,7 +9,7 @@ The next access from another block through that path keeps the newer
 copy, drops it as stale, and the block is gone.
 
 This module runs that construction on every flat-PosMap PS row of the
-registry, with the integrity domain off and on.  The six cases that lose
+registry, with the integrity domain off and on.  The four cases that lose
 the block today are strict xfails: fixing ``DirtyEntryPSPolicy.evict``'s
 commit order has to flip all of them.  The recursive rows are not
 covered: their remap never graduates a label.
@@ -33,7 +33,7 @@ FLAT_PS_ROWS = [
 ]
 
 #: (row, integrity) cases that lose the block: all of them.
-LOSING_CASES = [(name, integrity) for name in ("naive-ps", "ps", "ps-hybrid")
+LOSING_CASES = [(name, integrity) for name in ("naive-ps", "ps")
                 for integrity in (False, True)]
 
 _LOSS = pytest.mark.xfail(

@@ -83,7 +83,7 @@ class TestReportCLI:
         assert main(["--list-variants"]) == 0
         out = capsys.readouterr().out
         for name in ("plain", "baseline", "ps", "naive-ps", "rcr-ps",
-                     "ps-hybrid", "eadr-oram"):
+                     "eadr-oram"):
             assert name in out
         assert "hierarchy" in out and "policy" in out and "posmap" in out
         assert "dirty-entry-ps" in out

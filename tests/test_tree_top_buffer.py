@@ -139,7 +139,7 @@ class TestReadAfterWriteOracle:
 
 
 class TestTreeTopBuffer:
-    @pytest.mark.parametrize("variant", ["baseline", "ps", "ps-hybrid", "rcr-ps"])
+    @pytest.mark.parametrize("variant", ["baseline", "ps", "rcr-ps"])
     def test_no_timed_read_of_a_buffered_level(self, variant):
         run = _Run(variant, 4)
         assert run.read_levels, "the trace issued no timed reads"
@@ -147,7 +147,7 @@ class TestTreeTopBuffer:
         assert buffered == {}
 
     @pytest.mark.parametrize("variant,integrity", [
-        case("baseline"), case("ps"), case("ps-hybrid"), case("rcr-ps", True),
+        case("baseline"), case("ps"), case("rcr-ps", True),
     ])
     def test_writes_and_image_equal_serial(self, variant, integrity):
         serial = _Run(variant, 1, integrity=integrity).bare
@@ -160,7 +160,7 @@ class TestTreeTopBuffer:
         assert writes(windowed) == writes(serial)
         assert windowed.memory.snapshot_image() == serial.memory.snapshot_image()
         # Reads drop by exactly the buffered levels: 2 x Z lines per path
-        # fetch of each tree (ps-hybrid's top levels were DRAM reads).
+        # fetch of each tree.
         fetches = 0
         for engine in _engines(serial):
             stats = engine.stats.snapshot()
@@ -170,10 +170,9 @@ class TestTreeTopBuffer:
                 + stats.get("background_evictions", 0)
             )
         saved = serial.memory.traffic.total_reads - windowed.memory.traffic.total_reads
-        expected = 0 if variant == "ps-hybrid" else 2 * serial.tree.z * fetches
-        assert saved == expected
+        assert saved == 2 * serial.tree.z * fetches
 
-    @pytest.mark.parametrize("variant", ["baseline", "ps", "ps-hybrid", "rcr-ps"])
+    @pytest.mark.parametrize("variant", ["baseline", "ps", "rcr-ps"])
     def test_fetch_finishes_after_previous_eviction(self, variant):
         checks = Counter()
         late = []

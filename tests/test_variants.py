@@ -88,7 +88,6 @@ class TestCrashConsistencySupportMatrix:
             ("rcr-baseline", False),
             ("rcr-ps", True),
             ("eadr-oram", True),
-            ("ps-hybrid", True),
         ],
     )
     def test_support_flag(self, name, expected):

@@ -115,7 +115,7 @@ def test_posted_lines_are_never_read(variant, integrity):
 
 
 @pytest.mark.parametrize("window", [1, 4])
-@pytest.mark.parametrize("variant", ["ps", "naive-ps", "ps-hybrid", "rcr-ps"])
+@pytest.mark.parametrize("variant", ["ps", "naive-ps", "rcr-ps"])
 def test_residual_tree_lines_are_never_read(variant, window):
     """No timed read touches a line the residual line tree covers or a
     digest line.  Recovery rebuilds the residual tree from the image and
