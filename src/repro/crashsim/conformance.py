@@ -189,13 +189,9 @@ class CellSystem:
         domain = getattr(self.controller, "integrity", None)
         if domain is not None and domain.recovery_violations:
             return list(domain.recovery_violations)
-        # The tracked addresses are read back before the span: reads
-        # re-place blocks, and the state the next round starts from
-        # depends on them (docs/CRASHTEST.md, "The oracle").
-        for addresses in (None, range(self.span)):
-            check = self.checker.verify(addresses)
-            if not check.consistent:
-                return check.violations
+        check = self.checker.verify(range(self.span))
+        if not check.consistent:
+            return check.violations
         self.checker.settle()
         return []
 

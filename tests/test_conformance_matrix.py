@@ -8,7 +8,7 @@ from repro.config import small_config
 from repro.core.plain import PlainNVMController
 from repro.core.variants import build_variant, variant_specs
 from repro.crashsim.checker import ConsistencyChecker
-from repro.crashsim.conformance import QUIESCENT, CellResult, CellSystem, run_cell
+from repro.crashsim.conformance import QUIESCENT, CellResult, run_cell
 from repro.crashsim.matrix import (
     _reproducer_filename,
     cell_seed,
@@ -122,46 +122,29 @@ class TestDifferentialCheck:
         assert all("untouched key corrupted" in v for v in cell.violations)
 
 
-class TestSpanOnlyLoss:
-    """The tracked-address pass hides a flat PS crash loss.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="flat PS loses acknowledged address 18 at a persist-commit crash",
+)
+def test_flat_ps_keeps_acknowledged_writes_across_a_persist_commit_crash():
+    """A flat PS loss that a crash exposes, pinned on ROADMAP.
 
-    Cells read the tracked addresses back before sweeping the span, and
-    those reads re-place blocks.  With a span-only sweep, the cell
-    ``ps/phase:persist-commit/default`` at cell seed 125281375832855
-    loses acknowledged address 18 in round 1, at windows 1 and 4.  When
-    the loss is fixed this xfail starts passing: drop the marker and the
-    tracked pass from ``CellSystem._conformance``.
+    Cells sweep the whole span after every crash.  At cell seed
+    125281375832855, ``ps`` and ``naive-ps`` lose acknowledged address 18
+    in round 1, at windows 1 and 4 (integrity off and on alike).  No
+    PosMap label graduates in this cell, so it is not the graduated-write
+    commit-order loss of ``tests/test_ps_graduated_write_loss.py``.  When
+    the loss is fixed this xfail starts passing: drop the marker.
     """
-
-    CELL = dict(variant="ps", point="phase:persist-commit",
-                wpq="default", rounds=2, seed=125281375832855, height=6)
-
-    @staticmethod
-    def _span_only(self, recovered):
-        if not recovered:
-            return ["recovery failed on a variant that claims support"]
-        check = self.checker.verify(range(self.span))
-        if not check.consistent:
-            return check.violations
-        self.checker.settle()
-        return []
-
-    def test_cell_is_conformant_with_the_tracked_pass(self):
-        for window in (1, 4):
-            cell = run_cell(**self.CELL, window=window)
-            assert cell.crashes_fired >= 1
-            assert cell.consistent, (window, cell.violations)
-
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ps loses acknowledged address 18 at a persist-commit "
-               "crash once the tracked-address reads no longer re-place it",
-    )
-    def test_cell_is_conformant_with_a_span_only_sweep(self, monkeypatch):
-        monkeypatch.setattr(CellSystem, "_conformance", self._span_only)
-        for window in (1, 4):
-            cell = run_cell(**self.CELL, window=window)
-            assert cell.consistent, (window, cell.violations)
+    cells = {
+        (variant, window): run_cell(
+            variant=variant, point="phase:persist-commit", wpq="default",
+            rounds=2, seed=125281375832855, height=6, window=window)
+        for variant in ("ps", "naive-ps")
+        for window in (1, 4)
+    }
+    lost = {key: cell.violations for key, cell in cells.items() if not cell.consistent}
+    assert not lost, lost
 
 
 class TestPlanMatrix:
