@@ -3,7 +3,7 @@
 Models the off-chip persistent-memory system the ORAM tree lives in:
 
 * :mod:`repro.mem.request` — typed memory requests.
-* :mod:`repro.mem.device` — per-technology timing (PCM / STT-RAM / DRAM).
+* :mod:`repro.mem.device` — per-technology timing (PCM / STT-RAM).
 * :mod:`repro.mem.bank` / :mod:`repro.mem.channel` — bank conflicts and
   per-channel serialization.
 * :mod:`repro.mem.controller` — the multi-channel memory controller plus a
